@@ -62,17 +62,20 @@ let make_backend backend pool =
 
 (* Scheme names resolve through the registry (ids and aliases alike);
    the per-scheme tuning flags ride along as registry params and are
-   ignored by schemes they do not apply to.  [--pipeline] upgrades a
-   scheme to its pipelined registry variant when it has one. *)
-let scheme_conv ~buffer ~help_free ~pipeline ~shards ~delay name =
+   ignored by schemes they do not apply to. *)
+let scheme_conv ~buffer ~help_free ~delay name =
   match Registry.canonical name with
   | Error e -> Error (`Msg e)
-  | Ok id ->
-      let id =
-        if pipeline then Option.value (Registry.get id).Registry.pipelined ~default:id
-        else id
-      in
-      Ok (Registry.spec ~buffer ~help_free ?shards ~delay id)
+  | Ok id -> Ok (Registry.spec ~buffer ~help_free ~delay id)
+
+(* A fraction of operations, so it must lie in [0, 1]. *)
+let ratio_conv =
+  let parse s =
+    match float_of_string_opt s with
+    | Some r when r >= 0.0 && r <= 1.0 -> Ok r
+    | _ -> Error (`Msg (Fmt.str "%S is not a ratio in [0, 1]" s))
+  in
+  Arg.conv (parse, Fmt.float)
 
 (* -------------------------------- run ----------------------------------- *)
 
@@ -143,30 +146,15 @@ let run_cmd =
   let init = Arg.(value & opt int 128 & info [ "init" ] ~doc:"Initial structure size.") in
   let range = Arg.(value & opt int 256 & info [ "range" ] ~doc:"Key range.") in
   let update =
-    Arg.(value & opt float 0.2 & info [ "update" ] ~doc:"Update ratio (paper: 0.2).")
+    Arg.(
+      value & opt ratio_conv 0.2
+      & info [ "update" ] ~doc:"Update ratio, between 0 and 1 (paper: 0.2).")
   in
   let buffer =
     Arg.(value & opt int 32 & info [ "buffer" ] ~doc:"ThreadScan per-thread delete buffer.")
   in
   let help_free =
     Arg.(value & flag & info [ "help-free" ] ~doc:"Enable the help-free ThreadScan variant.")
-  in
-  let pipeline =
-    Arg.(
-      value & flag
-      & info [ "pipeline" ]
-          ~doc:
-            "ThreadScan only: enable the parallel reclamation pipeline (sealed-run merge \
-             collect, Bloom-prefiltered scan, chunked parallel free; see docs/PERF.md).")
-  in
-  let shards =
-    Arg.(
-      value & opt (some int) None
-      & info [ "shards" ]
-          ~doc:
-            "ThreadScan reclamation shard count: 0 = auto (one shard per 8 threads), 1 = \
-             single master, >1 = that many shards with helper work-stealing.  Unset keeps \
-             the registry default (1 for legacy threadscan, auto for the pipeline).")
   in
   let no_magazine =
     Arg.(
@@ -202,9 +190,9 @@ let run_cmd =
       value & opt string "none"
       & info [ "chaos" ]
           ~doc:
-            "Fault plan to inject, e.g. $(b,crash:1\\@100000) or \
-             $(b,stall:2\\@80000:forever,release:2\\@500ms): comma-separated clauses \
-             EVENT:VICTIMS\\@TRIGGER, where the trigger is virtual cycles or (native only) \
+            "Fault plan to inject, e.g. $(b,crash:1@100000) or \
+             $(b,stall:2@80000:forever,release:2@500ms): comma-separated clauses \
+             EVENT:VICTIMS@TRIGGER, where the trigger is virtual cycles or (native only) \
              $(b,Nms) wall-clock; events are crash, stall (bounded, $(b,:forever)), release, \
              drop-signals:N, delay-signals:CYCLES.  Recovery metrics are reported after the \
              run.")
@@ -218,10 +206,10 @@ let run_cmd =
              going after this long is killed and reported as wedged with a post-mortem \
              (0 = off).  Required for chaos plans that starve plain epoch forever.")
   in
-  let action ds scheme_name threads cores horizon init range update buffer help_free pipeline
-      shards no_magazine trials delay padding seed analyze chaos watchdog backend pool =
+  let action ds scheme_name threads cores horizon init range update buffer help_free
+      no_magazine trials delay padding seed analyze chaos watchdog backend pool =
     match
-      ( scheme_conv ~buffer ~help_free ~pipeline ~shards ~delay scheme_name,
+      ( scheme_conv ~buffer ~help_free ~delay scheme_name,
         Ts_util.Fault_plan.parse chaos )
     with
     | Error (`Msg m), _ -> `Error (false, m)
@@ -302,7 +290,7 @@ let run_cmd =
     Term.(
       ret
         (const action $ ds $ scheme_name $ threads $ cores $ horizon $ init $ range $ update
-       $ buffer $ help_free $ pipeline $ shards $ no_magazine $ trials $ delay $ padding $ seed
+       $ buffer $ help_free $ no_magazine $ trials $ delay $ padding $ seed
        $ analyze $ chaos $ watchdog $ backend_arg $ pool_arg))
 
 (* ------------------------------- sweep ---------------------------------- *)

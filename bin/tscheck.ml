@@ -93,40 +93,6 @@ let buffer_arg =
 let help_free_arg =
   Arg.(value & flag & info [ "help-free" ] ~doc:"Check the help-free ThreadScan variant.")
 
-let collect_merge_arg =
-  Arg.(
-    value & flag
-    & info [ "collect-merge" ]
-        ~doc:"Check the sealed-run collect with k-way merge publish (docs/PERF.md).")
-
-let scan_filter_arg =
-  Arg.(
-    value & flag
-    & info [ "scan-filter" ] ~doc:"Check the Bloom-prefiltered TS-Scan (docs/PERF.md).")
-
-let free_chunk_arg =
-  Arg.(
-    value & opt int 0
-    & info [ "free-chunk" ]
-        ~doc:"Chunked helper-parallel free phase with this chunk size (0 = legacy).")
-
-let pipeline_arg =
-  Arg.(
-    value & flag
-    & info [ "pipeline" ]
-        ~doc:
-          "Shorthand: check the whole parallel reclamation pipeline \
-           (--collect-merge --scan-filter --free-chunk 4 --help-free).")
-
-let shards_arg =
-  Arg.(
-    value & opt int 0
-    & info [ "shards" ]
-        ~doc:
-          "ThreadScan reclamation shard count (0 = registry default: one master for legacy \
-           threadscan, auto for the pipelined variant; >1 shards the collect with \
-           helper work-stealing).")
-
 let no_magazine_arg =
   Arg.(
     value & flag
@@ -265,13 +231,9 @@ let sweep_cmd =
   in
   let seed0 = Arg.(value & opt int 0 & info [ "seed0" ] ~doc:"First seed of the family.") in
   let action ds_list schedules pct_depth seed0 scheme threads ops key_range buffer_size
-      help_free collect_merge scan_filter free_chunk shards no_magazine pipeline inject fault
-      race bug fork prune fork_factor fork_stride fork_window differential step_budget =
+      help_free no_magazine inject fault race bug fork prune fork_factor fork_stride fork_window
+      differential step_budget =
     let analyze = race || bug <> None in
-    let help_free = help_free || pipeline in
-    let collect_merge = collect_merge || pipeline in
-    let scan_filter = scan_filter || pipeline in
-    let free_chunk = if pipeline && free_chunk = 0 then 4 else free_chunk in
     (* A seeded bug lives in one specific structure; sweeping any other
        would "pass" without exercising it. *)
     let ds_list = match bug with None -> ds_list | Some b -> [ Scenario.bug_ds b ] in
@@ -299,10 +261,6 @@ let sweep_cmd =
         key_range;
         buffer_size;
         help_free;
-        collect_merge;
-        scan_filter;
-        free_chunk;
-        shards;
         magazine = not no_magazine;
         inject;
         fault;
@@ -322,12 +280,6 @@ let sweep_cmd =
         (if prune then "on" else "off")
         differential;
     if step_budget > 0 then Fmt.pr "step budget: %d per structure@." step_budget;
-    if collect_merge || scan_filter || free_chunk <> 0 || shards <> 0 then
-      Fmt.pr "pipeline:%s%s%s%s@."
-        (if collect_merge then " collect-merge" else "")
-        (if scan_filter then " scan-filter" else "")
-        (if free_chunk <> 0 then Fmt.str " free-chunk=%d" free_chunk else "")
-        (if shards <> 0 then Fmt.str " shards=%d" shards else "");
     if no_magazine then Fmt.pr "allocator: magazines off (central free lists only)@.";
     if inject <> Threadscan.No_fault then
       Fmt.pr "injected bug: %s@." (Scenario.inject_to_string inject);
@@ -409,9 +361,8 @@ let sweep_cmd =
     Term.(
       ret
         (const action $ ds_list $ schedules $ pct_depth $ seed0 $ scheme_arg $ threads_arg
-       $ ops_arg $ range_arg $ buffer_arg $ help_free_arg $ collect_merge_arg $ scan_filter_arg
-       $ free_chunk_arg $ shards_arg $ no_magazine_arg $ pipeline_arg $ inject_arg $ fault_arg
-       $ race_arg $ bug_arg $ fork_arg $ prune_arg $ fork_factor_arg $ fork_stride_arg
+       $ ops_arg $ range_arg $ buffer_arg $ help_free_arg $ no_magazine_arg $ inject_arg
+       $ fault_arg $ race_arg $ bug_arg $ fork_arg $ prune_arg $ fork_factor_arg $ fork_stride_arg
        $ fork_window_arg $ differential_arg $ step_budget_arg))
 
 (* -------------------------------- replay -------------------------------- *)
@@ -425,13 +376,9 @@ let replay_cmd =
       & info [ "policy" ] ~doc:"Schedule policy (timed|uniform|pct:<d>).")
   in
   let seed = Arg.(value & opt int 0 & info [ "seed" ] ~doc:"Schedule seed.") in
-  let action ds policy seed scheme threads ops key_range buffer_size help_free collect_merge
-      scan_filter free_chunk shards no_magazine pipeline inject fault race bug =
+  let action ds policy seed scheme threads ops key_range buffer_size help_free no_magazine
+      inject fault race bug =
     let analyze = race || bug <> None in
-    let help_free = help_free || pipeline in
-    let collect_merge = collect_merge || pipeline in
-    let scan_filter = scan_filter || pipeline in
-    let free_chunk = if pipeline && free_chunk = 0 then 4 else free_chunk in
     let ds = match bug with None -> ds | Some b -> Scenario.bug_ds b in
     let spec =
       {
@@ -442,10 +389,6 @@ let replay_cmd =
         key_range;
         buffer_size;
         help_free;
-        collect_merge;
-        scan_filter;
-        free_chunk;
-        shards;
         magazine = not no_magazine;
         inject;
         fault;
@@ -456,16 +399,12 @@ let replay_cmd =
       }
     in
     Fmt.pr
-      "replay: ds=%s%s threads=%d ops=%d key-range=%d buffer=%d%s%s%s%s%s%s inject=%s fault=%s \
+      "replay: ds=%s%s threads=%d ops=%d key-range=%d buffer=%d%s%s inject=%s fault=%s \
        policy=%s seed=%d%s%s@."
       (Scenario.ds_to_string ds)
       (if scheme = Scenario.default.Scenario.scheme then "" else " scheme=" ^ scheme)
       threads ops key_range buffer_size
       (if help_free then " help-free" else "")
-      (if collect_merge then " collect-merge" else "")
-      (if scan_filter then " scan-filter" else "")
-      (if free_chunk <> 0 then Fmt.str " free-chunk=%d" free_chunk else "")
-      (if shards <> 0 then Fmt.str " shards=%d" shards else "")
       (if no_magazine then " no-magazine" else "")
       (Scenario.inject_to_string inject)
       (Scenario.fault_to_string fault)
@@ -485,8 +424,7 @@ let replay_cmd =
     Term.(
       ret
         (const action $ ds $ policy $ seed $ scheme_arg $ threads_arg $ ops_arg $ range_arg $ buffer_arg
-       $ help_free_arg $ collect_merge_arg $ scan_filter_arg $ free_chunk_arg $ shards_arg
-       $ no_magazine_arg $ pipeline_arg $ inject_arg $ fault_arg $ race_arg $ bug_arg))
+       $ help_free_arg $ no_magazine_arg $ inject_arg $ fault_arg $ race_arg $ bug_arg))
 
 let () =
   let doc = "systematic concurrency checker for the ThreadScan reproduction" in

@@ -16,7 +16,7 @@
 
    Usage: dune exec bin/tstrace.exe
             [-- --threads N] [--buffer N] [--cores N] [--seed N]
-            [--shards N] [--no-magazine]
+            [--no-magazine]
             [--scheme NAME] [--fault none|crash|stall|<plan>] [--analyze]
 
    --scheme selects any registry scheme (default threadscan).  The
@@ -45,7 +45,6 @@ let parse_args () =
   let threads = ref 3
   and buffer = ref 8
   and cores = ref 0
-  and shards = ref 0
   and magazine = ref true
   and scheme = ref default_scheme
   and fault = ref "none"
@@ -61,9 +60,6 @@ let parse_args () =
         go rest
     | "--cores" :: n :: rest ->
         cores := int_of_string n;
-        go rest
-    | "--shards" :: n :: rest ->
-        shards := int_of_string n;
         go rest
     | "--no-magazine" :: rest ->
         magazine := false;
@@ -90,10 +86,10 @@ let parse_args () =
     | arg :: _ -> failwith ("unknown argument: " ^ arg)
   in
   go (List.tl (Array.to_list Sys.argv));
-  (!threads, !buffer, !cores, !shards, !magazine, !scheme, !fault, !seed, !analyze)
+  (!threads, !buffer, !cores, !magazine, !scheme, !fault, !seed, !analyze)
 
 let () =
-  let nthreads, buffer_size, cores, shards, magazine, scheme, fault, seed, analyze =
+  let nthreads, buffer_size, cores, magazine, scheme, fault, seed, analyze =
     parse_args ()
   in
   let record, entries = Trace.recorder () in
@@ -138,12 +134,7 @@ let () =
                     });
            }
          in
-         let built =
-           Registry.build env
-             (Registry.spec ~buffer:buffer_size
-                ?shards:(if shards = 0 then None else Some shards)
-                scheme)
-         in
+         let built = Registry.build env (Registry.spec ~buffer:buffer_size scheme) in
          let smr = wrap_analyzed built.Registry.smr in
          (* schemes without a stack scan protect the held node with an
             operation bracket instead (restarted if neutralized) *)
@@ -245,11 +236,10 @@ let () =
        (if cores <= 0 then "dedicated" else string_of_int cores)
        fault seed);
   Fmt.pr
-    "replay: dune exec bin/tstrace.exe -- --threads %d --buffer %d --cores %d%s%s%s --fault %s \
+    "replay: dune exec bin/tstrace.exe -- --threads %d --buffer %d --cores %d%s%s --fault %s \
      --seed %d%s@."
     nthreads buffer_size cores
     (if scheme = default_scheme then "" else " --scheme " ^ scheme)
-    (if shards <> 0 then Fmt.str " --shards %d" shards else "")
     (if magazine then "" else " --no-magazine")
     fault seed
     (if analyze then " --analyze" else "");

@@ -25,10 +25,6 @@ type spec = {
   key_range : int;
   buffer_size : int;
   help_free : bool;
-  collect_merge : bool;
-  scan_filter : bool;
-  free_chunk : int;
-  shards : int;
   magazine : bool;
   inject : Threadscan.inject;
   fault : fault;
@@ -47,10 +43,6 @@ let default =
     key_range = 32;
     buffer_size = 8;
     help_free = false;
-    collect_merge = false;
-    scan_filter = false;
-    free_chunk = 0;
-    shards = 0;
     magazine = true;
     inject = Threadscan.No_fault;
     fault = Fault_none;
@@ -147,19 +139,13 @@ let fault_of_string s =
   | Ok _ | Error _ -> None
 
 let replay_command spec =
-  (* Pipeline flags are emitted only when non-default, so commands for the
-     legacy configuration stay byte-identical to what they always were. *)
   Fmt.str
     "dune exec bin/tscheck.exe -- replay --ds %s%s --threads %d --ops %d --key-range %d \
-     --buffer %d%s%s%s%s%s%s --inject %s --fault %s --policy %s --seed %d%s%s"
+     --buffer %d%s%s --inject %s --fault %s --policy %s --seed %d%s%s"
     (ds_to_string spec.ds)
     (if spec.scheme = default.scheme then "" else " --scheme " ^ spec.scheme)
     spec.threads spec.ops spec.key_range spec.buffer_size
     (if spec.help_free then " --help-free" else "")
-    (if spec.collect_merge then " --collect-merge" else "")
-    (if spec.scan_filter then " --scan-filter" else "")
-    (if spec.free_chunk <> 0 then Fmt.str " --free-chunk %d" spec.free_chunk else "")
-    (if spec.shards <> 0 then Fmt.str " --shards %d" spec.shards else "")
     (if spec.magazine then "" else " --no-magazine")
     (inject_to_string spec.inject) (fault_to_string spec.fault) (policy_to_string spec.policy)
     spec.seed
@@ -354,9 +340,8 @@ let run_churn rt spec (smr : Smr.t) ~pinned =
 let run ?configure ?trace spec =
   let d = Registry.get spec.scheme in
   (* Capability guards, before any runtime exists.  The protocol
-     injection points live inside the ThreadScan collect protocol; the
-     pipeline-knob capability marks exactly that family. *)
-  if spec.inject <> Threadscan.No_fault && not d.Registry.caps.Registry.has_pipeline_knobs then
+     injection points live inside the ThreadScan collect protocol. *)
+  if spec.inject <> Threadscan.No_fault && not d.Registry.caps.Registry.ts_protocol then
     invalid_arg
       (Fmt.str "scheme %s has no ThreadScan collect protocol to inject %s into" spec.scheme
          (inject_to_string spec.inject));
@@ -481,11 +466,7 @@ let run ?configure ?trace spec =
            }
          in
          let rspec =
-           Registry.spec ~buffer:spec.buffer_size ~help_free:spec.help_free
-             ~collect_merge:spec.collect_merge ~scan_filter:spec.scan_filter
-             ?free_chunk:(if spec.free_chunk = 0 then None else Some spec.free_chunk)
-             ?shards:(if spec.shards = 0 then None else Some spec.shards)
-             spec.scheme
+           Registry.spec ~buffer:spec.buffer_size ~help_free:spec.help_free spec.scheme
          in
          let built = Registry.build env rspec in
          (match built.Registry.ts with

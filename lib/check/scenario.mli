@@ -81,18 +81,6 @@ type spec = {
   key_range : int;
   buffer_size : int;  (** ThreadScan per-thread delete buffer *)
   help_free : bool;
-  collect_merge : bool;
-      (** sealed-run collect with k-way merge publish
-          ({!Threadscan.Config.collect_merge}) *)
-  scan_filter : bool;
-      (** Bloom-prefiltered TS-Scan ({!Threadscan.Config.scan_filter}) *)
-  free_chunk : int;
-      (** chunked helper-parallel free phase, 0 = legacy whole-queue claim
-          ({!Threadscan.Config.free_chunk}) *)
-  shards : int;
-      (** reclamation shard count ({!Threadscan.Config.shards}); 0 here
-          means "leave it to the registry default" — 1 (single master)
-          for legacy threadscan, auto for the pipelined variant *)
   magazine : bool;
       (** per-thread allocator magazines in the simulated heap; [false]
           routes every small malloc/free through the central lists *)
@@ -109,8 +97,7 @@ type spec = {
 }
 
 val default : spec
-(** list over threadscan, 3 threads, 40 ops, keys 0..31, buffer 8, no help-free, pipeline
-    toggles off (legacy single-stage phase), registry-default shards,
+(** list over threadscan, 3 threads, 40 ops, keys 0..31, buffer 8, no help-free,
     magazines on, no injection, uniform policy, seed 0, no analysis, no
     seeded bug. *)
 

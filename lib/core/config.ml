@@ -6,11 +6,6 @@ type t = {
   suspect_phases : int;
   takeover_steps : int;
   overflow_after : int;
-  collect_merge : bool;
-  scan_filter : bool;
-  free_chunk : int;
-  adaptive_buffers : bool;
-  shards : int;
 }
 
 let default =
@@ -22,11 +17,6 @@ let default =
     suspect_phases = 3;
     takeover_steps = 1_000_000;
     overflow_after = 64;
-    collect_merge = false;
-    scan_filter = false;
-    free_chunk = 0;
-    adaptive_buffers = false;
-    shards = 1;
   }
 
 let paper = { default with max_threads = 256; buffer_size = 1024 }
@@ -34,12 +24,4 @@ let paper = { default with max_threads = 256; buffer_size = 1024 }
 let validate t =
   if t.max_threads < 1 then invalid_arg "Threadscan config: max_threads < 1";
   if t.buffer_size < 2 then invalid_arg "Threadscan config: buffer_size < 2";
-  if t.suspect_phases < 1 then invalid_arg "Threadscan config: suspect_phases < 1";
-  if t.free_chunk < 0 then invalid_arg "Threadscan config: free_chunk < 0";
-  if t.shards < 0 then invalid_arg "Threadscan config: shards < 0"
-
-(* [shards = 0] means auto: one shard per 8 participating threads, capped
-   so tiny runs keep the single-master legacy layout. *)
-let resolved_shards t =
-  let n = if t.shards = 0 then t.max_threads / 8 else t.shards in
-  max 1 (min n t.max_threads)
+  if t.suspect_phases < 1 then invalid_arg "Threadscan config: suspect_phases < 1"

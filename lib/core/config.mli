@@ -32,53 +32,16 @@ type t = {
           thread endures before parking the pointer on the shared overflow
           list — the hard backpressure bound while reclamation is degraded.
           [<= 0] waits forever. *)
-  collect_merge : bool;
-      (** Collect phase as a k-way merge: threads seal their full delete
-          buffer into a locally sorted run (off the phase critical path),
-          and the reclaimer merges the sealed runs, the loose appends and
-          the carried-over survivors instead of re-sorting the whole
-          master buffer every phase. *)
-  scan_filter : bool;
-      (** Publish a blocked Bloom filter over the master buffer alongside
-          the sorted entries; scanners test each candidate word against
-          it (one shared read) and binary-search only on a hit.  False
-          positives fall through to the exact search; false negatives
-          cannot happen (see [Ts_util.Bloom]). *)
-  free_chunk : int;
-      (** With [help_free]: number of work-queue slots a helper claims per
-          fetch-and-add, looping until the queue is drained.  [0] keeps
-          the legacy behaviour (each helper claims exactly one
-          size-proportional chunk per scan and stops). *)
-  adaptive_buffers : bool;
-      (** Scale the per-thread delete-buffer capacity up to at least
-          [4 x max_threads] so phase frequency stays bounded as threads
-          are added (the paper's guidance that the buffer must outgrow
-          the thread count for the amortisation argument to hold). *)
-  shards : int;
-      (** Reclamation shards: threads are grouped by tid into this many
-          shards, each with its own master buffer; the collect/merge/
-          publish of each shard is an independently claimable unit of
-          work, so idle helpers steal whole shards from the reclaimer
-          (see [docs/PERF.md], "Sharded reclamation").  [1] (default)
-          keeps the legacy single-master layout byte for byte; [0]
-          auto-derives from [max_threads] (one shard per 8 threads). *)
 }
 
 val default : t
 (** [max_threads = 64], [buffer_size = 64], [help_free = false], and
     robustness defaults generous enough that healthy runs never trigger
     them: [ack_budget = 5_000_000] cycles, [suspect_phases = 3],
-    [takeover_steps = 1_000_000], [overflow_after = 64].  All pipeline
-    toggles off: [collect_merge = false], [scan_filter = false],
-    [free_chunk = 0], [adaptive_buffers = false], [shards = 1] — the
-    defaults replay the legacy single-stage reclamation byte for byte. *)
+    [takeover_steps = 1_000_000], [overflow_after = 64]. *)
 
 val paper : t
 (** The paper's configuration: buffer of 1024 pointers, 256 threads. *)
 
 val validate : t -> unit
 (** @raise Invalid_argument on nonsensical values. *)
-
-val resolved_shards : t -> int
-(** The effective shard count: [shards] clamped to [1 .. max_threads],
-    with [0] auto-derived as one shard per 8 threads. *)

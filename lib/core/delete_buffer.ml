@@ -1,59 +1,28 @@
 module Runtime = Ts_rt
-module Isort = Ts_util.Isort
 
-(* Legacy layout:     [head][tail][slot 0 .. slot cap-1]
-   Sealed-run layout: [head][tail][claim][slot 0 .. cap-1][sealed 0 .. cap-1]
-   head/tail are monotone.
-
-   The claim word arbitrates the sealed-run protocol (collect_merge):
-     0  open: owner may push / seal, reclaimer may drain
-     1  owner sealing: copying the full window into a locally sorted run
-     2  sealed: a sorted run awaits the reclaimer
-     3  reclaimer draining the (unsorted) window
-     4  shard helper draining (the work-steal transition: same drain,
-        entered by an idle thread that claimed the whole shard, so the
-        reclaimer can tell a live steal from its own orphaned drain)
-   The owner enters 1 and leaves it only by CAS (0->1, 1->2), so a
-   reclaimer that steals a frozen seal (1->3) makes the woken owner's
-   1->2 fail and the seal is abandoned with the window intact.  Sealing
-   copies the window without consuming it — a crash at any point during
-   a seal loses nothing, the window is still there to drain unsorted.
-   A drainer (3 or 4) that dies between staging and consuming leaves the
-   window intact too; the re-drain stages duplicates, which the publish
-   dedup absorbs (the crash-safety argument of docs/PERF.md). *)
-type t = { base : int; cap : int; sealed_runs : bool }
+(* Layout: [head][tail][slot 0 .. slot cap-1]; head/tail are monotone. *)
+type t = { base : int; cap : int }
 
 let head t = t.base
 
 let tail t = t.base + 1
 
-let claim t = t.base + 2
+let slot t k = t.base + 2 + (k mod t.cap)
 
-let data t = if t.sealed_runs then t.base + 3 else t.base + 2
-
-let slot t k = data t + (k mod t.cap)
-
-let sealed_slot t i = t.base + 3 + t.cap + i
-
-let create ?(sealed_runs = false) ~capacity () =
+let create ~capacity =
   if capacity < 1 then invalid_arg "Delete_buffer.create";
-  let words = if sealed_runs then 3 + (2 * capacity) else 2 + capacity in
-  let base = Runtime.alloc_region words in
-  { base; cap = capacity; sealed_runs }
+  { base = Runtime.alloc_region (2 + capacity); cap = capacity }
 
 let capacity t = t.cap
 
 let push t p =
-  if t.sealed_runs && Runtime.read (claim t) <> 0 then false
+  let h = Runtime.read (head t) in
+  let tl = Runtime.read (tail t) in
+  if h - tl >= t.cap then false
   else begin
-    let h = Runtime.read (head t) in
-    let tl = Runtime.read (tail t) in
-    if h - tl >= t.cap then false
-    else begin
-      Runtime.write (slot t h) p;
-      Runtime.write (head t) (h + 1);
-      true
-    end
+    Runtime.write (slot t h) p;
+    Runtime.write (head t) (h + 1);
+    true
   end
 
 let size t =
@@ -73,63 +42,3 @@ let drain t f =
     end
     else keep_going := false
   done
-
-let seal t =
-  t.sealed_runs
-  && Runtime.cas (claim t) 0 1
-  &&
-  let h = Runtime.read (head t) in
-  let tl = Runtime.read (tail t) in
-  if h - tl < t.cap then begin
-    (* A drain emptied the window between our failed push and the claim;
-       nothing to seal — reopen and let the retry push succeed. *)
-    Runtime.write (claim t) 0;
-    false
-  end
-  else begin
-    let run = Array.make t.cap 0 in
-    for i = 0 to t.cap - 1 do
-      run.(i) <- Runtime.read (slot t (tl + i))
-    done;
-    Isort.sort_prefix run t.cap;
-    (* private sort: ~n log n cycles of local work *)
-    Runtime.advance (t.cap * 8);
-    for i = 0 to t.cap - 1 do
-      Runtime.write (sealed_slot t i) run.(i)
-    done;
-    (* CAS, not a plain write: a reclaimer that judged us frozen may have
-       stolen the seal (1->3) and drained the window under us. *)
-    Runtime.cas (claim t) 1 2
-  end
-
-let rec drain_phase ?(steal = false) t ~sealed ~loose =
-  if not t.sealed_runs then drain t loose
-  else begin
-    let draining = if steal then 4 else 3 in
-    let c = Runtime.read (claim t) in
-    if c = 2 then begin
-      if Runtime.cas (claim t) 2 draining then begin
-        if sealed ~len:t.cap ~read:(fun i -> Runtime.read (sealed_slot t i)) then begin
-          (* The run is staged; consume the whole window it copied. *)
-          Runtime.write (tail t) (Runtime.read (tail t) + t.cap);
-          Runtime.write (claim t) 0
-        end
-        else
-          (* No room in the master this phase; the run keeps until the
-             next one (pushes stay blocked, which is the backpressure). *)
-          Runtime.write (claim t) 2
-      end
-      else drain_phase ~steal t ~sealed ~loose
-    end
-    else if c = 3 || c = 4 || Runtime.cas (claim t) c draining then begin
-      (* c = 0: plain open window.  c = 1: the sealer crashed or froze
-         mid-copy — stealing the claim makes its finishing CAS fail, and
-         the window (which sealing never consumes) is drained here.
-         c = 3 or 4: a reclaimer or shard helper died mid-drain (the
-         caller holds the phase lock / shard claim, so a live drainer is
-         impossible here); the undrained suffix is still in the window. *)
-      drain t loose;
-      Runtime.write (claim t) 0
-    end
-    else drain_phase ~steal t ~sealed ~loose
-  end

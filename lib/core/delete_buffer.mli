@@ -6,30 +6,18 @@
     monotonically increasing counters, so no flag is needed to distinguish
     full from empty, and under the simulator's sequentially consistent
     memory the slot write happening before the head bump is all the
-    synchronisation required.
-
-    With [sealed_runs] (the collect-merge pipeline) the buffer gains a
-    claim word and a second region: when the window fills, the owner
-    {e seals} it — copies the window into a locally sorted run, off the
-    phase critical path — and the reclaimer consumes the run whole,
-    feeding the k-way merge instead of the master re-sort.  The window is
-    never consumed by sealing, so a crash at any point of the protocol at
-    worst re-drains it unsorted. *)
+    synchronisation required. *)
 
 type t
 
-val create : ?sealed_runs:bool -> capacity:int -> unit -> t
-(** Allocates the buffer region (inside the simulator).  [sealed_runs]
-    (default [false]) adds the claim word and the sealed-run region; the
-    default layout is byte-identical to the pre-pipeline one. *)
+val create : capacity:int -> t
+(** Allocates the buffer region (inside the simulator). *)
 
 val capacity : t -> int
 
 val push : t -> int -> bool
 (** Owner side.  [push t p] appends pointer value [p]; returns [false]
-    (without writing) when the buffer is full — or, in [sealed_runs]
-    mode, while the claim word is taken (sealed run pending, or a drain
-    in flight). *)
+    (without writing) when the buffer is full. *)
 
 val size : t -> int
 (** Owner-or-reclaimer estimate of current occupancy. *)
@@ -38,32 +26,3 @@ val drain : t -> (int -> bool) -> unit
 (** Reclaimer side.  [drain t f] feeds buffered pointers to [f] in FIFO
     order and consumes them; stops early (leaving the rest buffered) when
     [f] returns [false]. *)
-
-val seal : t -> bool
-(** Owner side, [sealed_runs] mode.  Claim the full window and publish it
-    as a locally sorted run for the reclaimer to merge.  Returns [false]
-    when the buffer is not in sealed-run mode, the claim is taken, the
-    window turns out not to be full, or a reclaimer stole a frozen seal
-    from under us. *)
-
-val drain_phase :
-  ?steal:bool ->
-  t ->
-  sealed:(len:int -> read:(int -> int) -> bool) ->
-  loose:(int -> bool) ->
-  unit
-(** Reclaimer side, one collect per phase.  A pending sealed run is handed
-    to [sealed] (which must stage {e all} [len] entries, reading them with
-    [read], and return [true]; on [false] — no space — the run is kept for
-    the next phase); otherwise the window is drained unsorted through
-    [loose] exactly like {!drain}, including from buffers whose sealer
-    crashed or froze mid-seal.  Falls back to {!drain} on legacy buffers.
-
-    [steal] (default [false]) is the shard work-steal transition: an idle
-    thread that claimed a whole reclamation shard drains its buffers
-    under claim state [4] instead of [3], so a reclaimer recovering a
-    shard can tell a helper's orphaned drain from its own.  The caller
-    must hold the exclusive right to collect this buffer's shard (the
-    phase lock, or the shard claim word); a drainer that died mid-drain
-    (state 3 {e or} 4) is taken over and its window re-drained — any
-    entries it had already staged are deduplicated at publish. *)

@@ -1,28 +1,9 @@
 module Runtime = Ts_rt
 module Isort = Ts_util.Isort
-module Bloom = Ts_util.Bloom
 
 (* Layout: [count][entries: cap][marks: cap].  [staged] is the reclaimer's
-   private append cursor; [count] is what scanners read.
-
-   [sorted_prefix] tracks how much of the staged region is known sorted:
-   the whole prefix right after a publish, the compacted carry-over right
-   after a sweep.  The merge publish consumes it as a ready-made run, so
-   survivors are never re-sorted phase after phase.
-
-   With [filter], a blocked Bloom filter over the published entries lives
-   in its own region: [mask][table words].  The table is sized to the
-   published count each phase (so small phases pay small filters), and is
-   written entirely before the count — a scanner that can see the count
-   sees the matching filter, which is what makes false negatives
-   impossible. *)
-type t = {
-  base : int;
-  cap : int;
-  mutable staged : int;
-  mutable sorted_prefix : int;
-  filter_base : int; (* -1 when the filter is disabled *)
-}
+   private append cursor; [count] is what scanners read. *)
+type t = { base : int; cap : int; mutable staged : int }
 
 let count_addr t = t.base
 
@@ -30,21 +11,13 @@ let entry_addr t i = t.base + 1 + i
 
 let mark_addr t i = t.base + 1 + t.cap + i
 
-let create ?(filter = false) ~capacity () =
+let create ~capacity =
   if capacity < 1 then invalid_arg "Master_buffer.create";
-  let base = Runtime.alloc_region (1 + (2 * capacity)) in
-  let filter_base =
-    if filter then Runtime.alloc_region (1 + Bloom.words_for capacity) else -1
-  in
-  { base; cap = capacity; staged = 0; sorted_prefix = 0; filter_base }
+  { base = Runtime.alloc_region (1 + (2 * capacity)); cap = capacity; staged = 0 }
 
 let capacity t = t.cap
 
 let count t = Runtime.read (count_addr t)
-
-let staged_pos t = t.staged
-
-let space t = t.cap - t.staged
 
 let append t p =
   if t.staged >= t.cap then false
@@ -53,33 +26,6 @@ let append t p =
     t.staged <- t.staged + 1;
     true
   end
-
-(* Build and publish the filter for the sorted prefix [tmp.(0..n-1)].
-   Must run before the count write. *)
-let write_filter t tmp n =
-  if t.filter_base >= 0 then begin
-    let words = Bloom.words_for n in
-    let mask = words - 1 in
-    let local = Array.make words 0 in
-    for i = 0 to n - 1 do
-      let k = tmp.(i) in
-      let s = Bloom.slot ~mask k in
-      local.(s) <- local.(s) lor Bloom.bits k
-    done;
-    (* private hashing: a couple of multiplies per key *)
-    Runtime.advance (n * 2);
-    Runtime.write t.filter_base mask;
-    for i = 0 to words - 1 do
-      Runtime.write (t.filter_base + 1 + i) local.(i)
-    done
-  end
-
-let filter_mask t = if t.filter_base < 0 then -1 else Runtime.read t.filter_base
-
-let filter_test t ~mask key =
-  let w = Runtime.read (t.filter_base + 1 + Bloom.slot ~mask key) in
-  let b = Bloom.bits key in
-  w land b = b
 
 let publish_sorted t =
   let n = t.staged in
@@ -95,58 +41,7 @@ let publish_sorted t =
     Runtime.write (entry_addr t i) tmp.(i);
     Runtime.write (mark_addr t i) 0
   done;
-  write_filter t tmp n;
   t.staged <- n;
-  t.sorted_prefix <- n;
-  Runtime.write (count_addr t) n
-
-let publish_merged t ~runs =
-  let total = t.staged in
-  (* Segment the staged region: the carried-over prefix and the sealed
-     runs are already sorted; everything between them (overflow adoptions
-     and loose drains) is gathered into one run and sorted here. *)
-  let runs = if t.sorted_prefix > 0 then (0, t.sorted_prefix) :: runs else runs in
-  let loose = ref [] in
-  let segs = ref [] in
-  let pos = ref 0 in
-  List.iter
-    (fun (s, len) ->
-      if s > !pos then loose := (!pos, s - !pos) :: !loose;
-      let a = Array.make (max len 1) 0 in
-      for i = 0 to len - 1 do
-        a.(i) <- Runtime.read (entry_addr t (s + i))
-      done;
-      segs := (a, len) :: !segs;
-      pos := s + len)
-    runs;
-  if total > !pos then loose := (!pos, total - !pos) :: !loose;
-  let loose_n = List.fold_left (fun acc (_, len) -> acc + len) 0 !loose in
-  if loose_n > 0 then begin
-    let a = Array.make loose_n 0 in
-    let w = ref 0 in
-    List.iter
-      (fun (s, len) ->
-        for i = 0 to len - 1 do
-          a.(!w) <- Runtime.read (entry_addr t (s + i));
-          incr w
-        done)
-      (List.rev !loose);
-    Isort.sort_prefix a loose_n;
-    (* private sort of the loose entries only — the runs stay merged *)
-    Runtime.advance (loose_n * 8);
-    segs := (a, loose_n) :: !segs
-  end;
-  let tmp = Array.make (max total 1) 0 in
-  let n = Isort.merge_runs (Array.of_list !segs) tmp in
-  (* k-way merge: a handful of compares per entry *)
-  Runtime.advance (n * 2);
-  for i = 0 to n - 1 do
-    Runtime.write (entry_addr t i) tmp.(i);
-    Runtime.write (mark_addr t i) 0
-  done;
-  write_filter t tmp n;
-  t.staged <- n;
-  t.sorted_prefix <- n;
   Runtime.write (count_addr t) n
 
 let find t key =
@@ -183,9 +78,6 @@ let sweep ?(ignore_marks = false) t f =
     else to_free := p :: !to_free
   done;
   t.staged <- !carry;
-  (* Compaction preserves order, so the carried prefix is a sorted run the
-     next (merge) publish can consume without re-sorting. *)
-  t.sorted_prefix <- !carry;
   (* The carried prefix is stale until the next publish; hide it. *)
   Runtime.write (count_addr t) 0;
   (* Pass 2: the actual frees, in entry order. *)

@@ -7,22 +7,12 @@
 
 type t
 
-val create : ?filter:bool -> capacity:int -> unit -> t
-(** [filter] (default [false]) additionally allocates a blocked Bloom
-    filter region that both publish paths maintain over the published
-    prefix; the default layout is byte-identical to the pre-pipeline
-    one. *)
+val create : capacity:int -> t
 
 val capacity : t -> int
 
 val count : t -> int
 (** Published number of (sorted) entries in the current phase. *)
-
-val staged_pos : t -> int
-(** Reclaimer side: the private append cursor (next staged index). *)
-
-val space : t -> int
-(** Reclaimer side: how many more entries [append] will accept. *)
 
 val append : t -> int -> bool
 (** Reclaimer side, before publication: append an entry; [false] if full. *)
@@ -31,26 +21,6 @@ val publish_sorted : t -> unit
 (** Reclaimer side: sort the staged entries (pulling them into private
     memory, sorting, writing back — priced accordingly), deduplicate, clear
     all marks, and publish the count. *)
-
-val publish_merged : t -> runs:(int * int) list -> unit
-(** Reclaimer side, collect-merge pipeline: like {!publish_sorted}, but
-    built as a k-way merge of already-sorted runs — the carried-over
-    prefix left by {!sweep} and the sealed runs staged at the [(start,
-    len)] positions in [runs] (ascending, non-overlapping) — with only
-    the loose entries between them sorted here.  Equivalent output
-    (sorted, deduplicated, marks cleared, filter rebuilt, count
-    published), without re-sorting what is already sorted. *)
-
-val filter_mask : t -> int
-(** Scanner side: the published filter's table mask, or [-1] when the
-    filter is disabled.  Read once per scan; the mask is republished with
-    every count. *)
-
-val filter_test : t -> mask:int -> int -> bool
-(** Scanner side: one shared read of the filter word for [key].  [false]
-    means {e definitely not} in the published prefix (skip the binary
-    search); [true] means maybe.  Only meaningful under a mask obtained
-    from {!filter_mask} after the corresponding count was published. *)
 
 val find : t -> int -> int
 (** Scanner side: binary search over the published prefix via shared reads;

@@ -5,7 +5,6 @@ module Runtime = Ts_rt
 module Ptr = Ts_umem.Ptr
 module Smr = Ts_smr.Smr
 module Backoff = Ts_sync.Backoff
-module Padded = Ts_util.Padded
 
 type inject =
   | No_fault
@@ -21,13 +20,8 @@ type inject =
 
 type t = {
   cfg : Config.t;
-  nshards : int; (* resolved shard count; 1 = the legacy single-master layout *)
   buffers : Delete_buffer.t array;
-  masters : Master_buffer.t array; (* one master buffer per shard *)
-  collect_gen_addr : int; (* sharding: collect generation, bumped per phase *)
-  shard_claims : int; (* sharding: per-shard claim word, Padded stride *)
-  shard_dones : int; (* sharding: per-shard done stamp (= collect gen) *)
-  steal_stats : int; (* sharding: FAA'd by helpers [steals; merged runs] *)
+  master : Master_buffer.t;
   owner_addr : int; (* phase lock: 0 free, else holder tid + 1 *)
   beat_addr : int; (* heartbeat: step stamp of the holder's last progress *)
   gen_addr : int; (* phase generation: bumped on commit and on takeover *)
@@ -52,10 +46,6 @@ type t = {
   mutable scan_hits : int;
   mutable helped : int;
   mutable full_waits : int;
-  mutable seals : int; (* pipeline: delete-buffer windows sealed as sorted runs *)
-  mutable merged_runs : int; (* pipeline: sealed runs consumed by a merge publish *)
-  mutable filter_hits : int; (* pipeline: in-range words the Bloom filter passed *)
-  mutable filter_rejects : int; (* pipeline: in-range words the filter screened out *)
   phase_latencies : Ts_util.Vec.t; (* cycles spent inside each do_phase *)
   mutable free_burden : int; (* nodes freed inside collect, by the reclaimer *)
   mutable ack_timeouts : int; (* phases whose ack wait exhausted the budget *)
@@ -68,33 +58,10 @@ type t = {
   mutable takeovers : int; (* phase locks wrested from stale reclaimers *)
   mutable gen_aborts : int; (* sweeps aborted by the generation fence *)
   mutable overflow_pushes : int; (* retirements parked by backpressure *)
-  mutable shard_steals : int; (* shard collects stolen by idle helpers *)
-  mutable shard_recoveries : int; (* shards recovered from a dead helper *)
   mutable inject : inject; (* deliberate protocol bug, for checker validation *)
 }
 
 let counters t = Option.get t.smr_counters
-
-let debug_scan = Sys.getenv_opt "TS_DEBUG_SCAN" <> None
-
-(* ------------------------------------------------------------------ *)
-(* Sharding: tids are grouped by [tid mod nshards]; each shard owns a
-   master buffer, a claim word and a done stamp (stride-padded so the
-   claim CASes of concurrent collectors never share a cache line).      *)
-(* ------------------------------------------------------------------ *)
-
-let shard_of t tid = tid mod t.nshards
-
-let shard_claim t s = Padded.index t.shard_claims s
-
-let shard_done t s = Padded.index t.shard_dones s
-
-let total_count t =
-  let n = ref 0 in
-  for s = 0 to t.nshards - 1 do
-    n := !n + Master_buffer.count t.masters.(s)
-  done;
-  !n
 
 (* ------------------------------------------------------------------ *)
 (* Phase lock: a raw owner word so waiters can identify (and, past the
@@ -156,97 +123,44 @@ let check_takeover t owner_seen beat_seen seen_at =
 (* TS-Scan: the signal-handler side (Algorithm 1, lines 18-26)         *)
 (* ------------------------------------------------------------------ *)
 
-(* Help-free variant (§7): grab a chunk of the previous phase's garbage and
-   free it on behalf of the reclaimer.  Every free is preceded by a CAS
-   claiming the queue slot: a helper that stalled mid-chunk and wakes after
-   the queue was recycled finds its claims failing instead of double-freeing,
-   and the reclaimer can likewise sweep up a dead helper's unclaimed slots. *)
+(* Help-free variant (§7): grab a size-proportional slice of the previous
+   phase's garbage and free it on behalf of the reclaimer.  Every free is
+   preceded by a CAS claiming the queue slot: a helper that stalled
+   mid-slice and wakes after the queue was recycled finds its claims
+   failing instead of double-freeing, and the reclaimer can likewise sweep
+   up a dead helper's unclaimed slots. *)
 let help_free t =
   let cnt = Runtime.read t.work_count in
   if cnt > 0 then begin
     let c = counters t in
-    let free_range start stop =
-      for i = start to stop - 1 do
-        let p = Runtime.read (t.work_base + i) in
-        if p <> 0 && Runtime.cas (t.work_base + i) p 0 then begin
-          (* tslint: allow sigsafe -- both backends deliver signals at safepoint polls, never preempting an allocator call; helping runs between polls, as the paper's helpers run outside the handler *)
-          Runtime.free (Ptr.addr p);
-          Smr.add_freed c 1;
-          t.helped <- t.helped + 1
-        end
-      done
-    in
-    if t.cfg.free_chunk > 0 then begin
-      (* Pipeline free phase: every helper loops, claiming a fixed-size
-         chunk per fetch-and-add, until the queue is exhausted — the whole
-         backlog is freed in parallel instead of one share per helper. *)
-      let chunk = t.cfg.free_chunk in
-      let continue_ = ref true in
-      while !continue_ do
-        let start = Runtime.faa t.work_idx chunk in
-        if start >= cnt then continue_ := false
-        else free_range start (min (start + chunk) cnt)
-      done
-    end
-    else begin
-      (* Legacy: one size-proportional chunk per scan, then stop. *)
-      let chunk = max 1 (cnt / t.cfg.max_threads) in
-      let start = Runtime.faa t.work_idx chunk in
-      free_range start (min (start + chunk) cnt)
-    end
+    let chunk = max 1 (cnt / t.cfg.max_threads) in
+    let start = Runtime.faa t.work_idx chunk in
+    for i = start to min (start + chunk) cnt - 1 do
+      let p = Runtime.read (t.work_base + i) in
+      if p <> 0 && Runtime.cas (t.work_base + i) p 0 then begin
+        (* tslint: allow sigsafe -- both backends deliver signals at safepoint polls, never preempting an allocator call; helping runs between polls, as the paper's helpers run outside the handler *)
+        Runtime.free (Ptr.addr p);
+        Smr.add_freed c 1;
+        t.helped <- t.helped + 1
+      end
+    done
   end
 
+(* The bounds are read once per range: they only change under a new count,
+   and a scan that raced a publish is not counted for the new phase anyway.
+   The [lo, hi] check keeps the common case — a word pointing at no retired
+   node — at one comparison per word. *)
 let scan_range t (base, len) =
-  let n = t.nshards in
-  (* Per-shard bounds and Bloom masks are read once per range — they only
-     change under a new count, and a scan that raced a publish is not
-     counted for the new phase anyway.  The global [glo, ghi] envelope
-     keeps the common case — a word pointing at no master — at one
-     comparison per word, exactly as in the single-master layout; an
-     address lives in at most one shard (its retirer's), so the per-shard
-     probe stops at the first hit. *)
-  let los = Array.make n 0 and his = Array.make n 0 and fms = Array.make n (-1) in
-  let glo = ref max_int and ghi = ref min_int in
-  for s = 0 to n - 1 do
-    let lo, hi = Master_buffer.bounds t.masters.(s) in
-    los.(s) <- lo;
-    his.(s) <- hi;
-    if lo < !glo then glo := lo;
-    if hi > !ghi then ghi := hi;
-    (* Bloom prefilter (pipeline): one shared read per in-range candidate
-       against the published filter screens out almost every word before
-       the ~log n reads of the binary search.  False positives fall
-       through to [find]; false negatives are impossible (the filter is
-       republished with every count, see Master_buffer). *)
-    if t.cfg.scan_filter then fms.(s) <- Master_buffer.filter_mask t.masters.(s)
-  done;
+  let lo, hi = Master_buffer.bounds t.master in
   for a = base to base + len - 1 do
-    let w = Runtime.read a in
-    let m = Ptr.mask w in
+    let m = Ptr.mask (Runtime.read a) in
     t.scan_words <- t.scan_words + 1;
-    if m >= !glo && m <= !ghi then begin
-      let s = ref 0 in
-      let hit = ref false in
-      while (not !hit) && !s < n do
-        let sm = t.masters.(!s) in
-        if m >= los.(!s) && m <= his.(!s) then begin
-          if fms.(!s) >= 0 && not (Master_buffer.filter_test sm ~mask:fms.(!s) m) then
-            t.filter_rejects <- t.filter_rejects + 1
-          else begin
-            if fms.(!s) >= 0 then t.filter_hits <- t.filter_hits + 1;
-            let idx = Master_buffer.find sm m in
-            if idx >= 0 then begin
-              if debug_scan then
-                Printf.eprintf "[scan] tid=%d hit at addr=%d (range base=%d len=%d) value=%d\n%!"
-                  (Runtime.self ()) a base len m;
-              Master_buffer.mark sm idx;
-              t.scan_hits <- t.scan_hits + 1;
-              hit := true
-            end
-          end
-        end;
-        incr s
-      done
+    if m >= lo && m <= hi then begin
+      let idx = Master_buffer.find t.master m in
+      if idx >= 0 then begin
+        Master_buffer.mark t.master idx;
+        t.scan_hits <- t.scan_hits + 1
+      end
     end
   done
 
@@ -256,7 +170,7 @@ let ts_scan t =
      published a new phase while we scan, we must not claim to have covered
      a master buffer we may never have seen. *)
   let phase = Runtime.read t.phase_addr in
-  if total_count t > 0 then begin
+  if Master_buffer.count t.master > 0 then begin
     let sbase, sp = Runtime.stack_range () in
     scan_range t (sbase, sp - sbase);
     scan_range t (Runtime.saved_reg_range ());
@@ -266,7 +180,9 @@ let ts_scan t =
   Runtime.write (t.acks_base + Runtime.self ()) phase
 
 (* ------------------------------------------------------------------ *)
-(* TS-Collect: the reclaimer side (Algorithm 1, lines 1-16)            *)
+(* TS-Collect: the reclaimer side (Algorithm 1, lines 1-16), in four
+   stages — collect, handshake, degradation ladder, sweep.  The caller
+   holds the phase lock throughout.                                    *)
 (* ------------------------------------------------------------------ *)
 
 let registered t u = Runtime.read (t.registered_base + u) <> 0
@@ -290,85 +206,27 @@ let drain_work_leftovers t =
     Runtime.write t.work_idx 0
   end
 
-(* Aggregate one shard's delete buffers into its master and publish.
-   Returns the number of sealed runs merged, for the caller to fold into
-   the stats ([t]'s unsynchronised OCaml counters must not be raced from
-   helpers).  The caller holds the exclusive right to collect this
-   shard: the phase lock (single-shard layout) or the shard claim
-   word. *)
-let collect_shard t ~steal s =
-  let sm = t.masters.(s) in
-  if t.cfg.collect_merge then begin
-    (* Pipeline collect: sealed windows arrive as sorted runs and are
-       staged whole (all-or-nothing, so an entry is never both staged and
-       still in a window at publish time); only loose entries get sorted.
-       The run positions feed the k-way merge publish. *)
-    let runs = ref [] in
-    let merged = ref 0 in
-    let u = ref s in
-    while !u < t.cfg.max_threads do
-      Delete_buffer.drain_phase ~steal t.buffers.(!u)
-        ~sealed:(fun ~len ~read ->
-          Master_buffer.space sm >= len
-          && begin
-               let pos = Master_buffer.staged_pos sm in
-               for i = 0 to len - 1 do
-                 ignore (Master_buffer.append sm (read i))
-               done;
-               runs := (pos, len) :: !runs;
-               incr merged;
-               true
-             end)
-        ~loose:(Master_buffer.append sm);
-      u := !u + t.nshards
-    done;
-    Master_buffer.publish_merged sm ~runs:(List.rev !runs);
-    !merged
-  end
-  else begin
-    let u = ref s in
-    while !u < t.cfg.max_threads do
-      Delete_buffer.drain t.buffers.(!u) (Master_buffer.append sm);
-      u := !u + t.nshards
-    done;
-    Master_buffer.publish_sorted sm;
-    0
-  end
-
-(* Work-steal hook, run by threads spinning in [retire] on a full
-   buffer: while a sharded collect is in flight (generation published,
-   some shard's done stamp behind it), claim an unclaimed shard and run
-   its collect — which usually drains our own full buffer along the way.
-   Claims CAS 0 -> tid + 1 so a recovering reclaimer can identify (and
-   crash) a helper that died holding a shard.  The generation is re-read
-   after a successful claim: it may have advanced between the first read
-   and the CAS, and the value read under the claim is stable until our
-   done-stamp write (no phase can complete while we hold an undone
-   shard). *)
-let try_steal t =
-  let g = Runtime.read t.collect_gen_addr in
-  g > 0
-  && begin
-       let self = Runtime.self () in
-       let stole = ref false in
-       let s = ref 0 in
-       while (not !stole) && !s < t.nshards do
-         if
-           Runtime.read (shard_done t !s) <> g
-           && Runtime.read (shard_claim t !s) = 0
-           && Runtime.cas (shard_claim t !s) 0 (self + 1)
-         then begin
-           stole := true;
-           ignore (Runtime.faa t.steal_stats 1);
-           let g = Runtime.read t.collect_gen_addr in
-           let merged = collect_shard t ~steal:true !s in
-           if merged > 0 then ignore (Runtime.faa (t.steal_stats + Padded.stride) merged);
-           Runtime.write (shard_done t !s) g
-         end;
-         incr s
-       done;
-       !stole
-     end
+(* Stage 1, collect: adopt the retirements parked on the overflow list,
+   aggregate every thread's delete buffer into the master buffer (on top of
+   the previous phase's carry-over), publish it sorted, and open the next
+   phase, whose id is returned.  If the master fills up, the rest simply
+   stays buffered (or parked) for the next phase. *)
+let collect t =
+  (* The snapshot swap is atomic (no effect between the read and the
+     reset); whatever does not fit goes back on the list. *)
+  let parked =
+    Runtime.critical (fun () ->
+        let parked = t.overflow in
+        t.overflow <- [];
+        parked)
+  in
+  let rejected = List.filter (fun p -> not (Master_buffer.append t.master p)) parked in
+  if rejected <> [] then Runtime.critical (fun () -> t.overflow <- rejected @ t.overflow);
+  Array.iter (fun b -> Delete_buffer.drain b (Master_buffer.append t.master)) t.buffers;
+  Master_buffer.publish_sorted t.master;
+  let phase = Runtime.read t.phase_addr + 1 in
+  Runtime.write t.phase_addr phase;
+  phase
 
 (* Bounded ack wait.  Returns [(timed_out, departed)]: [timed_out] are
    still-registered threads that made no ack within the budget (the phase
@@ -406,159 +264,13 @@ let wait_for_acks t phase signaled =
   Runtime.set_wait_note None;
   (!timed_out, !departed)
 
-let mark_suspect t phase u =
-  if t.suspect_since.(u) < 0 then begin
-    t.suspect_since.(u) <- phase;
-    t.suspect_ack.(u) <- Runtime.read (t.acks_base + u);
-    t.suspect_silent.(u) <- 0;
-    t.suspected_total <- t.suspected_total + 1;
-    Runtime.note (Fmt.str "phase %d: t%d is suspect (no ack within budget)" phase u)
-  end
-
-let reap t phase u reason =
-  t.reaped.(u) <- true;
-  t.suspect_since.(u) <- -1;
-  Runtime.write (t.registered_base + u) 0;
-  (* Its buffered retirements are adopted by the normal aggregation path of
-     the next phase; count them now, while the buffer is still its own. *)
-  t.adopted <- t.adopted + Delete_buffer.size t.buffers.(u);
-  t.reaps <- t.reaps + 1;
-  Runtime.note (Fmt.str "phase %d: reaped t%d (%s)" phase u reason)
-
-(* One reclamation phase.  Caller holds the phase lock. *)
-let do_phase t =
-  let phase_start = Runtime.now () in
-  let c = counters t in
-  let self = Runtime.self () in
-  heartbeat t;
-  (* Snapshot our register context before the aggregation loop clobbers the
-     register file with buffered pointers. *)
-  Runtime.save_regs ();
-  t.phases <- t.phases + 1;
-  Smr.add_cleanups c 1;
-  let my_gen = Runtime.read t.gen_addr in
-  (* Adopt retirements parked on the overflow list by backpressured
-     threads.  The snapshot swap is atomic (no effect between the read and
-     the reset); whatever does not fit goes back on the list. *)
-  let parked =
-    Runtime.critical (fun () ->
-        let parked = t.overflow in
-        t.overflow <- [];
-        parked)
-  in
-  let append_parked p =
-    (* Parked entries have no owning shard; stage into our own first and
-       spill to the others when it is full. *)
-    let s0 = shard_of t self in
-    let ok = ref false in
-    let k = ref 0 in
-    while (not !ok) && !k < t.nshards do
-      ok := Master_buffer.append t.masters.((s0 + !k) mod t.nshards) p;
-      incr k
-    done;
-    !ok
-  in
-  let rejected = List.filter (fun p -> not (append_parked p)) parked in
-  if rejected <> [] then Runtime.critical (fun () -> t.overflow <- rejected @ t.overflow);
-  (* Aggregate every thread's delete buffer into its shard's master buffer
-     (on top of the previous phase's carry-over).  If a master fills up,
-     the rest simply stays buffered for the next phase. *)
-  if t.nshards = 1 then
-    (* Single shard: the legacy path, byte for byte — no claim protocol,
-       no generation word. *)
-    t.merged_runs <- t.merged_runs + collect_shard t ~steal:false 0
-  else begin
-    (* Sharded collect: each shard's aggregate+publish is a claimable
-       unit.  Reset the claim and done words, publish the generation,
-       then claim shards starting from our own — idle helpers spinning
-       in [retire]'s wait loop steal whatever we have not claimed yet. *)
-    let g = Runtime.read t.collect_gen_addr + 1 in
-    for s = 0 to t.nshards - 1 do
-      Runtime.write (shard_claim t s) 0;
-      Runtime.write (shard_done t s) 0
-    done;
-    Runtime.write t.collect_gen_addr g;
-    let my = shard_of t self in
-    for k = 0 to t.nshards - 1 do
-      let s = (my + k) mod t.nshards in
-      if Runtime.cas (shard_claim t s) 0 (self + 1) then begin
-        t.merged_runs <- t.merged_runs + collect_shard t ~steal:false s;
-        Runtime.write (shard_done t s) g
-      end
-    done;
-    (* Wait for stolen shards, with per-budget recovery rounds.  Each
-       time the ack budget expires, recover the shards that can never
-       finish on their own: an unclaimed shard has no collector, and a
-       shard whose claim holder is observed dead will never stamp it
-       done — take the claim and re-collect.  [drain_phase] is
-       restartable and the re-drain's duplicates are absorbed by the
-       publish dedup, so the recovery publish is always sound
-       (sealed-run structure is lost — the re-publish falls back to the
-       master re-sort).  A *live* holder — running slowly, or stalled
-       and due to wake — still owns the shard's master buffer, and the
-       only safe preemption would be killing a thread that is not dead,
-       leaking whatever node it holds in flight.  So we keep waiting
-       under our own heartbeat instead: bounded stalls finish their
-       collect on wake-up, and retiring threads never block on the slow
-       phase — past [overflow_after] rounds they park on the overflow
-       list and move on. *)
-    let all_done () =
-      let ok = ref true in
-      for s = 0 to t.nshards - 1 do
-        if Runtime.read (shard_done t s) <> g then ok := false
-      done;
-      !ok
-    in
-    let t0 = ref (Runtime.now ()) in
-    let b = Backoff.create () in
-    let finished = ref (all_done ()) in
-    while not !finished do
-      heartbeat t;
-      if t.cfg.ack_budget > 0 && Runtime.now () - !t0 > t.cfg.ack_budget then begin
-        for s = 0 to t.nshards - 1 do
-          if Runtime.read (shard_done t s) <> g then begin
-            let cl = Runtime.read (shard_claim t s) in
-            if
-              (cl = 0 || cl = self + 1 || Runtime.is_done (cl - 1))
-              && Runtime.cas (shard_claim t s) cl (self + 1)
-            then begin
-              t.merged_runs <- t.merged_runs + collect_shard t ~steal:false s;
-              Runtime.write (shard_done t s) g;
-              t.shard_recoveries <- t.shard_recoveries + 1;
-              Runtime.note (Fmt.str "recovered shard %d from a dead collector" s)
-            end
-          end
-        done;
-        t0 := Runtime.now ();
-        finished := all_done ()
-      end
-      else begin
-        Backoff.once b;
-        finished := all_done ()
-      end
-    done;
-    (* Fold helper-side stats, FAA'd on shared words (helpers must not
-       race [t]'s unsynchronised counters): once every done stamp reads
-       [g], no helper can claim — or FAA — for this generation again. *)
-    let stolen = Runtime.read t.steal_stats in
-    if stolen > 0 then begin
-      Runtime.write t.steal_stats 0;
-      t.shard_steals <- t.shard_steals + stolen
-    end;
-    let helper_merged = Runtime.read (t.steal_stats + Padded.stride) in
-    if helper_merged > 0 then begin
-      Runtime.write (t.steal_stats + Padded.stride) 0;
-      t.merged_runs <- t.merged_runs + helper_merged
-    end
-  end;
-  let phase = Runtime.read t.phase_addr + 1 in
-  Runtime.write t.phase_addr phase;
-  heartbeat t;
-  (* Signal all other registered, non-suspect threads, then scan ourselves.
-     Suspects are not signaled (their handlers are not draining the queue;
-     more signals only pile up) — the proxy scan below covers them, and the
-     signal they already missed delivers on wake-up, whose ack is how we
-     detect recovery. *)
+(* Stage 2, handshake: signal all other registered, non-suspect threads,
+   scan ourselves, then wait (bounded) for their acks.  Suspects are not
+   signaled (their handlers are not draining the queue; more signals only
+   pile up) — the proxy scan of the ladder covers them, and the signal they
+   already missed delivers on wake-up, whose ack is how we detect recovery.
+   Returns {!wait_for_acks}'s [(timed_out, departed)]. *)
+let handshake t ~self phase =
   let signaled = ref [] in
   for u = 0 to t.cfg.max_threads - 1 do
     if u <> self && registered t u && t.suspect_since.(u) < 0 then begin
@@ -578,12 +290,34 @@ let do_phase t =
     Runtime.note "injected reclaimer stall mid-phase";
     Runtime.stall self
   end;
-  let timed_out, departed =
-    if t.inject = Skip_ack_wait then ([], []) else wait_for_acks t phase !signaled
-  in
-  heartbeat t;
-  (* Degradation ladder (docs/FAULTS.md).  Rung 3: a thread observed dead
-     while still registered can never ack or deregister — reap immediately. *)
+  if t.inject = Skip_ack_wait then ([], []) else wait_for_acks t phase !signaled
+
+let mark_suspect t phase u =
+  if t.suspect_since.(u) < 0 then begin
+    t.suspect_since.(u) <- phase;
+    t.suspect_ack.(u) <- Runtime.read (t.acks_base + u);
+    t.suspect_silent.(u) <- 0;
+    t.suspected_total <- t.suspected_total + 1;
+    Runtime.note (Fmt.str "phase %d: t%d is suspect (no ack within budget)" phase u)
+  end
+
+let reap t phase u reason =
+  t.reaped.(u) <- true;
+  t.suspect_since.(u) <- -1;
+  Runtime.write (t.registered_base + u) 0;
+  (* Its buffered retirements are adopted by the normal aggregation path of
+     the next phase; count them now, while the buffer is still its own. *)
+  t.adopted <- t.adopted + Delete_buffer.size t.buffers.(u);
+  t.reaps <- t.reaps + 1;
+  Runtime.note (Fmt.str "phase %d: reaped t%d (%s)" phase u reason)
+
+(* Stage 3, the degradation ladder (docs/FAULTS.md): reap, suspect, recover,
+   proxy-scan.  Returns whether the phase is blind — some signaled thread
+   never confirmed its scan, or a suspect could not be safely proxy-scanned,
+   so no entry is provably unreferenced. *)
+let ladder t phase ~timed_out ~departed =
+  (* Rung 3: a thread observed dead while still registered can never ack or
+     deregister — reap immediately. *)
   List.iter (fun u -> reap t phase u "crashed while registered") departed;
   (* Rung 1→2: non-ackers become suspects; the phase goes blind below. *)
   List.iter (mark_suspect t phase) timed_out;
@@ -604,8 +338,8 @@ let do_phase t =
            whatever master was published when it read the phase word —
            possibly the previous one.  Only an ack tagged with the current
            phase proves its scan covered this master; a recovered thread
-           whose references were never marked here means the sweep below
-           would free nodes it still holds, so the phase goes blind. *)
+           whose references were never marked here means the sweep would
+           free nodes it still holds, so the phase goes blind. *)
         if Runtime.read (t.acks_base + u) <> phase then begin
           stale_recovery := true;
           Runtime.note
@@ -660,13 +394,15 @@ let do_phase t =
           end
         end
     done;
-  if !blind then begin
-    (* Rung 1: the phase is blind — some signaled thread never confirmed its
-       scan (or a suspect could not be safely proxy-scanned), so no entry is
-       provably unreferenced.  Free nothing; carry the entire master buffer
-       over.  This single rule closes every late-scanner race a bounded wait
-       opens. *)
-    t.carried <- total_count t;
+  !blind
+
+(* Stage 4, sweep: free (or, with [help_free], queue for the helpers) every
+   unmarked entry and carry the marked ones over. *)
+let sweep t phase ~blind ~my_gen =
+  if blind then begin
+    (* Rung 1: free nothing; carry the entire master buffer over.  This
+       single rule closes every late-scanner race a bounded wait opens. *)
+    t.carried <- Master_buffer.count t.master;
     t.carried_blind <- t.carried_blind + t.carried;
     Runtime.note (Fmt.str "phase %d: blind; carrying all %d entries" phase t.carried)
   end
@@ -675,7 +411,7 @@ let do_phase t =
        dead but are somehow still here).  Our view is stale — abort without
        freeing anything. *)
     t.gen_aborts <- t.gen_aborts + 1;
-    t.carried <- total_count t;
+    t.carried <- Master_buffer.count t.master;
     Runtime.note (Fmt.str "phase %d: generation fence failed; sweep aborted" phase)
   end
   else begin
@@ -683,31 +419,40 @@ let do_phase t =
     if t.cfg.help_free then begin
       drain_work_leftovers t;
       let queued = ref 0 in
-      let carried = ref 0 in
-      for s = 0 to t.nshards - 1 do
-        carried :=
-          !carried
-          + Master_buffer.sweep ~ignore_marks t.masters.(s) (fun p ->
-                Runtime.write (t.work_base + !queued) p;
-                incr queued)
-      done;
-      t.carried <- !carried;
+      t.carried <-
+        Master_buffer.sweep ~ignore_marks t.master (fun p ->
+            Runtime.write (t.work_base + !queued) p;
+            incr queued);
       Runtime.write t.work_idx 0;
       Runtime.write t.work_count !queued
     end
     else begin
-      let carried = ref 0 in
-      for s = 0 to t.nshards - 1 do
-        carried :=
-          !carried
-          + Master_buffer.sweep ~ignore_marks t.masters.(s) (fun p ->
-                Runtime.free (Ptr.addr p);
-                Smr.add_freed c 1;
-                t.free_burden <- t.free_burden + 1)
-      done;
-      t.carried <- !carried
+      let c = counters t in
+      t.carried <-
+        Master_buffer.sweep ~ignore_marks t.master (fun p ->
+            Runtime.free (Ptr.addr p);
+            Smr.add_freed c 1;
+            t.free_burden <- t.free_burden + 1)
     end
-  end;
+  end
+
+(* One reclamation phase.  Caller holds the phase lock. *)
+let do_phase t =
+  let phase_start = Runtime.now () in
+  let self = Runtime.self () in
+  heartbeat t;
+  (* Snapshot our register context before the aggregation loop clobbers the
+     register file with buffered pointers. *)
+  Runtime.save_regs ();
+  t.phases <- t.phases + 1;
+  Smr.add_cleanups (counters t) 1;
+  let my_gen = Runtime.read t.gen_addr in
+  let phase = collect t in
+  heartbeat t;
+  let timed_out, departed = handshake t ~self phase in
+  heartbeat t;
+  let blind = ladder t phase ~timed_out ~departed in
+  sweep t phase ~blind ~my_gen;
   heartbeat t;
   Ts_util.Vec.push t.phase_latencies (Runtime.now () - phase_start)
 
@@ -727,19 +472,14 @@ let max_phase_latency t =
   Ts_util.Vec.iter (fun d -> if d > !m then m := d) t.phase_latencies;
   !m
 
-let avg_phase_latency t =
-  let n = Ts_util.Vec.length t.phase_latencies in
-  if n = 0 then 0
-  else begin
-    let sum = ref 0 in
-    Ts_util.Vec.iter (fun d -> sum := !sum + d) t.phase_latencies;
-    !sum / n
-  end
-
 let total_phase_cycles t =
   let sum = ref 0 in
   Ts_util.Vec.iter (fun d -> sum := !sum + d) t.phase_latencies;
   !sum
+
+let avg_phase_latency t =
+  let n = Ts_util.Vec.length t.phase_latencies in
+  if n = 0 then 0 else total_phase_cycles t / n
 
 let retire t (c : Smr.counters) p =
   Smr.add_retired c 1;
@@ -751,11 +491,6 @@ let retire t (c : Smr.counters) p =
   let done_ = ref false in
   while not !done_ do
     if Delete_buffer.push t.buffers.(tid) masked then done_ := true
-    else if t.cfg.collect_merge && Delete_buffer.seal t.buffers.(tid) then
-      (* Full window sealed as a locally sorted run — the sort happens
-         here, on the retiring thread, off the phase critical path.  The
-         next loop round triggers (or joins) the phase that merges it. *)
-      t.seals <- t.seals + 1
     else if try_acquire t then begin
       (* Full buffer: become the reclaimer. *)
       run_phase_locked t;
@@ -778,11 +513,9 @@ let retire t (c : Smr.counters) p =
     end
     else begin
       (* Wait for the active reclaimer — by the time the lock is free our
-         buffer has usually been drained.  With sharding, waiters first
-         try to steal an unclaimed shard's collect (usually including
-         their own full buffer) instead of just backing off. *)
+         buffer has usually been drained. *)
       t.full_waits <- t.full_waits + 1;
-      if not (t.nshards > 1 && try_steal t) then Backoff.once b;
+      Backoff.once b;
       incr rounds
     end
   done
@@ -836,41 +569,15 @@ let flush t () =
 
 let create ?(config = Config.default) () =
   Config.validate config;
-  (* Adaptive sizing: the amortisation argument needs the per-thread
-     buffer to outgrow the thread count, or phases fire so often that
-     signalling dominates.  Never shrink an explicit buffer_size. *)
-  let buffer_size =
-    if config.adaptive_buffers then max config.buffer_size (4 * config.max_threads)
-    else config.buffer_size
-  in
-  let config = { config with buffer_size } in
-  let nshards = Config.resolved_shards config in
-  (* Per-shard capacity: each shard only ever aggregates its own threads'
-     buffers (plus slack for carried and parked entries), so shard
-     masters shrink as shards are added.  At one shard this is exactly
-     the legacy capacity. *)
-  let shard_threads = (config.max_threads + nshards - 1) / nshards in
-  let master_cap = (shard_threads * config.buffer_size) + 1024 in
+  (* Room for every thread's full buffer, plus slack for carried and
+     parked entries. *)
+  let master_cap = (config.max_threads * config.buffer_size) + 1024 in
   let t =
     {
       cfg = config;
-      nshards;
       buffers =
-        Array.init config.max_threads (fun _ ->
-            Delete_buffer.create ~sealed_runs:config.collect_merge
-              ~capacity:config.buffer_size ());
-      masters =
-        Array.init nshards (fun _ ->
-            Master_buffer.create ~filter:config.scan_filter ~capacity:master_cap ());
-      (* The shard protocol words exist only in the sharded layout: at
-         one shard nothing is allocated, keeping the region layout (and
-         so the simulator traces) byte-identical to the legacy one. *)
-      collect_gen_addr = (if nshards = 1 then 0 else Runtime.alloc_region 1);
-      shard_claims =
-        (if nshards = 1 then 0 else Runtime.alloc_region (Padded.words_for nshards));
-      shard_dones =
-        (if nshards = 1 then 0 else Runtime.alloc_region (Padded.words_for nshards));
-      steal_stats = (if nshards = 1 then 0 else Runtime.alloc_region (Padded.words_for 2));
+        Array.init config.max_threads (fun _ -> Delete_buffer.create ~capacity:config.buffer_size);
+      master = Master_buffer.create ~capacity:master_cap;
       owner_addr = Runtime.alloc_region 1;
       beat_addr = Runtime.alloc_region 1;
       gen_addr = Runtime.alloc_region 1;
@@ -879,7 +586,7 @@ let create ?(config = Config.default) () =
       registered_base = Runtime.alloc_region config.max_threads;
       work_idx = Runtime.alloc_region 1;
       work_count = Runtime.alloc_region 1;
-      work_base = Runtime.alloc_region (nshards * master_cap);
+      work_base = Runtime.alloc_region master_cap;
       suspect_since = Array.make config.max_threads (-1);
       suspect_ack = Array.make config.max_threads 0;
       suspect_silent = Array.make config.max_threads 0;
@@ -894,10 +601,6 @@ let create ?(config = Config.default) () =
       scan_hits = 0;
       helped = 0;
       full_waits = 0;
-      seals = 0;
-      merged_runs = 0;
-      filter_hits = 0;
-      filter_rejects = 0;
       phase_latencies = Ts_util.Vec.create ();
       free_burden = 0;
       ack_timeouts = 0;
@@ -910,8 +613,6 @@ let create ?(config = Config.default) () =
       takeovers = 0;
       gen_aborts = 0;
       overflow_pushes = 0;
-      shard_steals = 0;
-      shard_recoveries = 0;
       inject = No_fault;
     }
   in
@@ -927,10 +628,6 @@ let create ?(config = Config.default) () =
           ("scan-hits", t.scan_hits);
           ("helped-frees", t.helped);
           ("full-waits", t.full_waits);
-          ("sealed-runs", t.seals);
-          ("merged-runs", t.merged_runs);
-          ("filter-hits", t.filter_hits);
-          ("filter-rejects", t.filter_rejects);
           ("reclaimer-frees", t.free_burden);
           ("max-phase-latency", max_phase_latency t);
           ("avg-phase-latency", avg_phase_latency t);
@@ -944,9 +641,6 @@ let create ?(config = Config.default) () =
           ("takeovers", t.takeovers);
           ("gen-aborts", t.gen_aborts);
           ("overflow-pushes", t.overflow_pushes);
-          ("shards", t.nshards);
-          ("shard-steals", t.shard_steals);
-          ("shard-recoveries", t.shard_recoveries);
           ("phase-cycles", total_phase_cycles t);
         ])
       ~retire:(retire t) ()
@@ -976,14 +670,6 @@ let scan_hits t = t.scan_hits
 let helped_frees t = t.helped
 
 let full_waits t = t.full_waits
-
-let sealed_runs t = t.seals
-
-let merged_runs t = t.merged_runs
-
-let filter_hits t = t.filter_hits
-
-let filter_rejects t = t.filter_rejects
 
 let outstanding t =
   let c = counters t in
@@ -1015,12 +701,6 @@ let takeovers t = t.takeovers
 let gen_aborts t = t.gen_aborts
 
 let overflow_pushes t = t.overflow_pushes
-
-let shards t = t.nshards
-
-let shard_steals t = t.shard_steals
-
-let shard_recoveries t = t.shard_recoveries
 
 let suspects_now t =
   Array.fold_left (fun acc s -> if s >= 0 then acc + 1 else acc) 0 t.suspect_since

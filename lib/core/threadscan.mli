@@ -24,7 +24,7 @@
     The §4.3 extension ({!add_heap_block}/{!remove_heap_block}) registers
     per-thread heap blocks holding private references so TS-Scan covers
     them.  The §7 future-work variant ([help_free]) makes scanning threads
-    free a chunk of the previous phase's garbage inside their handler,
+    free a slice of the previous phase's garbage inside their handler,
     unloading the reclaimer. *)
 
 module Config = Config
@@ -74,38 +74,6 @@ val helped_frees : t -> int
 val full_waits : t -> int
 (** Times a thread found its buffer full while another reclaimer was
     active and had to wait (usually to discover its buffer drained). *)
-
-(** {1 Reclamation-pipeline metrics (see [docs/PERF.md])} *)
-
-val sealed_runs : t -> int
-(** Full delete-buffer windows sealed as locally sorted runs by their
-    owners ([collect_merge]). *)
-
-val merged_runs : t -> int
-(** Sealed runs consumed whole by a k-way merge publish. *)
-
-val filter_hits : t -> int
-(** In-range scan words the Bloom prefilter passed through to the binary
-    search ([scan_filter]). *)
-
-val filter_rejects : t -> int
-(** In-range scan words the Bloom prefilter screened out — each saved a
-    binary search over the master buffer. *)
-
-val shards : t -> int
-(** Resolved reclamation shard count ({!Config.resolved_shards}): threads
-    are grouped by [tid mod shards], each shard owning a master buffer
-    whose collect/merge/publish is an independently claimable unit.  [1]
-    is the legacy single-master layout. *)
-
-val shard_steals : t -> int
-(** Shard collects claimed and run by idle helpers (threads spinning in
-    retire on a full buffer) instead of the reclaimer. *)
-
-val shard_recoveries : t -> int
-(** Shards the reclaimer recovered after the claiming helper died or
-    stalled past the budget: the holder is crashed, the claim taken, and
-    the shard re-collected (the re-drain dedups at publish). *)
 
 val outstanding : t -> int
 (** Nodes retired but not yet freed. *)

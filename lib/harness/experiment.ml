@@ -210,9 +210,6 @@ let ratio_summary points ~num ~den =
 
 let fig3_series scale ds =
   let spec, ts_buffer = base_spec scale ds in
-  (* the headline series runs the full reclamation pipeline (docs/PERF.md);
-     ablate-pipeline measures it against the legacy single-stage phase *)
-  let ts = Registry.spec ~buffer:ts_buffer "threadscan-pipe" in
   [
     ("leaky", { spec with scheme = Registry.spec "leaky" });
     ("hazard", { spec with scheme = Registry.spec "hazard" });
@@ -221,16 +218,21 @@ let fig3_series scale ds =
     ("stacktrack", { spec with scheme = Registry.spec "stacktrack" });
     ("debra", { spec with scheme = Registry.spec "debra" });
     ("hyaline", { spec with scheme = Registry.spec "hyaline" });
-    ("threadscan", { spec with scheme = ts });
+    ("threadscan", { spec with scheme = Registry.spec ~buffer:ts_buffer "threadscan" });
   ]
+  (* a neutralizing scheme aborts operations mid-flight, which the
+     lock-based skip list cannot survive: Workload.run refuses the pair *)
+  |> List.filter (fun (_, s) ->
+         not
+           ((Registry.descriptor s.Workload.scheme).Registry.caps.Registry.neutralizes
+           && ds = Workload.Skip_ds))
 
 let fig3 ~backend ~trials scale ds =
   run_sweep ~backend ~trials ~threads_list:(fig3_threads scale) ~series:(fig3_series scale ds)
 
 (* Fig 5 regime: the hash table (large key range, cheap operations, heavy
-   retire traffic), with ThreadScan shown both ways — the legacy
-   single-stage phase and the parallel reclamation pipeline — against the
-   leaky and epoch baselines. *)
+   retire traffic), ThreadScan against the leaky, epoch, DEBRA+ and
+   Hyaline baselines. *)
 let fig5_series scale =
   let spec, ts_buffer = base_spec scale Workload.Hash_ds in
   [
@@ -238,16 +240,7 @@ let fig5_series scale =
     ("epoch", { spec with scheme = Registry.spec "epoch" });
     ("debra", { spec with scheme = Registry.spec "debra" });
     ("hyaline", { spec with scheme = Registry.spec "hyaline" });
-    ( "threadscan",
-      {
-        spec with
-        scheme = Registry.spec ~buffer:ts_buffer "threadscan";
-      } );
-    ( "ts-pipeline",
-      {
-        spec with
-        scheme = Registry.spec ~buffer:ts_buffer "threadscan-pipe";
-      } );
+    ("threadscan", { spec with scheme = Registry.spec ~buffer:ts_buffer "threadscan" });
   ]
 
 let fig5 ~backend ~trials scale =
@@ -402,29 +395,6 @@ let ablate_structures ~backend ~trials scale =
   in
   run_sweep ~backend ~trials ~threads_list ~series
 
-(* The pipeline, measured: the legacy single-stage reclamation phase
-   against the three-stage pipeline (sealed-run k-way merge collect,
-   Bloom-prefiltered TS-Scan, chunked helper-parallel free), same
-   workload, same pacing — the paired before/after for docs/PERF.md. *)
-let ablate_pipeline ~backend ~trials scale =
-  let spec, ts_buffer = base_spec scale Workload.List_ds in
-  let threads_list = fig3_threads scale in
-  let series =
-    [
-      ( "ts-legacy",
-        {
-          spec with
-          Workload.scheme = Registry.spec ~buffer:ts_buffer "threadscan";
-        } );
-      ( "ts-pipeline",
-        {
-          spec with
-          Workload.scheme = Registry.spec ~buffer:ts_buffer "threadscan-pipe";
-        } );
-    ]
-  in
-  run_sweep ~backend ~trials ~threads_list ~series
-
 (* Chaos recovery: the crash/stall degradation ablation rerun on the
    native backend with real-domain fault injection.  One worker is taken
    out a quarter of the way into the run — killed, stalled for half a
@@ -461,9 +431,6 @@ let chaos_recovery ~backend ~trials scale =
       ("hyaline", { spec with Workload.scheme = Registry.spec "hyaline" });
       ( "threadscan",
         { spec with Workload.scheme = Registry.spec ~buffer:ts_buffer "threadscan" }
-      );
-      ( "ts-pipeline",
-        { spec with Workload.scheme = Registry.spec ~buffer:ts_buffer "threadscan-pipe" }
       );
     ]
   in
@@ -702,7 +669,7 @@ let json_escape s =
   Buffer.contents buf
 
 (* The scheme's tuning parameters, emitted separately so the scheme id
-   itself stays the stable registry name (no "threadscan-pipe(1024)"
+   itself stays the stable registry name (no "threadscan(1024)"
    drift between tables, CLI and JSON). *)
 let json_params_suffix (r : Workload.result) =
   match Registry.params_assoc r.Workload.spec.Workload.scheme with
@@ -824,15 +791,6 @@ let run_and_print ~title ?(backend = Workload.Backend_sim) ?(json = false) ?(tri
   if title = "chaos-recovery" then chaos_oracle points;
   ratio_summary points ~num:"threadscan" ~den:"hazard";
   ratio_summary points ~num:"threadscan" ~den:"leaky";
-  ratio_summary points ~num:"ts-pipeline" ~den:"threadscan";
-  ratio_summary points ~num:"ts-pipeline" ~den:"ts-legacy";
-  if title = "ablate-pipeline" || title = "fig5-hash" then
-    (* how much scanning the Bloom prefilter actually saved *)
-    List.iter
-      (fun label ->
-        extras_summary points ~label ~key:"filter-rejects";
-        extras_summary points ~label ~key:"merged-runs")
-      [ "ts-pipeline" ];
   if title = "ablate-help-free" then begin
     (* throughput barely moves; the point of the variant (§7) is reclaimer
        responsiveness: the free burden moves off the reclaimer and phases
@@ -885,7 +843,6 @@ let names =
     ("ablate-help-free", ablate_help_free);
     ("ablate-padding", ablate_padding);
     ("ablate-structures", ablate_structures);
-    ("ablate-pipeline", ablate_pipeline);
     ("ablate-crash", ablate_crash);
     ("chaos-recovery", chaos_recovery);
   ]

@@ -20,9 +20,7 @@ val fig3 :
   backend:Workload.backend -> trials:int -> scale -> Workload.ds_kind -> point list
 (** Figure 3: throughput vs threads, one core per thread; series Leaky,
     Hazard Pointers, Epoch, Slow Epoch, ThreadScan (plus StackTrack on the
-    list-based structures).  The ThreadScan series runs the parallel
-    reclamation pipeline (docs/PERF.md); [ablate_pipeline] isolates its
-    effect.  [trials] is the per-cell repetition count fed to
+    list-based structures).  [trials] is the per-cell repetition count fed to
     {!Workload.run_trials} (median with min/max spread). *)
 
 val fig4 :
@@ -33,8 +31,7 @@ val fig4 :
 
 val fig5 : backend:Workload.backend -> trials:int -> scale -> point list
 (** Figure 5 regime: the hash table under heavy retire traffic; series
-    Leaky, Epoch, legacy ThreadScan, and the pipeline ThreadScan
-    ([ts-pipeline]) side by side. *)
+    Leaky, Epoch, DEBRA+, Hyaline and ThreadScan. *)
 
 val ablate_buffer : backend:Workload.backend -> trials:int -> scale -> point list
 (** §6 buffer tuning: oversubscribed hash table, ThreadScan delete-buffer
@@ -52,17 +49,11 @@ val ablate_padding : backend:Workload.backend -> trials:int -> scale -> point li
 val ablate_structures : backend:Workload.backend -> trials:int -> scale -> point list
 (** Library breadth: every structure in [ts_ds] under ThreadScan. *)
 
-val ablate_pipeline : backend:Workload.backend -> trials:int -> scale -> point list
-(** The parallel reclamation pipeline measured against the legacy
-    single-stage phase: identical list workload, [ts-legacy] vs
-    [ts-pipeline] series over the fig3 thread counts — the paired
-    before/after behind docs/PERF.md. *)
-
 val chaos_recovery : backend:Workload.backend -> trials:int -> scale -> point list
 (** Native-only crash/stall degradation ablation with recovery-time
     accounting: one victim is crashed, stalled for half a horizon, or
     stalled forever at a quarter of the run, under leaky / epoch /
-    hazard / threadscan / ts-pipeline.  Each cell carries a
+    hazard / debra / hyaline / threadscan.  Each cell carries a
     {!Chaos.report} (wall-clock takeover and MTTR, signal storm) and the
     liveness watchdog bounds the rows where epoch — or, under
     stall-forever, every run — wedges.  [point.threads] is reused as the

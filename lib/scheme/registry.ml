@@ -8,7 +8,7 @@ type caps = {
   crash_tolerant : bool;
   wedges_under_stall : bool;
   protect_slots : bool;
-  has_pipeline_knobs : bool;
+  ts_protocol : bool;
   neutralizes : bool;
   pins_frames : bool;
   reclaims : bool;
@@ -19,10 +19,6 @@ type chaos_profile = Self_healing | Crash_healing | Quiescence_bound | Unchecked
 type params = {
   buffer : int option;
   help_free : bool;
-  collect_merge : bool;
-  scan_filter : bool;
-  free_chunk : int option;
-  shards : int option;
   delay : int option;
   patience : int option;
   batch : int option;
@@ -32,10 +28,6 @@ let default_params =
   {
     buffer = None;
     help_free = false;
-    collect_merge = false;
-    scan_filter = false;
-    free_chunk = None;
-    shards = None;
     delay = None;
     patience = None;
     batch = None;
@@ -76,7 +68,6 @@ type descriptor = {
   recovery_extras : string list;
   tunables : string list;
   crash_leak_per_victim : params -> int;
-  pipelined : string option;
   build : env -> params -> built;
 }
 
@@ -84,40 +75,14 @@ type descriptor = {
 
 let plain smr = { smr; ts = None }
 
-let build_threadscan ~pipeline env p =
-  let buffer_size = Option.value p.buffer ~default:64 in
+let build_threadscan env p =
   let base =
     {
       Threadscan.Config.default with
       max_threads = env.max_threads;
-      buffer_size;
+      buffer_size = Option.value p.buffer ~default:64;
       help_free = p.help_free;
-      (* individually toggled pipeline stages (the checker explores them
-         one at a time) *)
-      collect_merge = p.collect_merge;
-      scan_filter = p.scan_filter;
-      free_chunk = Option.value p.free_chunk ~default:Threadscan.Config.default.free_chunk;
-      shards = Option.value p.shards ~default:Threadscan.Config.default.shards;
     }
-  in
-  let base =
-    (* The whole parallel-reclamation pipeline (docs/PERF.md): sealed-run
-       collect with k-way merge, Bloom-prefiltered TS-Scan, chunked
-       helper-parallel free phase.  [adaptive_buffers] is deliberately
-       left off: growing buffers with the thread count suppresses phases
-       on benchmark-sized runs, and the figures must measure the pipeline
-       at the same phase cadence as the legacy scheme. *)
-    if pipeline then
-      {
-        base with
-        collect_merge = true;
-        scan_filter = true;
-        help_free = true;
-        free_chunk = Option.value p.free_chunk ~default:8;
-        (* auto shards (one per 8 threads) unless --shards pinned it *)
-        shards = Option.value p.shards ~default:0;
-      }
-    else base
   in
   let config =
     match env.budgets with
@@ -139,7 +104,7 @@ let no_reclaim =
     crash_tolerant = true;
     wedges_under_stall = false;
     protect_slots = false;
-    has_pipeline_knobs = false;
+    ts_protocol = false;
     neutralizes = false;
     (* nothing is ever freed, so a held reference never dangles *)
     pins_frames = true;
@@ -147,11 +112,7 @@ let no_reclaim =
   }
 
 let reclaims = { no_reclaim with reclaims = true; pins_frames = false }
-let threadscan_caps = { reclaims with has_pipeline_knobs = true; pins_frames = true }
 let epoch_caps = { reclaims with crash_tolerant = false; wedges_under_stall = true }
-let ladder_extras = [ "reaps"; "takeovers"; "proxy-scans"; "recoveries" ]
-let ts_tunables =
-  [ "buffer"; "help-free"; "collect-merge"; "scan-filter"; "free-chunk"; "shards" ]
 
 let all =
   [
@@ -164,32 +125,18 @@ let all =
       recovery_extras = [];
       tunables = [];
       crash_leak_per_victim = (fun _ -> 0);
-      pipelined = None;
       build = (fun _ _ -> plain (Ts_reclaim.Leaky.create ()));
     };
     {
       id = "threadscan";
       aliases = [ "ts" ];
       summary = "signal-driven stack/buffer scan with a crash/stall degradation ladder";
-      caps = threadscan_caps;
+      caps = { reclaims with ts_protocol = true; pins_frames = true };
       chaos = Self_healing;
-      recovery_extras = ladder_extras;
-      tunables = ts_tunables;
+      recovery_extras = [ "reaps"; "takeovers"; "proxy-scans"; "recoveries" ];
+      tunables = [ "buffer"; "help-free" ];
       crash_leak_per_victim = (fun _ -> 1);
-      pipelined = Some "threadscan-pipe";
-      build = build_threadscan ~pipeline:false;
-    };
-    {
-      id = "threadscan-pipe";
-      aliases = [ "ts-pipe"; "ts-pipeline"; "threadscan-pipeline" ];
-      summary = "ThreadScan with the parallel reclamation pipeline (merge/filter/chunked free)";
-      caps = threadscan_caps;
-      chaos = Self_healing;
-      recovery_extras = ladder_extras;
-      tunables = ts_tunables;
-      crash_leak_per_victim = (fun _ -> 1);
-      pipelined = None;
-      build = build_threadscan ~pipeline:true;
+      build = build_threadscan;
     };
     {
       id = "hazard";
@@ -201,7 +148,6 @@ let all =
       tunables = [];
       (* a corpse strands its protected slots plus one in-flight retire *)
       crash_leak_per_victim = (fun _ -> 4);
-      pipelined = None;
       build =
         (fun env _ ->
           plain
@@ -216,7 +162,6 @@ let all =
       recovery_extras = [];
       tunables = [ "batch" ];
       crash_leak_per_victim = (fun _ -> 0);
-      pipelined = None;
       build =
         (fun env p ->
           let batch = Option.value p.batch ~default:env.epoch_batch in
@@ -231,7 +176,6 @@ let all =
       recovery_extras = [];
       tunables = [ "batch"; "delay" ];
       crash_leak_per_victim = (fun _ -> 0);
-      pipelined = None;
       build =
         (fun env p ->
           let batch = Option.value p.batch ~default:env.epoch_batch in
@@ -249,7 +193,6 @@ let all =
       recovery_extras = [];
       tunables = [ "batch"; "patience" ];
       crash_leak_per_victim = (fun _ -> 1);
-      pipelined = None;
       build =
         (fun env p ->
           let batch = Option.value p.batch ~default:env.epoch_batch in
@@ -265,7 +208,6 @@ let all =
       recovery_extras = [];
       tunables = [];
       crash_leak_per_victim = (fun _ -> 2);
-      pipelined = None;
       build = (fun env _ -> plain (Ts_reclaim.Stacktrack.create ~max_threads:env.max_threads ()));
     };
     {
@@ -277,7 +219,6 @@ let all =
       recovery_extras = [ "dead-skips"; "stall-skips" ];
       tunables = [ "batch" ];
       crash_leak_per_victim = (fun _ -> 1);
-      pipelined = None;
       build =
         (fun env p ->
           let batch = Option.value p.batch ~default:env.epoch_batch in
@@ -293,7 +234,6 @@ let all =
       (* one lost (unpublished) batch plus one in-flight retire *)
       tunables = [ "batch" ];
       crash_leak_per_victim = (fun p -> Option.value p.batch ~default:64 + 1);
-      pipelined = None;
       build =
         (fun env p ->
           let batch = Option.value p.batch ~default:env.epoch_batch in
@@ -328,8 +268,7 @@ let descriptor (s : spec) = get s.id
 let canonical name =
   match find name with Some d -> Ok d.id | None -> Error (unknown name)
 
-let spec ?buffer ?(help_free = false) ?(collect_merge = false) ?(scan_filter = false) ?free_chunk
-    ?shards ?delay ?patience ?batch name =
+let spec ?buffer ?(help_free = false) ?delay ?patience ?batch name =
   let d = get name in
   (* Drop tuning the scheme does not use: CLIs pass their flag defaults
      for every scheme, and an irrelevant parameter must not leak into
@@ -341,10 +280,6 @@ let spec ?buffer ?(help_free = false) ?(collect_merge = false) ?(scan_filter = f
       {
         buffer = keep "buffer" buffer;
         help_free = help_free && List.mem "help-free" d.tunables;
-        collect_merge = collect_merge && List.mem "collect-merge" d.tunables;
-        scan_filter = scan_filter && List.mem "scan-filter" d.tunables;
-        free_chunk = keep "free-chunk" free_chunk;
-        shards = keep "shards" shards;
         delay = keep "delay" delay;
         patience = keep "patience" patience;
         batch = keep "batch" batch;
@@ -360,10 +295,6 @@ let params_assoc s =
     [
       Option.map (fun v -> ("buffer", v)) p.buffer;
       (if p.help_free then Some ("help-free", 1) else None);
-      (if p.collect_merge then Some ("collect-merge", 1) else None);
-      (if p.scan_filter then Some ("scan-filter", 1) else None);
-      Option.map (fun v -> ("free-chunk", v)) p.free_chunk;
-      Option.map (fun v -> ("shards", v)) p.shards;
       Option.map (fun v -> ("delay", v)) p.delay;
       Option.map (fun v -> ("patience", v)) p.patience;
       Option.map (fun v -> ("batch", v)) p.batch;

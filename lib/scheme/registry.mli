@@ -20,8 +20,9 @@ type caps = {
       (** an unreleased stall starves reclamation forever (quiescence
           waiters): chaos plans with such triggers need a watchdog *)
   protect_slots : bool;  (** dereferences require [protect ~slot] *)
-  has_pipeline_knobs : bool;
-      (** accepts the ThreadScan parallel-reclamation pipeline knobs *)
+  ts_protocol : bool;
+      (** runs the ThreadScan collect protocol: [built.ts] is set, and
+          the checker's protocol-bug injections apply *)
   neutralizes : bool;
       (** aborts victims' operations via signals; restricts the scheme
           to restartable (lock-free) data structures *)
@@ -54,12 +55,6 @@ type chaos_profile = Self_healing | Crash_healing | Quiescence_bound | Unchecked
 type params = {
   buffer : int option;  (** ThreadScan per-thread buffer (default 64) *)
   help_free : bool;  (** ThreadScan: peers help the free phase *)
-  collect_merge : bool;  (** ThreadScan: sealed-run collect + k-way merge *)
-  scan_filter : bool;  (** ThreadScan: Bloom-prefiltered TS-Scan *)
-  free_chunk : int option;  (** ThreadScan: chunked helper-parallel free *)
-  shards : int option;
-      (** ThreadScan: reclamation shard count ([0] = auto, one per 8
-          threads; [1] = legacy single master) *)
   delay : int option;  (** slow-epoch: straggler delay in steps *)
   patience : int option;  (** patient-epoch: bounded quiescence wait *)
   batch : int option;  (** epoch family / debra / hyaline batch *)
@@ -116,9 +111,6 @@ type descriptor = {
           CLI can pass every flag's value for every scheme *)
   crash_leak_per_victim : params -> int;
       (** checker budget: nodes one crashed thread may strand forever *)
-  pipelined : string option;
-      (** id of this scheme's pipelined variant, if it has one (lets a
-          legacy [--pipeline] flag upgrade without naming schemes) *)
   build : env -> params -> built;
 }
 
@@ -147,10 +139,6 @@ val names_doc : unit -> string
 val spec :
   ?buffer:int ->
   ?help_free:bool ->
-  ?collect_merge:bool ->
-  ?scan_filter:bool ->
-  ?free_chunk:int ->
-  ?shards:int ->
   ?delay:int ->
   ?patience:int ->
   ?batch:int ->

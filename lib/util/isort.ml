@@ -48,47 +48,6 @@ let is_sorted a n =
   let rec loop i = i >= n || (a.(i - 1) <= a.(i) && loop (i + 1)) in
   loop 1
 
-(* K-way merge of sorted runs with deduplication, the collect-phase
-   replacement for concat-then-[sort_prefix]: O(total * k) with a plain
-   min-scan over the run cursors, which beats a heap for the small k
-   (participant count) the reclaimer sees, and O(total log total) of
-   re-sorting either way.  Runs may contain duplicates and may overlap;
-   the output prefix is sorted and duplicate-free. *)
-let merge_runs runs dst =
-  let k = Array.length runs in
-  let cursor = Array.make k 0 in
-  let out = ref 0 in
-  let exhausted = ref 0 in
-  Array.iter (fun (_, len) -> if len <= 0 then incr exhausted) runs;
-  while !exhausted < k do
-    (* smallest head across the live runs *)
-    let best = ref (-1) and best_v = ref max_int in
-    for i = 0 to k - 1 do
-      let a, len = runs.(i) in
-      if cursor.(i) < len then begin
-        let v = a.(cursor.(i)) in
-        if !best < 0 || v < !best_v then begin
-          best := i;
-          best_v := v
-        end
-      end
-    done;
-    let v = !best_v in
-    if !out = 0 || dst.(!out - 1) <> v then begin
-      dst.(!out) <- v;
-      incr out
-    end;
-    (* advance every run past [v]: cross-run duplicates die here *)
-    for i = 0 to k - 1 do
-      let a, len = runs.(i) in
-      while cursor.(i) < len && a.(cursor.(i)) = v do
-        cursor.(i) <- cursor.(i) + 1;
-        if cursor.(i) = len then incr exhausted
-      done
-    done
-  done;
-  !out
-
 let dedup_sorted a n =
   if n <= 1 then n
   else begin

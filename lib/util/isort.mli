@@ -15,11 +15,3 @@ val is_sorted : int array -> int -> bool
 val dedup_sorted : int array -> int -> int
 (** [dedup_sorted a n] compacts consecutive duplicates in the sorted prefix
     and returns the new prefix length. *)
-
-val merge_runs : (int array * int) array -> int array -> int
-(** [merge_runs runs dst] k-way merges the sorted prefixes
-    [(a, len)] in [runs] into [dst], dropping duplicates (within and
-    across runs), and returns the merged length.  [dst] must hold the sum
-    of the run lengths.  Equivalent to concatenating, [sort_prefix] and
-    [dedup_sorted], but O(total x k) with no re-sort of already-sorted
-    input. *)

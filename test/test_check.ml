@@ -51,7 +51,7 @@ let test_db_exact_capacity_wrap () =
   ignore
     (Runtime.run ~config:cfg (fun () ->
          let cap = 4 in
-         let b = Delete_buffer.create ~capacity:cap () in
+         let b = Delete_buffer.create ~capacity:cap in
          for round = 0 to 2 do
            for i = 0 to cap - 1 do
              check_bool "push below capacity" true (Delete_buffer.push b ((10 * round) + i))
@@ -656,169 +656,90 @@ let test_crash_leak_budget_enforced () =
   check "no violations within the budget" 0 (List.length o.Scenario.violations);
   check_bool "phases still completed" true (o.Scenario.phases >= 1)
 
-(* --------------------- pipeline under the checker ------------------------ *)
+(* --------------------- help-free under the checker ----------------------- *)
 
-(* Every pipeline stage on at once: sealed-run merge collect, Bloom
-   prefilter, chunked helper-parallel free.  The pipeline must be
-   indistinguishable from legacy ThreadScan to every oracle. *)
-let pipeline_base =
-  {
-    Scenario.default with
-    Scenario.help_free = true;
-    collect_merge = true;
-    scan_filter = true;
-    free_chunk = 2;
-  }
+(* The §7 help-free variant: scanners free a slice of the previous phase's
+   garbage, each slot claimed by CAS, and the reclaimer sweeps up what a
+   dead helper never reached.  Helpers crashing or freezing mid-slice and a
+   reclaimer dying mid-phase must all stay invisible to every oracle. *)
+let help_free_base = { Scenario.default with Scenario.help_free = true }
 
-let test_pipeline_sweep_clean () =
+let test_help_free_sweep_clean () =
   List.iter
     (fun ds ->
       let s =
         Explore.sweep
-          (Explore.sweep_specs ~base:{ pipeline_base with Scenario.ds } ~schedules:6 ~seed0:0
+          (Explore.sweep_specs ~base:{ help_free_base with Scenario.ds } ~schedules:6 ~seed0:0
              ~pct_depth:3)
       in
-      check (Fmt.str "pipeline %s: no violations" (Scenario.ds_to_string ds)) 0
+      check (Fmt.str "help-free %s: no violations" (Scenario.ds_to_string ds)) 0
         (List.length s.Explore.failures);
-      check (Fmt.str "pipeline %s: all schedules ran" (Scenario.ds_to_string ds)) 6
+      check (Fmt.str "help-free %s: all schedules ran" (Scenario.ds_to_string ds)) 6
         s.Explore.runs)
     [ Scenario.List_ds; Scenario.Hash_ds; Scenario.Skip_ds; Scenario.Churn ]
 
-let test_pipeline_crash_sweep_clean () =
+let test_help_free_crash_sweep_clean () =
+  (* The victim dies shortly after startup, so across the sweep it is
+     killed at every point of its handler — including between claiming a
+     queue slot and freeing it. *)
   List.iter
     (fun ds ->
       let base =
         {
-          pipeline_base with
+          help_free_base with
           Scenario.ds;
           fault = Scenario.Fault_crash { victims = 1; after = 10 };
         }
       in
       let s = Explore.sweep (Explore.sweep_specs ~base ~schedules:6 ~seed0:0 ~pct_depth:3) in
-      check (Fmt.str "pipeline %s under crash: no violations" (Scenario.ds_to_string ds)) 0
+      check (Fmt.str "help-free %s under crash: no violations" (Scenario.ds_to_string ds)) 0
         (List.length s.Explore.failures))
     [ Scenario.List_ds; Scenario.Churn ]
 
-let test_pipeline_stall_sweep_clean () =
+let test_help_free_stall_sweep_clean () =
+  (* A helper frozen mid-slice wakes after the queue was recycled: its
+     claims must fail instead of double-freeing. *)
   let base =
     {
-      pipeline_base with
+      help_free_base with
       Scenario.ds = Scenario.Churn;
       fault = Scenario.Fault_stall { victims = 1; after = 10; cycles = 60_000 };
     }
   in
   let s = Explore.sweep (Explore.sweep_specs ~base ~schedules:6 ~seed0:0 ~pct_depth:3) in
-  check "pipeline churn under stall: no violations" 0 (List.length s.Explore.failures)
+  check "help-free churn under stall: no violations" 0 (List.length s.Explore.failures)
 
-let test_pipeline_reclaimer_crash_takeover () =
-  (* The reclaimer dies mid-phase — with [free_chunk] on, possibly in the
-     middle of the chunked free, with helpers still pulling chunks.  The
-     heartbeat takeover plus the all-or-nothing sealed staging must keep
-     the run sound within the one-node leak budget. *)
-  let base = { pipeline_base with Scenario.ds = Scenario.Churn; inject = Threadscan.Crash_mid_phase } in
-  let s = Explore.sweep (Explore.sweep_specs ~base ~schedules:6 ~seed0:0 ~pct_depth:3) in
-  check "pipeline survives reclaimer crash mid-phase" 0 (List.length s.Explore.failures)
-
-let test_pipeline_still_catches_seeded_bug () =
-  (* The checker stays sharp with the pipeline on: a skipped carry-over
-     must surface exactly as it does on the legacy path. *)
+let test_help_free_reclaimer_crash_takeover () =
+  (* The reclaimer dies mid-phase with helpers still holding the previous
+     phase's queue; the heartbeat takeover must drain it soundly within
+     the one-node leak budget. *)
   let base =
-    { pipeline_base with Scenario.ds = Scenario.Churn; inject = Threadscan.Skip_carryover }
+    { help_free_base with Scenario.ds = Scenario.Churn; inject = Threadscan.Crash_mid_phase }
+  in
+  let s = Explore.sweep (Explore.sweep_specs ~base ~schedules:6 ~seed0:0 ~pct_depth:3) in
+  check "help-free survives reclaimer crash mid-phase" 0 (List.length s.Explore.failures)
+
+let test_help_free_still_catches_seeded_bug () =
+  (* The checker stays sharp with helpers freeing: a skipped carry-over
+     must surface exactly as it does without them, and the failing spec
+     must replay with its flags intact. *)
+  let base =
+    {
+      help_free_base with
+      Scenario.ds = Scenario.Churn;
+      magazine = false;
+      inject = Threadscan.Skip_carryover;
+    }
   in
   let s = Explore.sweep (Explore.sweep_specs ~base ~schedules:4 ~seed0:0 ~pct_depth:3) in
-  check_bool "seeded bug caught under the pipeline" true (s.Explore.failures <> []);
+  check_bool "seeded bug caught with help-free on" true (s.Explore.failures <> []);
   let cmd = Scenario.replay_command (List.hd s.Explore.failures).Scenario.spec in
   let contains hay needle =
     let nh = String.length hay and nn = String.length needle in
     let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
     go 0
   in
-  check_bool "replay command carries the pipeline flags" true
-    (contains cmd "--collect-merge" && contains cmd "--scan-filter"
-    && contains cmd "--free-chunk 2")
-
-(* ---------------------- sharding under the checker ------------------------ *)
-
-(* The full pipeline plus reclamation sharding: two shards over the
-   checker's default thread count, so phases run the per-shard
-   collect/merge/publish and idle helpers can steal sealed runs across
-   shards.  Like the pipeline, sharding must be invisible to every
-   oracle — and the fault plans now also cover dying mid-steal: a victim
-   crashed after its first few steps may hold a shard claim word. *)
-let shards_base = { pipeline_base with Scenario.shards = 2 }
-
-let test_shards_sweep_clean () =
-  List.iter
-    (fun ds ->
-      let s =
-        Explore.sweep
-          (Explore.sweep_specs ~base:{ shards_base with Scenario.ds } ~schedules:6 ~seed0:0
-             ~pct_depth:3)
-      in
-      check (Fmt.str "shards %s: no violations" (Scenario.ds_to_string ds)) 0
-        (List.length s.Explore.failures);
-      check (Fmt.str "shards %s: all schedules ran" (Scenario.ds_to_string ds)) 6
-        s.Explore.runs)
-    [ Scenario.List_ds; Scenario.Hash_ds; Scenario.Skip_ds; Scenario.Churn ]
-
-let test_shards_crash_sweep_clean () =
-  (* Crash-mid-steal coverage: the victim dies shortly after startup, so
-     across the seed/schedule sweep it is killed at every point of the
-     steal protocol — including between claiming a shard's sealed run
-     and stamping it done.  The reclaimer's bounded-ack recovery must
-     take the claim back and re-collect without a double free or leak
-     beyond the crash budget. *)
-  List.iter
-    (fun ds ->
-      let base =
-        {
-          shards_base with
-          Scenario.ds;
-          fault = Scenario.Fault_crash { victims = 1; after = 10 };
-        }
-      in
-      let s = Explore.sweep (Explore.sweep_specs ~base ~schedules:6 ~seed0:0 ~pct_depth:3) in
-      check (Fmt.str "shards %s under crash: no violations" (Scenario.ds_to_string ds)) 0
-        (List.length s.Explore.failures))
-    [ Scenario.List_ds; Scenario.Churn ]
-
-let test_shards_stall_sweep_clean () =
-  (* A stalled thread can freeze while holding a shard claim; the phase
-     must still complete via the claim-recovery path and stay sound once
-     the sleeper wakes and finds its shard already drained. *)
-  let base =
-    {
-      shards_base with
-      Scenario.ds = Scenario.Churn;
-      fault = Scenario.Fault_stall { victims = 1; after = 10; cycles = 60_000 };
-    }
-  in
-  let s = Explore.sweep (Explore.sweep_specs ~base ~schedules:6 ~seed0:0 ~pct_depth:3) in
-  check "shards churn under stall: no violations" 0 (List.length s.Explore.failures)
-
-let test_shards_reclaimer_crash_takeover () =
-  (* The reclaimer dies mid-phase with shards on: un-collected shards
-     still carry the generation stamp of the dead phase, and the
-     takeover must restart the claim protocol from scratch. *)
-  let base = { shards_base with Scenario.ds = Scenario.Churn; inject = Threadscan.Crash_mid_phase } in
-  let s = Explore.sweep (Explore.sweep_specs ~base ~schedules:6 ~seed0:0 ~pct_depth:3) in
-  check "shards survive reclaimer crash mid-phase" 0 (List.length s.Explore.failures)
-
-let test_shards_still_catches_seeded_bug () =
-  (* Sharding must not blunt the checker, and a failing sharded spec must
-     replay with its shard count (and the magazine toggle) intact. *)
-  let base =
-    { shards_base with Scenario.ds = Scenario.Churn; magazine = false; inject = Threadscan.Skip_carryover }
-  in
-  let s = Explore.sweep (Explore.sweep_specs ~base ~schedules:4 ~seed0:0 ~pct_depth:3) in
-  check_bool "seeded bug caught with shards on" true (s.Explore.failures <> []);
-  let cmd = Scenario.replay_command (List.hd s.Explore.failures).Scenario.spec in
-  let contains hay needle =
-    let nh = String.length hay and nn = String.length needle in
-    let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-    go 0
-  in
-  check_bool "replay command carries the shard count" true (contains cmd "--shards 2");
+  check_bool "replay command carries help-free" true (contains cmd "--help-free");
   check_bool "replay command carries the magazine toggle" true (contains cmd "--no-magazine")
 
 (* ------------------- forked exploration vs replay-from-seed --------------- *)
@@ -1057,26 +978,15 @@ let () =
           Alcotest.test_case "stale recovery blinds the phase (regression)" `Quick
             test_stale_recovery_blinds_phase;
         ] );
-      ( "pipeline",
+      ( "help-free",
         [
-          Alcotest.test_case "clean sweeps stay clean" `Quick test_pipeline_sweep_clean;
-          Alcotest.test_case "crash plans stay clean" `Quick test_pipeline_crash_sweep_clean;
-          Alcotest.test_case "stall plans stay clean" `Quick test_pipeline_stall_sweep_clean;
+          Alcotest.test_case "clean sweeps stay clean" `Quick test_help_free_sweep_clean;
+          Alcotest.test_case "crash plans stay clean" `Quick test_help_free_crash_sweep_clean;
+          Alcotest.test_case "stall plans stay clean" `Quick test_help_free_stall_sweep_clean;
           Alcotest.test_case "reclaimer crash mid-phase survives" `Quick
-            test_pipeline_reclaimer_crash_takeover;
+            test_help_free_reclaimer_crash_takeover;
           Alcotest.test_case "seeded bug still caught" `Quick
-            test_pipeline_still_catches_seeded_bug;
-        ] );
-      ( "shards",
-        [
-          Alcotest.test_case "clean sweeps stay clean" `Quick test_shards_sweep_clean;
-          Alcotest.test_case "crash-mid-steal plans stay clean" `Quick
-            test_shards_crash_sweep_clean;
-          Alcotest.test_case "stall plans stay clean" `Quick test_shards_stall_sweep_clean;
-          Alcotest.test_case "reclaimer crash mid-phase survives" `Quick
-            test_shards_reclaimer_crash_takeover;
-          Alcotest.test_case "seeded bug still caught, replay keeps flags" `Quick
-            test_shards_still_catches_seeded_bug;
+            test_help_free_still_catches_seeded_bug;
         ] );
       ( "forked exploration",
         [

@@ -51,7 +51,6 @@ let test_all_schemes_clean () =
       Registry.spec "leaky";
       Registry.spec ~buffer:16 "threadscan";
       Registry.spec ~buffer:16 ~help_free:true "threadscan";
-      Registry.spec ~buffer:16 "threadscan-pipe";
       Registry.spec "hazard";
       Registry.spec "epoch";
       Registry.spec ~delay:30_000 "slow-epoch";
@@ -131,7 +130,7 @@ let test_scheme_names () =
   Alcotest.(check string) "list" "list" (Workload.ds_kind_to_string Workload.List_ds);
   Alcotest.(check string) "ts label" "threadscan"
     (Registry.label (Registry.spec ~buffer:8 "threadscan"));
-  Alcotest.(check string) "alias resolves" "threadscan-pipe" (Registry.label (Registry.spec "ts-pipe"));
+  Alcotest.(check string) "alias resolves" "threadscan" (Registry.label (Registry.spec "ts"));
   Alcotest.(check bool) "params ride separately" true
     (Registry.params_assoc (Registry.spec ~buffer:8 "threadscan") = [ ("buffer", 8) ]);
   Alcotest.(check string) "describe" "threadscan buffer=8 help-free=1"

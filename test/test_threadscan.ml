@@ -20,7 +20,7 @@ let small_ts ?(help_free = false) ?(buffer_size = 8) ?(max_threads = 16) () =
 let test_db_push_drain () =
   ignore
     (Runtime.run ~config:cfg (fun () ->
-         let b = Delete_buffer.create ~capacity:4 () in
+         let b = Delete_buffer.create ~capacity:4 in
          Alcotest.(check bool) "push 1" true (Delete_buffer.push b 10);
          Alcotest.(check bool) "push 2" true (Delete_buffer.push b 20);
          check "size" 2 (Delete_buffer.size b);
@@ -34,7 +34,7 @@ let test_db_push_drain () =
 let test_db_full () =
   ignore
     (Runtime.run ~config:cfg (fun () ->
-         let b = Delete_buffer.create ~capacity:3 () in
+         let b = Delete_buffer.create ~capacity:3 in
          Alcotest.(check bool) "1" true (Delete_buffer.push b 1);
          Alcotest.(check bool) "2" true (Delete_buffer.push b 2);
          Alcotest.(check bool) "3" true (Delete_buffer.push b 3);
@@ -45,7 +45,7 @@ let test_db_full () =
 let test_db_wraparound () =
   ignore
     (Runtime.run ~config:cfg (fun () ->
-         let b = Delete_buffer.create ~capacity:3 () in
+         let b = Delete_buffer.create ~capacity:3 in
          for round = 0 to 9 do
            Alcotest.(check bool) "push a" true (Delete_buffer.push b (2 * round));
            Alcotest.(check bool) "push b" true (Delete_buffer.push b ((2 * round) + 1));
@@ -59,7 +59,7 @@ let test_db_wraparound () =
 let test_db_partial_drain () =
   ignore
     (Runtime.run ~config:cfg (fun () ->
-         let b = Delete_buffer.create ~capacity:8 () in
+         let b = Delete_buffer.create ~capacity:8 in
          List.iter (fun p -> ignore (Delete_buffer.push b p)) [ 1; 2; 3; 4 ];
          let taken = ref 0 in
          Delete_buffer.drain b (fun _ ->
@@ -73,7 +73,7 @@ let test_db_partial_drain () =
 let test_mb_publish_find () =
   ignore
     (Runtime.run ~config:cfg (fun () ->
-         let m = Master_buffer.create ~capacity:16 () in
+         let m = Master_buffer.create ~capacity:16 in
          List.iter (fun p -> ignore (Master_buffer.append m p)) [ 56; 8; 8; 120; 32 ];
          Master_buffer.publish_sorted m;
          check "deduped count" 4 (Master_buffer.count m);
@@ -89,7 +89,7 @@ let test_mb_publish_find () =
 let test_mb_mark_sweep_carry () =
   ignore
     (Runtime.run ~config:cfg (fun () ->
-         let m = Master_buffer.create ~capacity:16 () in
+         let m = Master_buffer.create ~capacity:16 in
          List.iter (fun p -> ignore (Master_buffer.append m p)) [ 40; 8; 24 ];
          Master_buffer.publish_sorted m;
          Master_buffer.mark m (Master_buffer.find m 24);
@@ -106,7 +106,7 @@ let test_mb_mark_sweep_carry () =
 let test_mb_overflow () =
   ignore
     (Runtime.run ~config:cfg (fun () ->
-         let m = Master_buffer.create ~capacity:2 () in
+         let m = Master_buffer.create ~capacity:2 in
          Alcotest.(check bool) "1" true (Master_buffer.append m 8);
          Alcotest.(check bool) "2" true (Master_buffer.append m 16);
          Alcotest.(check bool) "full" false (Master_buffer.append m 24)))
@@ -114,7 +114,7 @@ let test_mb_overflow () =
 let test_mb_marks_reset_on_publish () =
   ignore
     (Runtime.run ~config:cfg (fun () ->
-         let m = Master_buffer.create ~capacity:8 () in
+         let m = Master_buffer.create ~capacity:8 in
          ignore (Master_buffer.append m 8);
          Master_buffer.publish_sorted m;
          Master_buffer.mark m 0;
@@ -1043,261 +1043,6 @@ let prop_random_hold_release_safe =
       ignore (Runtime.start r);
       !ok && Alloc.live_blocks (Runtime.alloc r) = 0)
 
-(* ------------------------------- pipeline ------------------------------- *)
-
-let pipeline_ts ?(free_chunk = 2) ?(buffer_size = 8) ?(max_threads = 16) () =
-  Threadscan.create
-    ~config:
-      {
-        Config.default with
-        max_threads;
-        buffer_size;
-        help_free = true;
-        collect_merge = true;
-        scan_filter = true;
-        free_chunk;
-      }
-    ()
-
-let test_db_seal_roundtrip () =
-  ignore
-    (Runtime.run ~config:cfg (fun () ->
-         let b = Delete_buffer.create ~sealed_runs:true ~capacity:4 () in
-         List.iter (fun p -> ignore (Delete_buffer.push b p)) [ 9; 3; 7; 5 ];
-         Alcotest.(check bool) "full" false (Delete_buffer.push b 11);
-         Alcotest.(check bool) "seal" true (Delete_buffer.seal b);
-         Alcotest.(check bool) "push blocked while sealed" false (Delete_buffer.push b 11);
-         let got = ref [] in
-         Delete_buffer.drain_phase b
-           ~sealed:(fun ~len ~read ->
-             for i = 0 to len - 1 do
-               got := read i :: !got
-             done;
-             true)
-           ~loose:(fun _ -> Alcotest.fail "window was sealed, nothing is loose");
-         Alcotest.(check (list int)) "run is sorted" [ 3; 5; 7; 9 ] (List.rev !got);
-         Alcotest.(check bool) "reopened" true (Delete_buffer.push b 11);
-         check "window consumed" 1 (Delete_buffer.size b)))
-
-let test_db_seal_preconditions () =
-  ignore
-    (Runtime.run ~config:cfg (fun () ->
-         let legacy = Delete_buffer.create ~capacity:4 () in
-         ignore (Delete_buffer.push legacy 8);
-         Alcotest.(check bool) "legacy buffer never seals" false (Delete_buffer.seal legacy);
-         let b = Delete_buffer.create ~sealed_runs:true ~capacity:4 () in
-         ignore (Delete_buffer.push b 8);
-         Alcotest.(check bool) "not full, no seal" false (Delete_buffer.seal b);
-         Alcotest.(check bool) "still open" true (Delete_buffer.push b 16)))
-
-let test_db_sealed_run_kept_without_space () =
-  ignore
-    (Runtime.run ~config:cfg (fun () ->
-         let b = Delete_buffer.create ~sealed_runs:true ~capacity:3 () in
-         List.iter (fun p -> ignore (Delete_buffer.push b p)) [ 24; 8; 16 ];
-         Alcotest.(check bool) "seal" true (Delete_buffer.seal b);
-         (* the master had no room: the run must survive for the next phase *)
-         Delete_buffer.drain_phase b
-           ~sealed:(fun ~len:_ ~read:_ -> false)
-           ~loose:(fun _ -> Alcotest.fail "sealed run must not fall through to loose");
-         Alcotest.(check bool) "still claimed" false (Delete_buffer.push b 32);
-         let got = ref [] in
-         Delete_buffer.drain_phase b
-           ~sealed:(fun ~len ~read ->
-             for i = 0 to len - 1 do
-               got := read i :: !got
-             done;
-             true)
-           ~loose:(fun _ -> Alcotest.fail "still sealed");
-         Alcotest.(check (list int)) "run intact next phase" [ 8; 16; 24 ] (List.rev !got)))
-
-let test_db_loose_drain_when_unsealed () =
-  ignore
-    (Runtime.run ~config:cfg (fun () ->
-         let b = Delete_buffer.create ~sealed_runs:true ~capacity:8 () in
-         List.iter (fun p -> ignore (Delete_buffer.push b p)) [ 40; 8 ];
-         let got = ref [] in
-         Delete_buffer.drain_phase b
-           ~sealed:(fun ~len:_ ~read:_ -> Alcotest.fail "nothing was sealed")
-           ~loose:(fun p ->
-             got := p :: !got;
-             true);
-         Alcotest.(check (list int)) "loose fifo, unsorted" [ 40; 8 ] (List.rev !got);
-         check "drained" 0 (Delete_buffer.size b)))
-
-let test_mb_publish_merged_equiv () =
-  ignore
-    (Runtime.run ~config:cfg (fun () ->
-         let m = Master_buffer.create ~capacity:32 () in
-         (* staged layout: loose 50 | run (8 16 24) | loose 16 | run (8 40) *)
-         ignore (Master_buffer.append m 50);
-         let s1 = Master_buffer.staged_pos m in
-         List.iter (fun p -> ignore (Master_buffer.append m p)) [ 8; 16; 24 ];
-         ignore (Master_buffer.append m 16);
-         let s2 = Master_buffer.staged_pos m in
-         List.iter (fun p -> ignore (Master_buffer.append m p)) [ 8; 40 ];
-         Master_buffer.publish_merged m ~runs:[ (s1, 3); (s2, 2) ];
-         check "count = sort|dedup of the union" 5 (Master_buffer.count m);
-         List.iteri
-           (fun i want -> check (Fmt.str "entry %d" i) want (Master_buffer.entry m i))
-           [ 8; 16; 24; 40; 50 ]))
-
-let test_mb_merged_carry_not_resorted () =
-  ignore
-    (Runtime.run ~config:cfg (fun () ->
-         let m = Master_buffer.create ~capacity:32 () in
-         List.iter (fun p -> ignore (Master_buffer.append m p)) [ 40; 8; 24 ];
-         Master_buffer.publish_sorted m;
-         Master_buffer.mark m (Master_buffer.find m 24);
-         Master_buffer.mark m (Master_buffer.find m 40);
-         let carry = Master_buffer.sweep m (fun _ -> ()) in
-         check "two carried" 2 carry;
-         (* merged publish treats the carry as a pre-sorted run; new loose
-            entries interleave correctly around it *)
-         List.iter (fun p -> ignore (Master_buffer.append m p)) [ 48; 16 ];
-         Master_buffer.publish_merged m ~runs:[];
-         check "carry + loose" 4 (Master_buffer.count m);
-         List.iteri
-           (fun i want -> check (Fmt.str "entry %d" i) want (Master_buffer.entry m i))
-           [ 16; 24; 40; 48 ]))
-
-let test_mb_filter_no_false_negatives () =
-  ignore
-    (Runtime.run ~config:cfg (fun () ->
-         let m = Master_buffer.create ~filter:true ~capacity:64 () in
-         for i = 0 to 39 do
-           ignore (Master_buffer.append m (((i * 2654435761) land 0xFFFF) lor 8))
-         done;
-         Master_buffer.publish_sorted m;
-         let assert_members () =
-           let mask = Master_buffer.filter_mask m in
-           Alcotest.(check bool) "filter published" true (mask >= 0);
-           for i = 0 to Master_buffer.count m - 1 do
-             Alcotest.(check bool)
-               (Fmt.str "published entry %d passes" i)
-               true
-               (Master_buffer.filter_test m ~mask (Master_buffer.entry m i))
-           done
-         in
-         assert_members ();
-         (* the filter is rebuilt per publish over the surviving prefix *)
-         Master_buffer.mark m 0;
-         ignore (Master_buffer.sweep m (fun _ -> ()));
-         ignore (Master_buffer.append m 123456);
-         Master_buffer.publish_merged m ~runs:[];
-         assert_members ()))
-
-let test_pipeline_churn_end_to_end () =
-  let r = Runtime.create { cfg with cores = 4; seed = 5 } in
-  let leftover = ref (-1) and seals = ref 0 and merged = ref 0 and phases = ref 0 in
-  ignore
-    (Runtime.add_thread r (fun () ->
-         let ts = pipeline_ts () in
-         let smr = Threadscan.smr ts in
-         let slots = Runtime.alloc_region 8 in
-         smr.Smr.thread_init ();
-         let worker i () =
-           smr.Smr.thread_init ();
-           Frame.with_frame 2 (fun fr ->
-               for _ = 1 to 60 do
-                 let p = alloc_node () in
-                 Runtime.write (Ptr.addr p) 1234;
-                 Runtime.write (slots + i) p;
-                 let q = Runtime.read (slots + Runtime.rand_below 8) in
-                 Frame.set fr 0 q;
-                 if not (Ptr.is_null q) then ignore (Runtime.read (Ptr.addr q));
-                 Frame.set fr 0 0;
-                 let mine = Runtime.read (slots + i) in
-                 Runtime.write (slots + i) 0;
-                 if not (Ptr.is_null mine) then smr.Smr.retire mine
-               done);
-           smr.Smr.thread_exit ()
-         in
-         let ts_list = List.init 8 (fun i -> Runtime.spawn (worker i)) in
-         List.iter Runtime.join ts_list;
-         smr.Smr.thread_exit ();
-         smr.Smr.flush ();
-         leftover := Threadscan.outstanding ts;
-         seals := Threadscan.sealed_runs ts;
-         merged := Threadscan.merged_runs ts;
-         phases := Threadscan.phases ts));
-  ignore (Runtime.start r);
-  (* strict memory already proved no UAF; the pipeline must also leak
-     nothing and have actually exercised its stages *)
-  check "no outstanding nodes" 0 !leftover;
-  check "allocator empty" 0 (Alloc.live_blocks (Runtime.alloc r));
-  Alcotest.(check bool) "phases ran" true (!phases > 0);
-  Alcotest.(check bool) "windows were sealed" true (!seals > 0);
-  Alcotest.(check bool) "sealed runs were merged" true (!merged > 0)
-
-let test_pipeline_deterministic () =
-  let snapshot () =
-    let r = Runtime.create { cfg with cores = 4; seed = 123 } in
-    let phases = ref 0 and signals = ref 0 in
-    ignore
-      (Runtime.add_thread r (fun () ->
-           let ts = pipeline_ts ~buffer_size:16 () in
-           let smr = Threadscan.smr ts in
-           smr.Smr.thread_init ();
-           let workers =
-             List.init 6 (fun _ ->
-                 Runtime.spawn (fun () ->
-                     smr.Smr.thread_init ();
-                     for _ = 1 to 100 do
-                       smr.Smr.retire (alloc_node ())
-                     done;
-                     smr.Smr.thread_exit ()))
-           in
-           List.iter Runtime.join workers;
-           smr.Smr.thread_exit ();
-           smr.Smr.flush ();
-           phases := Threadscan.phases ts;
-           signals := Threadscan.signals_sent ts));
-    let res = Runtime.start r in
-    (!phases, !signals, res.Runtime.elapsed)
-  in
-  let p1, s1, e1 = snapshot () in
-  let p2, s2, e2 = snapshot () in
-  check "phases equal" p1 p2;
-  check "signals equal" s1 s2;
-  check "elapsed equal" e1 e2
-
-let test_adaptive_buffers_scale_with_threads () =
-  let phases_after ~adaptive n =
-    let phases = ref (-1) in
-    ignore
-      (Runtime.run ~config:cfg (fun () ->
-           let ts =
-             Threadscan.create
-               ~config:
-                 {
-                   Config.default with
-                   max_threads = 16;
-                   buffer_size = 4;
-                   adaptive_buffers = adaptive;
-                 }
-               ()
-           in
-           let smr = Threadscan.smr ts in
-           smr.Smr.thread_init ();
-           for _ = 1 to n do
-             smr.Smr.retire (alloc_node ())
-           done;
-           phases := Threadscan.phases ts;
-           smr.Smr.thread_exit ();
-           smr.Smr.flush ()));
-    !phases
-  in
-  (* Adaptive sizing grows the buffer to 4 x max_threads = 64, so 32
-     retirements fit without a phase; the same config without the knob
-     overflows its 4-slot buffer repeatedly.  Explicit sizes are never
-     shrunk: a large buffer_size behaves the same either way. *)
-  Alcotest.(check bool)
-    "legacy 4-slot buffer phases repeatedly" true
-    (phases_after ~adaptive:false 32 >= 4);
-  check "adaptive buffer absorbs burst" 0 (phases_after ~adaptive:true 32);
-  check "adaptive buffer still bounded" 1 (phases_after ~adaptive:true 65)
-
 let () =
   let qt t = QCheck_alcotest.to_alcotest t in
   Alcotest.run "threadscan"
@@ -1376,23 +1121,6 @@ let () =
             test_overflow_backpressure_bounded;
           Alcotest.test_case "thread_exit races in-flight collect" `Quick
             test_thread_exit_races_inflight_collect;
-        ] );
-      ( "pipeline",
-        [
-          Alcotest.test_case "seal roundtrip" `Quick test_db_seal_roundtrip;
-          Alcotest.test_case "seal preconditions" `Quick test_db_seal_preconditions;
-          Alcotest.test_case "sealed run kept without space" `Quick
-            test_db_sealed_run_kept_without_space;
-          Alcotest.test_case "loose drain when unsealed" `Quick test_db_loose_drain_when_unsealed;
-          Alcotest.test_case "merged publish = sort|dedup" `Quick test_mb_publish_merged_equiv;
-          Alcotest.test_case "carry merges without re-sort" `Quick
-            test_mb_merged_carry_not_resorted;
-          Alcotest.test_case "filter never false-negatives" `Quick
-            test_mb_filter_no_false_negatives;
-          Alcotest.test_case "churn end-to-end" `Quick test_pipeline_churn_end_to_end;
-          Alcotest.test_case "deterministic" `Quick test_pipeline_deterministic;
-          Alcotest.test_case "adaptive buffers scale with threads" `Quick
-            test_adaptive_buffers_scale_with_threads;
         ] );
       ("adversarial", [ qt prop_random_hold_release_safe ]);
     ]

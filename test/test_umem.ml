@@ -277,12 +277,16 @@ let prop_alloc_balance =
    directly (a returned base already live, or the strict heap's
    double-free fault); loss is caught by the capacity limit — the heap is
    sized for a handful of working sets, so a block stranded per round
-   would grow the reserve until [Out_of_memory]. *)
+   would grow the reserve until [Out_of_memory].  Every working set
+   carries nine same-class blocks on top of the generated sizes: freed
+   across two threads, at least five land on one magazine, which then
+   overflows [cache_cap] and must flush — so the flush path runs on every
+   case, not only on generated lists that happen to crowd one class. *)
 let prop_magazine_conservation =
   QCheck.Test.make ~name:"magazines: refill/flush loses and duplicates nothing" ~count:60
     QCheck.(pair int (list (int_range 1 16)))
     (fun (seed, sizes) ->
-      let sizes = if sizes = [] then [ 3 ] else sizes in
+      let sizes = List.init 9 (fun _ -> 3) @ sizes in
       let words = List.fold_left ( + ) 0 sizes in
       (* ~6 working sets incl. headers: ample steady state, fatal leak *)
       let mem = Mem.create ~capacity_limit:(1024 + (6 * (words + (3 * List.length sizes)))) () in

@@ -1,7 +1,6 @@
 module Splitmix = Ts_util.Splitmix
 module Vec = Ts_util.Vec
 module Isort = Ts_util.Isort
-module Bloom = Ts_util.Bloom
 module Padded = Ts_util.Padded
 
 let check = Alcotest.(check int)
@@ -171,57 +170,6 @@ let test_dedup_sorted () =
   check "new length" 4 n;
   Alcotest.(check (array int)) "prefix deduped" [| 1; 2; 3; 5 |] (Array.sub a 0 n)
 
-(* ------------------------------ merge_runs ------------------------------ *)
-
-let test_merge_runs_basic () =
-  let r1 = ([| 1; 4; 7; 999 |], 3) in
-  let r2 = ([| 2; 4; 8 |], 3) in
-  let r3 = ([| 3 |], 1) in
-  let dst = Array.make 16 0 in
-  let n = Isort.merge_runs [| r1; r2; r3 |] dst in
-  check "merged length" 6 n;
-  Alcotest.(check (array int)) "merged, deduped, sorted" [| 1; 2; 3; 4; 7; 8 |]
-    (Array.sub dst 0 n)
-
-let test_merge_runs_degenerate () =
-  let dst = Array.make 4 9 in
-  check "no runs" 0 (Isort.merge_runs [||] dst);
-  check "all-empty runs" 0 (Isort.merge_runs [| ([| 1 |], 0); ([||], 0) |] dst);
-  let n = Isort.merge_runs [| ([| 5; 5; 5 |], 3) |] dst in
-  check "single run deduped" 1 n;
-  check "value" 5 dst.(0)
-
-(* ------------------------------- Bloom ---------------------------------- *)
-
-let test_bloom_members () =
-  let keys = List.init 64 (fun i -> (i * 37) lxor 0x155) in
-  let f = Bloom.create ~expected:(List.length keys) in
-  List.iter (Bloom.add f) keys;
-  List.iter
-    (fun k -> Alcotest.(check bool) (Fmt.str "member %d" k) true (Bloom.test f k))
-    keys
-
-let test_bloom_rejects_most () =
-  let f = Bloom.create ~expected:32 in
-  for i = 0 to 31 do
-    Bloom.add f (i * 613)
-  done;
-  let rejected = ref 0 in
-  for probe = 1_000_000 to 1_000_999 do
-    if not (Bloom.test f probe) then incr rejected
-  done;
-  (* False positives are allowed, but a filter that accepts half of
-     everything is useless as a prefilter. *)
-  Alcotest.(check bool) "rejects most non-members" true (!rejected > 800)
-
-let test_bloom_words_for_pow2 () =
-  List.iter
-    (fun n ->
-      let w = Bloom.words_for n in
-      Alcotest.(check bool) (Fmt.str "words_for %d power of two" n) true
-        (w > 0 && w land (w - 1) = 0))
-    [ 0; 1; 5; 16; 63; 64; 65; 1000; 4096 ]
-
 (* ------------------------------- Padded --------------------------------- *)
 
 let test_padded_copy_preserves () =
@@ -268,41 +216,6 @@ let prop_binary_search_sound =
       Isort.sort_prefix a (Array.length a);
       let i = Isort.binary_search a (Array.length a) probe in
       if List.mem probe l then i >= 0 && a.(i) = probe else i = -1)
-
-(* The pipeline's collect correctness hinges on this equivalence: a k-way
-   merge of sorted per-thread runs must publish exactly what the legacy
-   concat-then-sort-then-dedup path would. *)
-let prop_merge_runs_equiv =
-  QCheck.Test.make ~name:"merge_runs = concat |> sort_prefix |> dedup_sorted" ~count:500
-    QCheck.(list (list small_nat))
-    (fun lists ->
-      let runs =
-        Array.of_list
-          (List.map
-             (fun l ->
-               let a = Array.of_list l in
-               Isort.sort_prefix a (Array.length a);
-               (a, Array.length a))
-             lists)
-      in
-      let total = Array.fold_left (fun acc (_, n) -> acc + n) 0 runs in
-      let dst = Array.make (max 1 total) (-1) in
-      let n = Isort.merge_runs runs dst in
-      let reference = Array.of_list (List.concat lists) in
-      Isort.sort_prefix reference (Array.length reference);
-      let rn = Isort.dedup_sorted reference (Array.length reference) in
-      n = rn && Array.sub dst 0 n = Array.sub reference 0 rn)
-
-(* The scan prefilter is only sound if membership never false-negatives:
-   a miss means "definitely not retired", so a single false negative would
-   let a live pointer go unmarked and be freed under a reader. *)
-let prop_bloom_zero_false_negatives =
-  QCheck.Test.make ~name:"Bloom never false-negatives" ~count:500
-    QCheck.(pair (list int) small_nat)
-    (fun (keys, slack) ->
-      let f = Bloom.create ~expected:(List.length keys + slack) in
-      List.iter (Bloom.add f) keys;
-      List.for_all (Bloom.test f) keys)
 
 let prop_vec_model =
   QCheck.Test.make ~name:"Vec behaves like a list model" ~count:300
@@ -453,19 +366,9 @@ let () =
           Alcotest.test_case "search misses" `Quick test_binary_search_misses;
           Alcotest.test_case "search respects prefix" `Quick test_binary_search_excludes_tail;
           Alcotest.test_case "dedup" `Quick test_dedup_sorted;
-          Alcotest.test_case "merge runs" `Quick test_merge_runs_basic;
-          Alcotest.test_case "merge degenerate" `Quick test_merge_runs_degenerate;
           qt prop_sort_matches_stdlib;
           qt prop_binary_search_complete;
           qt prop_binary_search_sound;
-          qt prop_merge_runs_equiv;
-        ] );
-      ( "bloom",
-        [
-          Alcotest.test_case "members always hit" `Quick test_bloom_members;
-          Alcotest.test_case "rejects most non-members" `Quick test_bloom_rejects_most;
-          Alcotest.test_case "words_for powers of two" `Quick test_bloom_words_for_pow2;
-          qt prop_bloom_zero_false_negatives;
         ] );
       ( "padded",
         [
