@@ -577,6 +577,12 @@ let wrap an (o : Ts_rt.ops) : Ts_rt.ops =
         check_retired_access an th w addr "read";
         v)
   in
+  (* a scanned range is, to the analyzer, one read per word *)
+  let mem_scan_words base len f =
+    for a = base to base + len - 1 do
+      f (mem_read a)
+    done
+  in
   let mem_write addr v =
     let tid = o.self () in
     with_crit an o tid (fun () ->
@@ -792,6 +798,7 @@ let wrap an (o : Ts_rt.ops) : Ts_rt.ops =
   {
     o with
     read = mem_read;
+    scan_words = mem_scan_words;
     write = mem_write;
     cas = mem_cas;
     faa = mem_faa;

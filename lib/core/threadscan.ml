@@ -135,34 +135,42 @@ let help_free t =
     let c = counters t in
     let chunk = max 1 (cnt / t.cfg.max_threads) in
     let start = Runtime.faa t.work_idx chunk in
+    let freed = ref 0 in
     for i = start to min (start + chunk) cnt - 1 do
       let p = Runtime.read (t.work_base + i) in
       if p <> 0 && Runtime.cas (t.work_base + i) p 0 then begin
         (* tslint: allow sigsafe -- both backends deliver signals at safepoint polls, never preempting an allocator call; helping runs between polls, as the paper's helpers run outside the handler *)
         Runtime.free (Ptr.addr p);
         Smr.add_freed c 1;
-        t.helped <- t.helped + 1
+        incr freed
       end
-    done
+    done;
+    (* [t] is shared by every scanner: one write per slice, not per free.
+       [add_freed] stays per free so a helper killed mid-slice still
+       shows the leak oracle every free it made. *)
+    t.helped <- t.helped + !freed
   end
 
 (* The bounds are read once per range: they only change under a new count,
    and a scan that raced a publish is not counted for the new phase anyway.
    The [lo, hi] check keeps the common case — a word pointing at no retired
-   node — at one comparison per word. *)
+   node — at one comparison per word.  The counters live in [t], which the
+   reclaimer and every signalled scanner share, so they are added once per
+   range from locals rather than bumped per word. *)
 let scan_range t (base, len) =
   let lo, hi = Master_buffer.bounds t.master in
-  for a = base to base + len - 1 do
-    let m = Ptr.mask (Runtime.read a) in
-    t.scan_words <- t.scan_words + 1;
-    if m >= lo && m <= hi then begin
-      let idx = Master_buffer.find t.master m in
-      if idx >= 0 then begin
-        Master_buffer.mark t.master idx;
-        t.scan_hits <- t.scan_hits + 1
-      end
-    end
-  done
+  let hits = ref 0 in
+  Runtime.scan_words base len (fun w ->
+      let m = Ptr.mask w in
+      if m >= lo && m <= hi then begin
+        let idx = Master_buffer.find t.master m in
+        if idx >= 0 then begin
+          Master_buffer.mark t.master idx;
+          incr hits
+        end
+      end);
+  t.scan_words <- t.scan_words + max 0 len;
+  t.scan_hits <- t.scan_hits + !hits
 
 let ts_scan t =
   if t.cfg.help_free then help_free t;

@@ -63,13 +63,19 @@ val carried_last : t -> int
 (** Entries carried over (still referenced) after the last phase. *)
 
 val scan_words : t -> int
-(** Total words examined by all TS-Scans. *)
+(** Total words examined by all TS-Scans.  Added once per scanned range,
+    not per word: the field is shared by every scanner.  Exact on the
+    simulator; on native, concurrent scanners can lose an update. *)
 
 val scan_hits : t -> int
-(** Scan words that matched a master-buffer entry. *)
+(** Scan words that matched a master-buffer entry.  Added per range,
+    with the same precision as {!scan_words}. *)
 
 val helped_frees : t -> int
-(** Nodes freed inside scanners' handlers ([help_free] variant). *)
+(** Nodes freed inside scanners' handlers ([help_free] variant).  Added
+    once per helped slice, with the same precision as {!scan_words}.  A
+    helper killed mid-slice loses its partial count; the SMR [freed]
+    counter, which the leak oracle reads, is still bumped per free. *)
 
 val full_waits : t -> int
 (** Times a thread found its buffer full while another reclaimer was

@@ -18,7 +18,8 @@
    unmanaged heap, and every load mirrors its value into the register
    ring, so conservative scans stay sound: a pointer "in flight" between
    a load and its frame store is visible to TS-Scan here exactly as in
-   the sim.
+   the sim.  The scan's own loads ([scan_words]) are the exception: they
+   are compared and never stored, so none is ever in flight.
 
    Virtual clocks survive: each op charges the shared {!Ts_rt.Cost_model}
    price to the calling thread's private clock, so horizon-bounded
@@ -241,9 +242,24 @@ let[@inline] step t c =
     if c.n_ops land 4095 = 0 then Thread.yield ()
   end
 
+(* [n] calls of [step] at once: the global counter and the forced
+   yield see the same batch boundaries a run of single steps would. *)
+let step_n t c n =
+  let before = c.n_ops in
+  let after = before + n in
+  c.n_ops <- after;
+  let batches = (after / steps_batch) - (before / steps_batch) in
+  if batches > 0 then begin
+    ignore (Atomic.fetch_and_add t.steps (batches * steps_batch));
+    if after / 4096 <> before / 4096 then Thread.yield ()
+  end
+
 let[@inline] is_private c addr =
   (addr >= c.stack_base && addr < c.stack_base + c.stack_words)
   || (addr >= c.reg_base && addr < c.reg_base + c.reg_words)
+
+(* How many words of [base, base + len) fall inside [lo, lo + n). *)
+let overlap base len lo n = max 0 (min (base + len) (lo + n) - max base lo)
 
 let[@inline] mirror t c v =
   (* branch wrap, not [mod]: this runs on every load and an integer
@@ -473,6 +489,27 @@ let op_read t addr =
   let v = Heap.read t.heap addr in
   mirror t c v;
   v
+
+(* A conservative scan's loads: one poll, abort check and step batch
+   for the whole range, then every word charged exactly as [op_read]
+   charges it and loaded through the same checked [Heap.read].  The
+   words are not mirrored: the scanner compares each one and stores
+   none, so none is a pointer in flight. *)
+let op_scan_words t base len f =
+  if len > 0 then begin
+    let c = cur t in
+    poll t c;
+    check_abort c;
+    step_n t c len;
+    c.n_reads <- c.n_reads + len;
+    let priv =
+      overlap base len c.stack_base c.stack_words + overlap base len c.reg_base c.reg_words
+    in
+    charge c ((priv * t.cfg.cost.local_op) + ((len - priv) * t.cfg.cost.shared_read));
+    for a = base to base + len - 1 do
+      f (Heap.read t.heap a)
+    done
+  end
 
 let op_write t addr v =
   let c = cur t in
@@ -793,6 +830,7 @@ let op_critical t f =
 let make_ops t : Ts_rt.ops =
   {
     Ts_rt.read = op_read t;
+    scan_words = op_scan_words t;
     write = op_write t;
     cas = op_cas t;
     faa = op_faa t;

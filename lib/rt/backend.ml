@@ -4,7 +4,7 @@
    calls the wrapper functions below and never names a backend.
 
    The surface is exactly the op set the simulator exposed before the
-   split, plus two backend-neutral extension points:
+   split, plus three backend-neutral extension points:
 
    - [poll]: an explicit safepoint.  Native threads deliver pending
      phase signals at op boundaries; a long computation that performs
@@ -13,13 +13,17 @@
      threads (orphan lists, overflow queues).  Words in the unmanaged
      heap are already atomic; this is only for the few managed-heap
      structures the schemes share.  No-op in the sim (one fiber runs at
-     a time); a global mutex natively. *)
+     a time); a global mutex natively.
+   - [scan_words]: a conservative scan's loads over one range.  The
+     sim's is literally a [read] loop; the native one pays the per-op
+     bookkeeping once per range instead of once per word. *)
 
 type tid = int
 
 type ops = {
   (* unmanaged shared memory *)
   read : int -> int;
+  scan_words : int -> int -> (int -> unit) -> unit;
   write : int -> int -> unit;
   cas : int -> int -> int -> bool;
   faa : int -> int -> int;
@@ -139,6 +143,7 @@ let[@inline] ops () =
          first)"
 
 let read addr = (ops ()).read addr
+let scan_words base len f = (ops ()).scan_words base len f
 let write addr v = (ops ()).write addr v
 let cas addr expected desired = (ops ()).cas addr expected desired
 let faa addr delta = (ops ()).faa addr delta

@@ -11,6 +11,7 @@ type tid = int
 type ops = {
   (* unmanaged shared memory *)
   read : int -> int;
+  scan_words : int -> int -> (int -> unit) -> unit;
   write : int -> int -> unit;
   cas : int -> int -> int -> bool;
   faa : int -> int -> int;
@@ -112,6 +113,19 @@ val run_active : unit -> bool
 (** {1 Dispatch wrappers} *)
 
 val read : int -> int
+
+val scan_words : int -> int -> (int -> unit) -> unit
+(** [scan_words base len f] calls [f] on the value of each word
+    [base .. base + len - 1], in address order; [len <= 0] does nothing.
+    Observationally the same as [for a = base to base + len - 1 do
+    f (read a) done]: each word is charged and checked as a [read], so
+    [now ()] and the fault counters advance by the same amount.  On the
+    native backend the per-op bookkeeping (poll, abort check, step
+    count) runs once per range, and scanned words are not mirrored into
+    the register ring: a scan compares each word and stores none, so no
+    pointer it loads can be in flight.  Conservative scans (TS-Scan)
+    are the only intended caller; every other access uses [read]. *)
+
 val write : int -> int -> unit
 val cas : int -> int -> int -> bool
 val faa : int -> int -> int

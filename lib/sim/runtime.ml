@@ -1709,6 +1709,13 @@ let step_footprint rt i =
 
 let read addr = Effect.perform (E_read addr)
 
+(* TS-Scan's range op is a plain [read] loop here: traces, schedules and
+   checker sweeps are exactly those of the loop. *)
+let scan_words base len f =
+  for a = base to base + len - 1 do
+    f (read a)
+  done
+
 let write addr v = Effect.perform (E_write (addr, v))
 
 let cas addr expected desired = Effect.perform (E_cas (addr, expected, desired))
@@ -1804,6 +1811,7 @@ let note msg = Effect.perform (E_note msg)
 let rt_ops : Ts_rt.ops =
   {
     Ts_rt.read;
+    scan_words;
     write;
     cas;
     faa;

@@ -167,6 +167,65 @@ let test_skip_fence () =
     free_races
 
 (* ------------------------------------------------------------------ *)
+(* scan_words is one read per word to the analyzer                    *)
+(* ------------------------------------------------------------------ *)
+
+(* t1 scans a block t0 wrote; t0 then frees it with no happens-before
+   edge back from t1 (the handoff is an OCaml atomic the analyzer cannot
+   see).  The analyzer reports a read racing a free, not one racing a
+   plain store (a stale read of a live word is defined; docs/ANALYSIS.md),
+   so the free is the racing write here.  Returns the ops t1's scan added
+   to [ops_seen] and the reports. *)
+let scan_race r scan =
+  let len = 4 in
+  let an = Analyze.attach ~notes:false () in
+  let seen = ref (-1) in
+  let (_ : int) =
+    Fun.protect
+      ~finally:(fun () -> Analyze.detach an)
+      (fun () ->
+        r.exec (fun () ->
+            let block = Rt.malloc len in
+            for i = 0 to len - 1 do
+              Rt.write (block + i) i
+            done;
+            let scanned = Atomic.make false in
+            let t1 =
+              Rt.spawn (fun () ->
+                  let before = Analyze.ops_seen an in
+                  scan block len (fun _ -> ());
+                  seen := Analyze.ops_seen an - before;
+                  Atomic.set scanned true)
+            in
+            while not (Atomic.get scanned) do
+              Rt.yield ()
+            done;
+            Rt.free block;
+            Rt.join t1))
+  in
+  (len, !seen, Analyze.races an, List.map Analyze.violation_to_string (Analyze.violations an))
+
+let test_scan_words_race r () =
+  let read_loop base len f =
+    for a = base to base + len - 1 do
+      f (Rt.read a)
+    done
+  in
+  let len, seen, races, report = scan_race r Rt.scan_words in
+  check "ops_seen grows by len" len seen;
+  (match races with
+  | [ rc ] ->
+      Alcotest.(check (pair int string)) "first site: t1's scan" (1, "read")
+        (rc.rc_first.a_tid, rc.rc_first.a_op);
+      Alcotest.(check (pair int string)) "second site: t0's free" (0, "free")
+        (rc.rc_second.a_tid, rc.rc_second.a_op)
+  | l -> Alcotest.failf "expected one race, got %d" (List.length l));
+  let _, loop_seen, _, loop_report = scan_race r read_loop in
+  check "a read loop counts the same" loop_seen seen;
+  if r.rname = "sim" then
+    Alcotest.(check (list string)) "byte-identical to a read loop's report" loop_report report
+
+(* ------------------------------------------------------------------ *)
 (* Determinism                                                        *)
 (* ------------------------------------------------------------------ *)
 
@@ -230,6 +289,7 @@ let () =
           Alcotest.test_case "retire-early: lifecycle automaton" `Quick test_retire_early;
           Alcotest.test_case "skip-fence: free-vs-access race" `Quick test_skip_fence;
         ] );
+      ("scan-words", per_backend "free racing a scan is reported" test_scan_words_race);
       ( "determinism",
         [ Alcotest.test_case "same seed, same report" `Quick test_deterministic_report ] );
       ( "backend-guard",

@@ -155,6 +155,92 @@ let test_signal_delivery r () =
   Alcotest.(check bool) "handler ran at least once" true (!out >= 1)
 
 (* ------------------------------------------------------------------ *)
+(* scan_words: a read loop, op for op                                  *)
+(* ------------------------------------------------------------------ *)
+
+let read_loop base len f =
+  for a = base to base + len - 1 do
+    f (Rt.read a)
+  done
+
+(* The words [scan] yields over [base, base + len), in order, and how far
+   it moved [now ()]. *)
+let scanned scan base len =
+  let acc = ref [] in
+  let t0 = Rt.now () in
+  scan base len (fun v -> acc := v :: !acc);
+  (List.rev !acc, Rt.now () - t0)
+
+(* One private range (a shadow-stack frame) and one shared range (a heap
+   block), each scanned once by a read loop and once by [scan_words]. *)
+let test_scan_words_matches_read r () =
+  let out = ref [] in
+  let (_ : int) =
+    r.exec (fun () ->
+        let block = Rt.malloc 6 in
+        for i = 0 to 5 do
+          Rt.write (block + i) ((i * 7) + 1)
+        done;
+        Frame.with_frame 5 (fun fr ->
+            for i = 0 to 4 do
+              Frame.set fr i (100 + i)
+            done;
+            let sbase, sp = Rt.stack_range () in
+            out :=
+              List.map
+                (fun (base, len) -> (scanned read_loop base len, scanned Rt.scan_words base len))
+                [ (sbase, sp - sbase); (block, 6) ]);
+        Rt.free block)
+  in
+  match !out with
+  | [ (stack_loop, stack_scan); (heap_loop, heap_scan) ] ->
+      Alcotest.(check (list int)) "private range: same words" (fst stack_loop) (fst stack_scan);
+      Alcotest.(check (list int))
+        "shared range: same words" [ 1; 8; 15; 22; 29; 36 ] (fst heap_scan);
+      Alcotest.(check (list int)) "shared range: read loop agrees" (fst heap_loop) (fst heap_scan);
+      check "private range: same charge" (snd stack_loop) (snd stack_scan);
+      check "shared range: same charge" (snd heap_loop) (snd heap_scan);
+      Alcotest.(check bool) "shared words cost more than private ones" true
+        (snd heap_scan / 6 > snd stack_scan / List.length (fst stack_scan))
+  | _ -> Alcotest.fail "body did not run"
+
+let test_scan_words_empty r () =
+  let calls = ref 0 and moved = ref (-1) in
+  let (_ : int) =
+    r.exec (fun () ->
+        let block = Rt.malloc 2 in
+        let t0 = Rt.now () in
+        Rt.scan_words block 0 (fun _ -> incr calls);
+        Rt.scan_words block (-3) (fun _ -> incr calls);
+        moved := Rt.now () - t0;
+        Rt.free block)
+  in
+  check "f never called" 0 !calls;
+  check "clock unmoved" 0 !moved
+
+(* A scanned freed block trips the same use-after-free check as a read,
+   once per word. *)
+let test_native_scan_words_uaf () =
+  let module R = Ts_par.Runtime in
+  let uaf scan =
+    let got = ref [] in
+    let res =
+      R.run
+        ~config:{ R.default_config with strict_mem = false; pool = 2 }
+        (fun () ->
+          let block = Rt.malloc 4 in
+          Rt.free block;
+          got := fst (scanned scan block 4))
+    in
+    (!got, Ts_par.Heap.fault_count res.R.heap Ts_umem.Mem.Uaf_read)
+  in
+  let loop_words, loop_faults = uaf read_loop and scan_words, scan_faults = uaf Rt.scan_words in
+  check "read loop: one Uaf_read per word" 4 loop_faults;
+  check "scan_words: the same faults" loop_faults scan_faults;
+  Alcotest.(check (list int)) "poison, as read returns" loop_words scan_words;
+  Alcotest.(check bool) "poisoned" true (List.for_all (( = ) Ts_umem.Mem.poison) scan_words)
+
+(* ------------------------------------------------------------------ *)
 (* Sync primitives                                                    *)
 (* ------------------------------------------------------------------ *)
 
@@ -621,6 +707,13 @@ let () =
         @ per_backend "clock + rand" test_clock_and_rand
         @ per_backend "spawn/join" test_spawn_join
         @ per_backend "signal delivery" test_signal_delivery );
+      ( "scan-words",
+        per_backend "yields and charges what a read loop does" test_scan_words_matches_read
+        @ per_backend "len <= 0 is a no-op" test_scan_words_empty
+        @ [
+            Alcotest.test_case "freed block faults like read [native]" `Quick
+              test_native_scan_words_uaf;
+          ] );
       ( "sync",
         per_backend "spinlock" test_spinlock
         @ per_backend "ticket lock" test_ticket_lock

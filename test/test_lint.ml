@@ -97,6 +97,8 @@ let () =
             (check_fixture ~pass:"padded" "fixture_padded.ml" [ 8; 10 ]);
           Alcotest.test_case "sigsafe" `Quick
             (check_fixture ~pass:"sigsafe" "fixture_sigsafe.ml" [ 8; 9 ]);
+          Alcotest.test_case "sigsafe loop read-modify-write" `Quick
+            (check_fixture ~pass:"sigsafe" "fixture_sigsafe_loop.ml" [ 11; 15 ]);
           Alcotest.test_case "retire" `Quick
             (check_fixture ~pass:"retire" "fixture_retire.ml" [ 8 ]);
           Alcotest.test_case "facade alias at binding" `Quick
