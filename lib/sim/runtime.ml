@@ -147,13 +147,15 @@ let conflicts a b =
   | Shared { addr = a1; write = w1 }, Shared { addr = a2; write = w2 } ->
       a1 = a2 && (w1 || w2)
 
-(* Footprints pack into one int for the per-step log: tag in the low two
-   bits (0 = pure, 1 = global, 2 = shared read, 3 = shared write), shared
-   address above. *)
-let encode_fp = function
-  | Pure -> 0
-  | Global -> 1
-  | Shared { addr; write } -> (addr lsl 2) lor 2 lor Bool.to_int write
+(* Footprints are kept packed in one int, so classifying a step allocates
+   nothing: tag in the low two bits (0 = pure, 1 = global, 2 = shared read,
+   3 = shared write), shared address above.  Only the footprint accessors
+   decode. *)
+let fp_pure = 0
+
+let fp_global = 1
+
+let[@inline] fp_shared addr ~write = (addr lsl 2) lor 2 lor Bool.to_int write
 
 let decode_fp v =
   match v land 3 with
@@ -163,14 +165,23 @@ let decode_fp v =
 
 type status = Ready | Done
 
+(* What a thread runs when it is next stepped, in one block per
+   suspension: the step that consumes it allocates no closure. *)
+type resume =
+  | Idle (* finished, or being stepped right now *)
+  | Fiber of (unit -> unit) (* a thread body or signal handler, not yet started *)
+  | Cont : ('a, unit) Effect.Deep.continuation * 'a -> resume
+  | Abort : ('a, unit) Effect.Deep.continuation * exn -> resume
+  | Join of (unit, unit) Effect.Deep.continuation * tid * string option
+      (* blocked in [join target]; the wait note is formatted once *)
+
 type thread = {
   tid : int;
   mutable clock : int;
   mutable status : status;
-  mutable resume : (unit -> unit) option;
-  mutable saved : (unit -> unit) list; (* fibers interrupted by signal handlers *)
+  mutable resume : resume;
+  mutable saved : resume list; (* fibers interrupted by signal handlers *)
   mutable on_core : bool;
-  mutable heap_pos : int; (* index in the active heap, -1 when off-core *)
   mutable core_since : int;
   mutable ever_scheduled : bool;
   mutable boosted : bool;
@@ -208,8 +219,13 @@ type t = {
   mutable ready_front : thread list;
   mutable ready_back : thread list;
   (* Active threads as a binary min-heap on (clock, tid): the scheduler
-     steps the minimum on every iteration, so this is the hot structure. *)
-  mutable heap : thread array;
+     steps the minimum on every iteration, so this is the hot structure.
+     It holds tids and their clock keys in two int arrays (no write
+     barrier on a swap); a key equals its thread's clock except for the
+     thread being stepped, whose key [sync_current_key] refreshes. *)
+  mutable heap_tid : int array;
+  mutable heap_key : int array;
+  mutable heap_pos : int array; (* index = tid: its heap index, -1 when off-core *)
   mutable nactive : int;
   mutable live : int;
   mutable now : int;
@@ -235,9 +251,10 @@ type t = {
   init_pct_points : int list;
   mutable entered : bool; (* [step_run] holds the Ts_rt run bracket *)
   mutable finished : bool; (* the run reached its end state *)
-  mutable step_fp : footprint; (* what the last step touched *)
+  mutable step_fp : int; (* what the last step touched, packed *)
   mutable last_pick_policy : bool; (* the pending pick came from the policy *)
   mutable my_crit : int * int; (* this runtime's (crit_depth, crit_tid) *)
+  mutable op_result : int; (* the handled effect's result, see [make_handler] *)
 }
 
 (* ------------------------------------------------------------------ *)
@@ -310,7 +327,9 @@ let rec ready_pop rt =
           rt.ready_back <- [];
           ready_pop rt)
 
-let ready_nonempty rt = rt.ready_front <> [] || rt.ready_back <> []
+(* a pattern, not [<> []]: a polymorphic compare is a C call, and this
+   runs several times per step *)
+let[@inline] ready_nonempty rt = match (rt.ready_front, rt.ready_back) with [], [] -> false | _ -> true
 
 let ready_remove rt th =
   let not_th x = x != th in
@@ -321,7 +340,7 @@ let ready_remove rt th =
 (* Thread bookkeeping                                                 *)
 (* ------------------------------------------------------------------ *)
 
-let charge th c = th.clock <- th.clock + c
+let[@inline] charge th c = th.clock <- th.clock + c
 
 (* The cursor counts every entry, muted or not: a restore replays the
    prefix with the callback muted and then checks the cursor landed where
@@ -333,23 +352,28 @@ let emit rt th event =
     | None -> ()
     | Some f -> f { Trace.time = th.clock; event }
 
-let unlimited rt = rt.cfg.cores <= 0
+let[@inline] unlimited rt = rt.cfg.cores <= 0
 
 (* ---- active-set heap (min on (clock, tid)) ---- *)
 
-let th_less a b = a.clock < b.clock || (a.clock = b.clock && a.tid < b.tid)
+let[@inline] heap_less rt i j =
+  let ki = rt.heap_key.(i) and kj = rt.heap_key.(j) in
+  ki < kj || (ki = kj && rt.heap_tid.(i) < rt.heap_tid.(j))
 
-let heap_swap rt i j =
-  let a = rt.heap.(i) and b = rt.heap.(j) in
-  rt.heap.(i) <- b;
-  rt.heap.(j) <- a;
-  a.heap_pos <- j;
-  b.heap_pos <- i
+let[@inline] heap_set rt i tid key =
+  rt.heap_tid.(i) <- tid;
+  rt.heap_key.(i) <- key;
+  rt.heap_pos.(tid) <- i
+
+let[@inline] heap_swap rt i j =
+  let ti = rt.heap_tid.(i) and ki = rt.heap_key.(i) in
+  heap_set rt i rt.heap_tid.(j) rt.heap_key.(j);
+  heap_set rt j ti ki
 
 let rec sift_up rt i =
   if i > 0 then begin
     let p = (i - 1) / 2 in
-    if th_less rt.heap.(i) rt.heap.(p) then begin
+    if heap_less rt i p then begin
       heap_swap rt i p;
       sift_up rt p
     end
@@ -357,36 +381,47 @@ let rec sift_up rt i =
 
 let rec sift_down rt i =
   let l = (2 * i) + 1 and r = (2 * i) + 2 in
-  let m = ref i in
-  if l < rt.nactive && th_less rt.heap.(l) rt.heap.(!m) then m := l;
-  if r < rt.nactive && th_less rt.heap.(r) rt.heap.(!m) then m := r;
-  if !m <> i then begin
-    heap_swap rt i !m;
-    sift_down rt !m
+  let m = if l < rt.nactive && heap_less rt l i then l else i in
+  let m = if r < rt.nactive && heap_less rt r m then r else m in
+  if m <> i then begin
+    heap_swap rt i m;
+    sift_down rt m
+  end
+
+(* The stepped thread's clock runs ahead of its key during its step.  A
+   sift that may compare against it (another thread crashing or stalling
+   mid-step removes that thread from the heap) must first see its clock. *)
+let[@inline] sync_current_key rt =
+  if rt.current >= 0 then begin
+    let p = rt.heap_pos.(rt.current) in
+    if p >= 0 then rt.heap_key.(p) <- rt.threads.(rt.current).clock
   end
 
 let heap_push rt th =
-  if rt.nactive = Array.length rt.heap then begin
-    let bigger = Array.make (max 8 (2 * Array.length rt.heap)) th in
-    Array.blit rt.heap 0 bigger 0 rt.nactive;
-    rt.heap <- bigger
+  sync_current_key rt;
+  if rt.nactive = Array.length rt.heap_tid then begin
+    let grow a =
+      let bigger = Array.make (max 8 (2 * Array.length a)) 0 in
+      Array.blit a 0 bigger 0 rt.nactive;
+      bigger
+    in
+    rt.heap_tid <- grow rt.heap_tid;
+    rt.heap_key <- grow rt.heap_key
   end;
-  rt.heap.(rt.nactive) <- th;
-  th.heap_pos <- rt.nactive;
+  heap_set rt rt.nactive th.tid th.clock;
   rt.nactive <- rt.nactive + 1;
   sift_up rt (rt.nactive - 1)
 
 let heap_remove rt th =
-  let i = th.heap_pos in
+  sync_current_key rt;
+  let i = rt.heap_pos.(th.tid) in
   rt.nactive <- rt.nactive - 1;
-  let last = rt.heap.(rt.nactive) in
   if i < rt.nactive then begin
-    rt.heap.(i) <- last;
-    last.heap_pos <- i;
+    heap_set rt i rt.heap_tid.(rt.nactive) rt.heap_key.(rt.nactive);
     sift_down rt i;
     sift_up rt i
   end;
-  th.heap_pos <- -1
+  rt.heap_pos.(th.tid) <- -1
 
 let remove_active rt th =
   if th.on_core then begin
@@ -397,7 +432,7 @@ let remove_active rt th =
 let thread_finished rt th =
   th.status <- Done;
   th.saved <- [];
-  th.resume <- None;
+  th.resume <- Idle;
   rt.live <- rt.live - 1;
   remove_active rt th;
   emit rt th (Trace.Thread_finished { tid = th.tid })
@@ -428,33 +463,35 @@ let fiber_done rt th =
           th.save_pool <- save :: th.save_pool
       | [] -> ());
       emit rt th (Trace.Signal_returned { tid = th.tid });
-      th.resume <- Some f
+      th.resume <- f
 
 (* ------------------------------------------------------------------ *)
 (* Memory operations (executed at effect-perform time)                *)
 (* ------------------------------------------------------------------ *)
 
-let is_private th addr =
+let[@inline] is_private th addr =
   (addr >= th.stack_base && addr < th.stack_base + th.stack_words)
   || (addr >= th.reg_base && addr < th.reg_base + th.reg_words)
 
-let mirror_into_regs rt th v =
-  th.reg_cursor <- (th.reg_cursor + 1) mod th.reg_words;
+let[@inline] mirror_into_regs rt th v =
+  (* the ring index without a division on every load *)
+  let c = th.reg_cursor + 1 in
+  th.reg_cursor <- (if c < th.reg_words then c else c mod th.reg_words);
   Mem.raw_write rt.mem (th.reg_base + th.reg_cursor) v
 
-let do_read rt th addr =
+let[@inline] do_read rt th addr =
   rt.sim_stats.reads <- rt.sim_stats.reads + 1;
   charge th (if is_private th addr then rt.cfg.cost.local_op else rt.cfg.cost.shared_read);
   let v = Mem.read rt.mem addr in
   mirror_into_regs rt th v;
   v
 
-let do_write rt th addr v =
+let[@inline] do_write rt th addr v =
   rt.sim_stats.writes <- rt.sim_stats.writes + 1;
   charge th (if is_private th addr then rt.cfg.cost.local_op else rt.cfg.cost.shared_write);
   Mem.write rt.mem addr v
 
-let do_cas rt th addr expected desired =
+let[@inline] do_cas rt th addr expected desired =
   rt.sim_stats.cas_ops <- rt.sim_stats.cas_ops + 1;
   charge th rt.cfg.cost.cas;
   let v = Mem.read rt.mem addr in
@@ -468,7 +505,7 @@ let do_cas rt th addr expected desired =
     false
   end
 
-let do_faa rt th addr delta =
+let[@inline] do_faa rt th addr delta =
   charge th rt.cfg.cost.faa;
   let v = Mem.read rt.mem addr in
   Mem.write rt.mem addr (v + delta);
@@ -568,7 +605,7 @@ let do_crash rt reporter target_tid =
        thread that died at an arbitrary instruction. *)
     target.status <- Done;
     target.saved <- [];
-    target.resume <- None;
+    target.resume <- Idle;
     rt.live <- rt.live - 1;
     remove_active rt target;
     (* the fiber is abandoned mid-flight: any critical section it held
@@ -597,18 +634,19 @@ let do_stall rt reporter target_tid cycles =
          { tid = target_tid; until = (if until = max_int then None else Some until) })
   end
 
-let wake_stalled rt =
-  if rt.stalled <> [] then begin
-    let woken, still = List.partition (fun th -> th.stalled_until <= rt.now) rt.stalled in
-    rt.stalled <- still;
-    List.iter
-      (fun th ->
-        th.stalled_until <- -1;
-        if th.clock < rt.now then th.clock <- rt.now;
-        emit rt th (Trace.Recovered { tid = th.tid });
-        if Queue.is_empty th.pending then ready_push rt th else ready_push_front rt th)
-      woken
-  end
+let[@inline] wake_stalled rt =
+  match rt.stalled with
+  | [] -> ()
+  | stalled ->
+      let woken, still = List.partition (fun th -> th.stalled_until <= rt.now) stalled in
+      rt.stalled <- still;
+      List.iter
+        (fun th ->
+          th.stalled_until <- -1;
+          if th.clock < rt.now then th.clock <- rt.now;
+          emit rt th (Trace.Recovered { tid = th.tid });
+          if Queue.is_empty th.pending then ready_push rt th else ready_push_front rt th)
+        woken
 
 let describe_thread th =
   let state =
@@ -638,279 +676,236 @@ let blocked_summary rt =
    cross-thread queries, and the fiber-completion step which performs no
    effect at all) defaults to [Global]: forgetting a case costs pruning,
    never soundness. *)
-let fp_of_eff : type a. thread -> a Effect.t -> footprint =
+let[@inline] mem_fp th addr ~write = if is_private th addr then fp_pure else fp_shared addr ~write
+
+let[@inline] fp_of_eff : type a. thread -> a Effect.t -> int =
  fun th eff ->
-  let mem_fp addr ~write = if is_private th addr then Pure else Shared { addr; write } in
   match eff with
-  | E_read addr -> mem_fp addr ~write:false
-  | E_write (addr, _) -> mem_fp addr ~write:true
-  | E_cas (addr, _, _) -> mem_fp addr ~write:true
-  | E_faa (addr, _) -> mem_fp addr ~write:true
+  | E_read addr -> mem_fp th addr ~write:false
+  | E_write (addr, _) -> mem_fp th addr ~write:true
+  | E_cas (addr, _, _) -> mem_fp th addr ~write:true
+  | E_faa (addr, _) -> mem_fp th addr ~write:true
   | E_fence | E_yield | E_advance _ | E_now | E_self | E_rand _ | E_set_handler _
   | E_sig_depth | E_neutralize _ | E_cancel_neutralize | E_push_frame _ | E_pop_frame _
   | E_stack_range | E_reg_range | E_save_regs | E_saved_reg_range | E_clear_regs
   | E_add_range _ | E_remove_range _ | E_ranges | E_steps | E_wait_note _ | E_note _ ->
-      Pure
-  | _ -> Global
+      fp_pure
+  | _ -> fp_global
+
+(* A pending neutralization (armed by a signal handler via [E_neutralize])
+   fires at the victim's next abortable effect — shared-memory accesses,
+   malloc, fence, yield.  Frees and frame pops are deliberately
+   non-abortable so cleanup paths (freeing a node that lost its publishing
+   CAS, unwinding shadow frames) can never be skipped; the abort stays
+   pending until the next abortable op.  Nothing fires while a handler is
+   still running. *)
+let[@inline] abortable : type a. a Effect.t -> bool = function
+  | E_read _ | E_write _ | E_cas _ | E_faa _ | E_fence | E_malloc _ | E_yield -> true
+  | _ -> false
+
+let[@inline] resume_with th k v = th.resume <- Cont (k, v)
+
+let do_push_frame rt th n =
+  if n < 0 then raise (Sim_error "push_frame: negative size");
+  if th.sp + n > th.stack_base + th.stack_words then raise (Sim_error "shadow stack overflow");
+  charge th rt.cfg.cost.local_op;
+  let base = th.sp in
+  th.sp <- th.sp + n;
+  for i = base to th.sp - 1 do
+    Mem.raw_write rt.mem i 0
+  done;
+  base
+
+let do_pop_frame rt th base =
+  if base < th.stack_base || base > th.sp then raise (Sim_error "pop_frame: bad frame base");
+  charge th rt.cfg.cost.local_op;
+  th.sp <- base
 
 let rec make_handler : t -> thread -> (unit, unit) Effect.Deep.handler =
  fun rt th ->
   let open Effect.Deep in
+  (* [effc] runs an effect's operation at once; the handler it returns
+     only files the fiber's continuation and result in [th.resume] for the
+     thread's next step.  Most effects return an int, a bool or unit:
+     their result travels in [rt.op_result] to a handler built here once
+     per fiber, so handling one allocates nothing but the resume block. *)
+  let int_k = Some (fun k -> resume_with th k rt.op_result) in
+  let bool_k = Some (fun k -> resume_with th k (rt.op_result <> 0)) in
+  let unit_k = Some (fun k -> resume_with th k ()) in
+  let int v =
+    rt.op_result <- v;
+    int_k
+  in
+  let bool b =
+    rt.op_result <- Bool.to_int b;
+    bool_k
+  in
+  let value v = Some (fun k -> resume_with th k v) in
   {
     retc = (fun () -> fiber_done rt th);
     exnc = (fun e -> thread_fail rt th e);
     effc =
-      (fun (type a) (eff : a Effect.t) ->
+      (fun (type a) (eff : a Effect.t) : ((a, unit) continuation -> unit) option ->
         rt.step_fp <- fp_of_eff th eff;
-        let resume_with (k : (a, unit) continuation) (v : a) =
-          th.resume <- Some (fun () -> continue k v)
-        in
-        let guarded (k : (a, unit) continuation) (f : unit -> a) =
-          match f () with
-          | v -> resume_with k v
-          | exception e -> th.resume <- Some (fun () -> discontinue k e)
-        in
-        (* A pending neutralization (armed by a signal handler via
-           [E_neutralize]) fires at the victim's next abortable effect —
-           shared-memory accesses, malloc, fence, yield.  Frees and frame
-           pops are deliberately non-abortable so cleanup paths (freeing a
-           node that lost its publishing CAS, unwinding shadow frames) can
-           never be skipped; the abort stays pending until the next
-           abortable op.  Nothing fires while a handler is still running. *)
-        let abortable : bool =
-          match eff with
-          | E_read _ | E_write _ | E_cas _ | E_faa _ | E_fence | E_malloc _ | E_yield ->
-              true
-          | _ -> false
-        in
         match th.abort_pending with
-        | Some e when th.sig_depth = 0 && abortable ->
-            Some
-              (fun k ->
-                rt.step_fp <- Pure;
-                th.abort_pending <- None;
-                th.resume <- Some (fun () -> discontinue k e))
+        | Some e when th.sig_depth = 0 && abortable eff ->
+            rt.step_fp <- fp_pure;
+            th.abort_pending <- None;
+            Some (fun k -> th.resume <- Abort (k, e))
         | _ -> (
-        match eff with
-        | E_read addr -> Some (fun k -> guarded k (fun () -> do_read rt th addr))
-        | E_write (addr, v) -> Some (fun k -> guarded k (fun () -> do_write rt th addr v))
-        | E_cas (addr, e0, d) -> Some (fun k -> guarded k (fun () -> do_cas rt th addr e0 d))
-        | E_faa (addr, d) -> Some (fun k -> guarded k (fun () -> do_faa rt th addr d))
-        | E_fence ->
-            Some
-              (fun k ->
-                rt.sim_stats.fences <- rt.sim_stats.fences + 1;
-                charge th rt.cfg.cost.fence;
-                resume_with k ())
-        | E_malloc n ->
-            Some
-              (fun k ->
-                guarded k (fun () ->
-                    rt.sim_stats.mallocs <- rt.sim_stats.mallocs + 1;
-                    charge th rt.cfg.cost.malloc;
-                    let addr = Alloc.malloc rt.alloc ~tid:th.tid n in
-                    mirror_into_regs rt th (Ptr.of_addr addr);
-                    addr))
-        | E_free addr ->
-            Some
-              (fun k ->
-                guarded k (fun () ->
-                    rt.sim_stats.frees <- rt.sim_stats.frees + 1;
-                    charge th rt.cfg.cost.free;
-                    Alloc.free rt.alloc ~tid:th.tid addr))
-        | E_region n ->
-            Some
-              (fun k ->
-                guarded k (fun () ->
-                    charge th rt.cfg.cost.malloc;
-                    Alloc.alloc_region rt.alloc n))
-        | E_yield ->
-            Some
-              (fun k ->
-                rt.sim_stats.yields <- rt.sim_stats.yields + 1;
-                charge th rt.cfg.cost.yield;
-                th.wants_yield <- true;
-                resume_with k ())
-        | E_advance n ->
-            Some
-              (fun k ->
-                charge th (max n 0);
-                resume_with k ())
-        | E_now -> Some (fun k -> resume_with k th.clock)
-        | E_self -> Some (fun k -> resume_with k th.tid)
-        | E_rand n -> Some (fun k -> guarded k (fun () -> Splitmix.below th.rng n))
-        | E_spawn f ->
-            Some
-              (fun k ->
-                guarded k (fun () ->
-                    charge th rt.cfg.cost.spawn;
-                    let child = new_thread rt f in
-                    child.clock <- th.clock;
-                    ready_push rt child;
-                    child.tid))
-        | E_join target ->
-            Some
-              (fun k ->
-                let rec attempt () =
-                  if thread_done rt target then begin
-                    th.wait_note <- None;
-                    continue k ()
-                  end
+            (* an operation that raises fails the calling thread at its
+               next step, never the scheduler *)
+            try
+              match eff with
+              | E_read addr -> int (do_read rt th addr)
+              | E_write (addr, v) ->
+                  do_write rt th addr v;
+                  unit_k
+              | E_cas (addr, e0, d) -> bool (do_cas rt th addr e0 d)
+              | E_faa (addr, d) -> int (do_faa rt th addr d)
+              | E_fence ->
+                  rt.sim_stats.fences <- rt.sim_stats.fences + 1;
+                  charge th rt.cfg.cost.fence;
+                  unit_k
+              | E_malloc n ->
+                  rt.sim_stats.mallocs <- rt.sim_stats.mallocs + 1;
+                  charge th rt.cfg.cost.malloc;
+                  let addr = Alloc.malloc rt.alloc ~tid:th.tid n in
+                  mirror_into_regs rt th (Ptr.of_addr addr);
+                  int addr
+              | E_free addr ->
+                  rt.sim_stats.frees <- rt.sim_stats.frees + 1;
+                  charge th rt.cfg.cost.free;
+                  Alloc.free rt.alloc ~tid:th.tid addr;
+                  unit_k
+              | E_region n ->
+                  charge th rt.cfg.cost.malloc;
+                  int (Alloc.alloc_region rt.alloc n)
+              | E_yield ->
+                  rt.sim_stats.yields <- rt.sim_stats.yields + 1;
+                  charge th rt.cfg.cost.yield;
+                  th.wants_yield <- true;
+                  unit_k
+              | E_advance n ->
+                  charge th (max n 0);
+                  unit_k
+              | E_now -> int th.clock
+              | E_self -> int th.tid
+              | E_rand n -> int (Splitmix.below th.rng n)
+              | E_spawn f ->
+                  charge th rt.cfg.cost.spawn;
+                  let child = new_thread rt f in
+                  child.clock <- th.clock;
+                  ready_push rt child;
+                  int child.tid
+              | E_join target ->
+                  (* the first attempt runs at the thread's next step *)
+                  ignore (get_thread rt target : thread);
+                  let note = Some (Fmt.str "joining thread %d" target) in
+                  Some (fun k -> th.resume <- Join (k, target, note))
+              | E_is_done target -> bool (thread_done rt target)
+              | E_signal target ->
+                  do_signal rt th target;
+                  unit_k
+              | E_set_handler f ->
+                  th.handler <- Some f;
+                  charge th rt.cfg.cost.local_op;
+                  unit_k
+              | E_sig_depth -> int th.sig_depth
+              | E_push_frame n -> int (do_push_frame rt th n)
+              | E_pop_frame base ->
+                  do_pop_frame rt th base;
+                  unit_k
+              | E_stack_range -> value (th.stack_base, th.sp)
+              | E_reg_range -> value (th.reg_base, th.reg_words)
+              | E_save_regs ->
+                  charge th (th.reg_words * rt.cfg.cost.local_op);
+                  copy_regs rt ~src:th.reg_base ~dst:th.manual_save_base th.reg_words;
+                  unit_k
+              | E_saved_reg_range ->
+                  let base =
+                    match th.sig_saves with
+                    | save :: _ -> save
+                    | [] -> th.manual_save_base
+                  in
+                  value (base, th.reg_words)
+              | E_clear_regs ->
+                  charge th (th.reg_words * rt.cfg.cost.local_op);
+                  for i = 0 to th.reg_words - 1 do
+                    Mem.raw_write rt.mem (th.reg_base + i) 0
+                  done;
+                  unit_k
+              | E_add_range (base, len) ->
+                  th.private_ranges <- (base, len) :: th.private_ranges;
+                  charge th rt.cfg.cost.local_op;
+                  unit_k
+              | E_remove_range (base, len) ->
+                  let removed = ref false in
+                  th.private_ranges <-
+                    List.filter
+                      (fun r ->
+                        if (not !removed) && r = (base, len) then begin
+                          removed := true;
+                          false
+                        end
+                        else true)
+                      th.private_ranges;
+                  charge th rt.cfg.cost.local_op;
+                  unit_k
+              | E_ranges -> value th.private_ranges
+              | E_ranges_of target -> value (ranges_of_thread (get_thread rt target))
+              | E_steps -> int rt.sim_stats.steps
+              | E_crash target ->
+                  charge th rt.cfg.cost.local_op;
+                  if target = th.tid then
+                    (* self-crash: the continuation is abandoned, never
+                       resumed *)
+                    Some (fun _ -> do_crash rt th target)
                   else begin
-                    th.wait_note <- Some (Fmt.str "joining thread %d" target);
-                    rt.sim_stats.yields <- rt.sim_stats.yields + 1;
-                    charge th rt.cfg.cost.yield;
-                    th.wants_yield <- true;
-                    th.resume <- Some attempt
+                    do_crash rt th target;
+                    unit_k
                   end
-                in
-                th.resume <- Some attempt)
-        | E_is_done target -> Some (fun k -> resume_with k (thread_done rt target))
-        | E_signal target -> Some (fun k -> guarded k (fun () -> do_signal rt th target))
-        | E_set_handler f ->
-            Some
-              (fun k ->
-                th.handler <- Some f;
-                charge th rt.cfg.cost.local_op;
-                resume_with k ())
-        | E_sig_depth -> Some (fun k -> resume_with k th.sig_depth)
-        | E_push_frame n ->
-            Some
-              (fun k ->
-                guarded k (fun () ->
-                    if n < 0 then raise (Sim_error "push_frame: negative size");
-                    if th.sp + n > th.stack_base + th.stack_words then
-                      raise (Sim_error "shadow stack overflow");
-                    charge th rt.cfg.cost.local_op;
-                    let base = th.sp in
-                    th.sp <- th.sp + n;
-                    for i = base to th.sp - 1 do
-                      Mem.raw_write rt.mem i 0
-                    done;
-                    base))
-        | E_pop_frame base ->
-            Some
-              (fun k ->
-                guarded k (fun () ->
-                    if base < th.stack_base || base > th.sp then
-                      raise (Sim_error "pop_frame: bad frame base");
-                    charge th rt.cfg.cost.local_op;
-                    th.sp <- base))
-        | E_stack_range -> Some (fun k -> resume_with k (th.stack_base, th.sp))
-        | E_reg_range -> Some (fun k -> resume_with k (th.reg_base, th.reg_words))
-        | E_save_regs ->
-            Some
-              (fun k ->
-                charge th (th.reg_words * rt.cfg.cost.local_op);
-                copy_regs rt ~src:th.reg_base ~dst:th.manual_save_base th.reg_words;
-                resume_with k ())
-        | E_saved_reg_range ->
-            Some
-              (fun k ->
-                let base =
-                  match th.sig_saves with
-                  | save :: _ -> save
-                  | [] -> th.manual_save_base
-                in
-                resume_with k (base, th.reg_words))
-        | E_clear_regs ->
-            Some
-              (fun k ->
-                charge th (th.reg_words * rt.cfg.cost.local_op);
-                for i = 0 to th.reg_words - 1 do
-                  Mem.raw_write rt.mem (th.reg_base + i) 0
-                done;
-                resume_with k ())
-        | E_add_range (base, len) ->
-            Some
-              (fun k ->
-                th.private_ranges <- (base, len) :: th.private_ranges;
-                charge th rt.cfg.cost.local_op;
-                resume_with k ())
-        | E_remove_range (base, len) ->
-            Some
-              (fun k ->
-                let removed = ref false in
-                th.private_ranges <-
-                  List.filter
-                    (fun r ->
-                      if (not !removed) && r = (base, len) then begin
-                        removed := true;
-                        false
-                      end
-                      else true)
-                    th.private_ranges;
-                charge th rt.cfg.cost.local_op;
-                resume_with k ())
-        | E_ranges -> Some (fun k -> resume_with k th.private_ranges)
-        | E_ranges_of target ->
-            Some (fun k -> guarded k (fun () -> ranges_of_thread (get_thread rt target)))
-        | E_steps -> Some (fun k -> resume_with k rt.sim_stats.steps)
-        | E_crash target ->
-            Some
-              (fun k ->
-                charge th rt.cfg.cost.local_op;
-                if target = th.tid then begin
-                  (* self-crash: the continuation is abandoned, never resumed *)
-                  ignore k;
-                  do_crash rt th target
-                end
-                else guarded k (fun () -> do_crash rt th target))
-        | E_stall (target, cycles) ->
-            Some
-              (fun k ->
-                charge th rt.cfg.cost.local_op;
-                (* set the continuation first: a self-stalling thread resumes
-                   here when its deadline passes *)
-                resume_with k ();
-                do_stall rt th target cycles)
-        | E_unstall target ->
-            Some
-              (fun k ->
-                guarded k (fun () ->
-                    let t = get_thread rt target in
-                    (* retime the deadline to "now"; [wake_stalled] does the
-                       actual wake (and emits Recovered) at the next
-                       scheduling point, so release shares one code path
-                       with bounded-stall expiry *)
-                    if is_stalled t then t.stalled_until <- rt.now))
-        | E_drop_signals (target, n) ->
-            Some
-              (fun k ->
-                guarded k (fun () -> (get_thread rt target).drop_sigs <- max 0 n))
-        | E_delay_signals (target, cycles) ->
-            Some
-              (fun k ->
-                guarded k (fun () -> (get_thread rt target).sig_delay <- max 0 cycles))
-        | E_wait_note n ->
-            Some
-              (fun k ->
-                th.wait_note <- n;
-                resume_with k ())
-        | E_note msg ->
-            Some
-              (fun k ->
-                emit rt th (Trace.Note { tid = th.tid; msg });
-                resume_with k ())
-        | E_is_crashed target ->
-            Some (fun k -> guarded k (fun () -> (get_thread rt target).crashed))
-        | E_is_stalled target ->
-            Some (fun k -> guarded k (fun () -> is_stalled (get_thread rt target)))
-        | E_clock_of target ->
-            Some (fun k -> guarded k (fun () -> (get_thread rt target).clock))
-        | E_neutralize e ->
-            Some
-              (fun k ->
-                charge th rt.cfg.cost.local_op;
-                th.abort_pending <- Some e;
-                resume_with k ())
-        | E_cancel_neutralize ->
-            Some
-              (fun k ->
-                charge th rt.cfg.cost.local_op;
-                th.abort_pending <- None;
-                resume_with k ())
-        | _ -> None));
+              | E_stall (target, cycles) ->
+                  (* a self-stalling thread resumes here when its deadline
+                     passes *)
+                  charge th rt.cfg.cost.local_op;
+                  do_stall rt th target cycles;
+                  unit_k
+              | E_unstall target ->
+                  let t = get_thread rt target in
+                  (* retime the deadline to "now"; [wake_stalled] does the
+                     actual wake (and emits Recovered) at the next
+                     scheduling point, so release shares one code path
+                     with bounded-stall expiry *)
+                  if is_stalled t then t.stalled_until <- rt.now;
+                  unit_k
+              | E_drop_signals (target, n) ->
+                  (get_thread rt target).drop_sigs <- max 0 n;
+                  unit_k
+              | E_delay_signals (target, cycles) ->
+                  (get_thread rt target).sig_delay <- max 0 cycles;
+                  unit_k
+              | E_wait_note n ->
+                  th.wait_note <- n;
+                  unit_k
+              | E_note msg ->
+                  Some
+                    (fun k ->
+                      emit rt th (Trace.Note { tid = th.tid; msg });
+                      resume_with th k ())
+              | E_is_crashed target -> bool (get_thread rt target).crashed
+              | E_is_stalled target -> bool (is_stalled (get_thread rt target))
+              | E_clock_of target -> int (get_thread rt target).clock
+              | E_neutralize e ->
+                  charge th rt.cfg.cost.local_op;
+                  th.abort_pending <- Some e;
+                  unit_k
+              | E_cancel_neutralize ->
+                  charge th rt.cfg.cost.local_op;
+                  th.abort_pending <- None;
+                  unit_k
+              | _ -> None
+            with e -> Some (fun k -> th.resume <- Abort (k, e))));
   }
 
 and new_thread : t -> (unit -> unit) -> thread =
@@ -924,10 +919,9 @@ and new_thread : t -> (unit -> unit) -> thread =
       tid;
       clock = 0;
       status = Ready;
-      resume = None;
+      resume = Fiber body;
       saved = [];
       on_core = false;
-      heap_pos = -1;
       core_since = 0;
       ever_scheduled = false;
       boosted = false;
@@ -959,12 +953,14 @@ and new_thread : t -> (unit -> unit) -> thread =
         | Timed | Uniform -> 0);
     }
   in
-  th.resume <- Some (fun () -> Effect.Deep.match_with body () (make_handler rt th));
   if tid >= Array.length rt.threads then begin
     let cap = max 8 (2 * Array.length rt.threads) in
     let bigger = Array.make cap th in
     Array.blit rt.threads 0 bigger 0 tid;
-    rt.threads <- bigger
+    rt.threads <- bigger;
+    let pos = Array.make cap (-1) in
+    Array.blit rt.heap_pos 0 pos 0 tid;
+    rt.heap_pos <- pos
   end;
   rt.threads.(tid) <- th;
   rt.nthreads <- rt.nthreads + 1;
@@ -976,12 +972,18 @@ and new_thread : t -> (unit -> unit) -> thread =
 (* Scheduler                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let deliver_signal rt th =
+(* The functions a step runs are [@inline], here and in the heap and
+   memory-op helpers above: folded into the step loop, a 64-thread run
+   steps about 10 % faster (docs/PERF.md, "Simulator step"). *)
+
+let[@inline] runnable th = match th.resume with Idle -> false | _ -> true
+
+let[@inline] deliver_signal rt th =
   match th.handler with
   | Some h
     when (not (Queue.is_empty th.pending))
          && Queue.peek th.pending <= th.clock
-         && th.resume <> None ->
+         && runnable th ->
       ignore (Queue.pop th.pending);
       rt.sim_stats.signals_delivered <- rt.sim_stats.signals_delivered + 1;
       charge th rt.cfg.cost.signal_dispatch;
@@ -998,14 +1000,13 @@ let deliver_signal rt th =
       th.sig_saves <- save :: th.sig_saves;
       th.sig_depth <- th.sig_depth + 1;
       emit rt th (Trace.Signal_delivered { tid = th.tid; depth = th.sig_depth });
-      let interrupted = Option.get th.resume in
-      th.saved <- interrupted :: th.saved;
-      th.resume <- Some (fun () -> Effect.Deep.match_with h () (make_handler rt th))
+      th.saved <- th.resume :: th.saved;
+      th.resume <- Fiber h
   | _ -> ()
 
-let capacity rt = if unlimited rt then max_int else rt.cfg.cores
+let[@inline] capacity rt = if unlimited rt then max_int else rt.cfg.cores
 
-let refill rt =
+let[@inline] refill rt =
   while rt.nactive < capacity rt && ready_nonempty rt do
     match ready_pop rt with
     | None -> ()
@@ -1037,42 +1038,43 @@ let demote rt th =
    the state in [do_crash]; an owner that was stalled mid-section cannot
    run, so the pin is waived rather than deadlocking the schedule (fault
    injection under the analyzer is best-effort by design). *)
-let pinned_owner rt =
+let[@inline] pinned_owner rt =
   if !crit_depth = 0 || !crit_tid < 0 || !crit_tid >= rt.nthreads then None
   else
     let th = rt.threads.(!crit_tid) in
-    if th.status <> Done && th.on_core && th.resume <> None then Some th else None
+    if th.status <> Done && th.on_core && runnable th then Some th else None
 
 let runnable_tids rt =
-  let a = Array.init rt.nactive (fun i -> rt.heap.(i).tid) in
+  let a = Array.sub rt.heap_tid 0 rt.nactive in
   Array.sort compare a;
   a
 
-let policy_pick rt =
+let[@inline] policy_pick rt =
   rt.last_pick_policy <- true;
   match rt.cfg.sched with
-  | Timed -> Some rt.heap.(0)
+  | Timed -> rt.threads.(rt.heap_tid.(0))
   | Uniform ->
       (* adversarial exploration: any active thread may step next.  The
          walk is still deterministic in the seed, and execution order
          still defines a sequentially consistent history. *)
-      Some rt.heap.(Splitmix.below rt.rng rt.nactive)
+      rt.threads.(rt.heap_tid.(Splitmix.below rt.rng rt.nactive))
   | Pct _ ->
       (* highest priority steps; at each change point the running thread
          drops below everyone, handing the schedule over *)
-      let best = ref rt.heap.(0) in
+      let best = ref rt.threads.(rt.heap_tid.(0)) in
       for i = 1 to rt.nactive - 1 do
-        let th = rt.heap.(i) in
+        let th = rt.threads.(rt.heap_tid.(i)) in
         if th.prio > !best.prio || (th.prio = !best.prio && th.tid < !best.tid) then best := th
       done;
+      let best = !best in
       rt.sched_steps <- rt.sched_steps + 1;
       (match rt.pct_points with
       | cp :: rest when rt.sched_steps >= cp ->
           rt.pct_points <- rest;
-          demote rt !best;
-          emit rt !best (Trace.Priority_changed { tid = !best.tid; prio = !best.prio })
+          demote rt best;
+          emit rt best (Trace.Priority_changed { tid = best.tid; prio = best.prio })
       | _ -> ());
-      Some !best
+      best
 
 (* Forced replay takes absolute precedence over pins, hook and policy: the
    log was recorded at these exact decision points, so re-applying it
@@ -1080,7 +1082,7 @@ let policy_pick rt =
    bit; when set, the policy's side effects at that decision (the uniform
    scheduler's rng draw, PCT's change-point bookkeeping and demotion) are
    replicated so the rng stream and the trace stay byte-identical. *)
-let forced_pick rt =
+let[@inline] forced_pick rt =
   if rt.sim_stats.steps >= rt.replay_limit then None
   else begin
     if rt.sim_stats.steps >= Vec.length rt.choice_log then
@@ -1088,7 +1090,7 @@ let forced_pick rt =
     let v = Vec.get rt.choice_log rt.sim_stats.steps in
     let tid = v lsr 1 in
     let th = get_thread rt tid in
-    if th.status = Done || (not th.on_core) || th.resume = None then
+    if th.status = Done || (not th.on_core) || not (runnable th) then
       raise (Sim_error "replay: forced thread is not runnable");
     rt.last_pick_policy <- v land 1 = 1;
     if rt.last_pick_policy then begin
@@ -1116,32 +1118,30 @@ let hook_pick rt h =
   if tid < 0 then policy_pick rt
   else begin
     let th = get_thread rt tid in
-    if th.status = Done || (not th.on_core) || th.resume = None then
+    if th.status = Done || (not th.on_core) || not (runnable th) then
       raise (Sim_error "scheduler hook chose a non-runnable thread");
-    Some th
+    th
   end
 
-let pick_next rt =
-  if rt.nactive = 0 then None
-  else begin
-    rt.last_pick_policy <- false;
-    match forced_pick rt with
-    | Some th -> Some th
-    | None -> (
-        match pinned_owner rt with
-        | Some th -> Some th
-        | None -> (
-            match rt.hook with
-            | Some h when rt.nactive > 1 -> hook_pick rt h
-            | Some _ | None -> policy_pick rt))
-  end
+let[@inline] pick_next rt =
+  if rt.nactive = 0 then raise (Sim_error "no runnable thread at a decision point");
+  rt.last_pick_policy <- false;
+  match forced_pick rt with
+  | Some th -> th
+  | None -> (
+      match pinned_owner rt with
+      | Some th -> th
+      | None -> (
+          match rt.hook with
+          | Some h when rt.nactive > 1 -> hook_pick rt h
+          | Some _ | None -> policy_pick rt))
 
 let deschedule rt th =
   remove_active rt th;
   ready_push rt th;
   emit rt th (Trace.Descheduled { tid = th.tid })
 
-let post_step rt th =
+let[@inline] post_step rt th =
   if
     th.status <> Done && th.on_core
     && not (unlimited rt)
@@ -1164,10 +1164,13 @@ let post_step rt th =
   | _ -> ());
   th.wants_yield <- false;
   (* the stepped thread's clock advanced; restore the heap invariant *)
-  if th.on_core && th.heap_pos >= 0 then sift_down rt th.heap_pos;
+  if th.on_core && rt.heap_pos.(th.tid) >= 0 then begin
+    sync_current_key rt;
+    sift_down rt rt.heap_pos.(th.tid)
+  end;
   rt.current <- -1
 
-let step rt th =
+let[@inline] step rt th =
   rt.current <- th.tid;
   cur_tid := th.tid;
   (* guided runs log the choice at its step index (low bit: whether the
@@ -1181,17 +1184,36 @@ let step rt th =
   if rt.sim_stats.steps > rt.cfg.max_steps then raise Step_limit_exceeded;
   (* a completion step performs no effect, so the handler never classifies
      it; thread exit wakes joiners, hence the Global default *)
-  rt.step_fp <- Global;
+  rt.step_fp <- fp_global;
   (match th.resume with
-  | None -> raise (Sim_error "scheduled a thread with nothing to run")
-  | Some f ->
-      th.resume <- None;
-      f ());
+  | Idle -> raise (Sim_error "scheduled a thread with nothing to run")
+  | Fiber f ->
+      th.resume <- Idle;
+      Effect.Deep.match_with f () (make_handler rt th)
+  | Cont (k, v) ->
+      th.resume <- Idle;
+      Effect.Deep.continue k v
+  | Abort (k, e) ->
+      th.resume <- Idle;
+      Effect.Deep.discontinue k e
+  | Join (k, target, note) ->
+      if thread_done rt target then begin
+        th.resume <- Idle;
+        th.wait_note <- None;
+        Effect.Deep.continue k ()
+      end
+      else begin
+        (* not yet: yield and retry at the next step *)
+        th.wait_note <- note;
+        rt.sim_stats.yields <- rt.sim_stats.yields + 1;
+        charge th rt.cfg.cost.yield;
+        th.wants_yield <- true
+      end);
   (* the footprint is only known once the step ran: the suspension effect
      classified itself into [step_fp].  Same replay-idempotence guard as
      the choice log above (steps was already incremented). *)
   if rt.guided && Vec.length rt.fp_log = rt.sim_stats.steps - 1 then
-    Vec.push rt.fp_log (encode_fp rt.step_fp);
+    Vec.push rt.fp_log rt.step_fp;
   post_step rt th
 
 (* ------------------------------------------------------------------ *)
@@ -1224,7 +1246,9 @@ let create cfg =
     nthreads = 0;
     ready_front = [];
     ready_back = [];
-    heap = [||];
+    heap_tid = [||];
+    heap_key = [||];
+    heap_pos = [||];
     nactive = 0;
     live = 0;
     now = 0;
@@ -1251,9 +1275,10 @@ let create cfg =
     init_pct_points = pct_points;
     entered = false;
     finished = false;
-    step_fp = Global;
+    step_fp = fp_global;
     last_pick_policy = false;
     my_crit = (0, -1);
+    op_result = 0;
   }
 
 let add_thread rt body =
@@ -1289,7 +1314,7 @@ let collect_failures rt =
    scheduler hook or [savepoint] observes between steps is exactly the
    state a restore's replay lands on. *)
 
-let advance_phase rt =
+let[@inline] advance_phase rt =
   wake_stalled rt;
   refill rt;
   if not (ready_nonempty rt) then rt.want_preempt <- false
@@ -1327,12 +1352,9 @@ let rec progress rt =
     else raise (Deadlock (blocked_summary rt))
   end
 
-let step_once rt =
-  match pick_next rt with
-  | None -> raise (Sim_error "no runnable thread at a decision point")
-  | Some th ->
-      step rt th;
-      advance_phase rt
+let[@inline] step_once rt =
+  step rt (pick_next rt);
+  advance_phase rt
 
 (* Critical-section pin state lives in module-level refs shared by every
    runtime in the process (the [Ts_rt.ops] record is static); each runtime
@@ -1454,7 +1476,7 @@ let capture_thread th =
     ts_tid = th.tid;
     ts_clock = th.clock;
     ts_done = (th.status = Done);
-    ts_runnable = th.resume <> None;
+    ts_runnable = runnable th;
     ts_saved_depth = List.length th.saved;
     ts_on_core = th.on_core;
     ts_core_since = th.core_since;
@@ -1499,7 +1521,7 @@ let savepoint rt =
     sp_ready =
       List.map (fun th -> th.tid) rt.ready_front
       @ List.rev_map (fun th -> th.tid) rt.ready_back;
-    sp_active = List.init rt.nactive (fun i -> rt.heap.(i).tid);
+    sp_active = List.init rt.nactive (fun i -> rt.heap_tid.(i));
     sp_stalled = List.map (fun th -> th.tid) rt.stalled;
     sp_live = rt.live;
     sp_now = rt.now;
@@ -1606,7 +1628,9 @@ let reset_to_start rt =
   rt.nthreads <- 0;
   rt.ready_front <- [];
   rt.ready_back <- [];
-  rt.heap <- [||];
+  rt.heap_tid <- [||];
+  rt.heap_key <- [||];
+  rt.heap_pos <- [||];
   rt.nactive <- 0;
   rt.live <- 0;
   rt.now <- 0;
@@ -1700,7 +1724,7 @@ let step_count rt = rt.sim_stats.steps
 
 let trace_position rt = rt.trace_cursor
 
-let last_footprint rt = rt.step_fp
+let last_footprint rt = decode_fp rt.step_fp
 
 let step_footprint rt i =
   if i < 0 || i >= Vec.length rt.fp_log then None else Some (decode_fp (Vec.get rt.fp_log i))

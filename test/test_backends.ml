@@ -21,6 +21,8 @@ type runner = {
   rname : string;
   (* runs [body] as logical thread 0, returns total memory faults *)
   exec : ?strict:bool -> (unit -> unit) -> int;
+  (* runs [body] as logical thread 0 with failures collected, not raised *)
+  failures : (unit -> unit) -> (int * exn) list;
 }
 
 let sim_runner =
@@ -34,6 +36,10 @@ let sim_runner =
         ignore (R.add_thread rt body);
         ignore (R.start rt);
         Ts_umem.Mem.total_faults (R.mem rt));
+    failures =
+      (fun body ->
+        let module R = Ts_sim.Runtime in
+        (R.run ~config:{ R.default_config with propagate_failures = false } body).R.failures);
   }
 
 let native_runner =
@@ -45,6 +51,11 @@ let native_runner =
         let cfg = { R.default_config with strict_mem = strict; pool = 4 } in
         let res = R.run ~config:cfg body in
         Ts_par.Heap.total_faults res.R.heap);
+    failures =
+      (fun body ->
+        let module R = Ts_par.Runtime in
+        (R.run ~config:{ R.default_config with propagate_failures = false; pool = 4 } body)
+          .R.failures);
   }
 
 let runners = [ sim_runner; native_runner ]
@@ -153,6 +164,39 @@ let test_signal_delivery r () =
          out := Rt.read (flag + 1)))
   in
   Alcotest.(check bool) "handler ran at least once" true (!out >= 1)
+
+(* Every op that names another thread, given a tid the run never
+   spawned, fails the calling thread — on both backends, and without the
+   error escaping the run. *)
+let tid_ops =
+  let u = 999 in
+  [
+    ("join", fun () -> Rt.join u);
+    ("is_done", fun () -> ignore (Rt.is_done u : bool));
+    ("signal", fun () -> Rt.signal u);
+    ("scan_ranges_of", fun () -> ignore (Rt.scan_ranges_of u : (int * int) list));
+    ("crash", fun () -> Rt.crash u);
+    ("stall", fun () -> Rt.stall ~cycles:10 u);
+    ("unstall", fun () -> Rt.unstall u);
+    ("drop_signals", fun () -> Rt.drop_signals u 1);
+    ("delay_signals", fun () -> Rt.delay_signals u 10);
+    ("is_crashed", fun () -> ignore (Rt.is_crashed u : bool));
+    ("is_stalled", fun () -> ignore (Rt.is_stalled u : bool));
+    ("clock_of", fun () -> ignore (Rt.clock_of u : int));
+  ]
+
+let test_unknown_tid_fails_caller r () =
+  List.iter
+    (fun (name, op) ->
+      let returned = ref false in
+      let failed =
+        r.failures (fun () ->
+            op ();
+            returned := true)
+      in
+      Alcotest.(check (list int)) (name ^ ": only the caller failed") [ 0 ] (List.map fst failed);
+      Alcotest.(check bool) (name ^ ": the op did not return") false !returned)
+    tid_ops
 
 (* ------------------------------------------------------------------ *)
 (* scan_words: a read loop, op for op                                  *)
@@ -706,7 +750,8 @@ let () =
         @ per_backend "frames" test_frames
         @ per_backend "clock + rand" test_clock_and_rand
         @ per_backend "spawn/join" test_spawn_join
-        @ per_backend "signal delivery" test_signal_delivery );
+        @ per_backend "signal delivery" test_signal_delivery
+        @ per_backend "unknown tid fails the caller" test_unknown_tid_fails_caller );
       ( "scan-words",
         per_backend "yields and charges what a read loop does" test_scan_words_matches_read
         @ per_backend "len <= 0 is a no-op" test_scan_words_empty

@@ -1073,6 +1073,91 @@ let sp_preload_replay =
       in
       String.equal t1 t2 && log = log2 && String.equal d1 d2)
 
+(* Another thread crashing or stalling in the middle of a step removes it
+   from the active heap while the stepped thread's clock has already moved
+   on.  Every thread is aligned on one clock, so the removal's sift meets
+   ties; the logs (one digit per worker iteration) pin the exact schedule
+   under each policy. *)
+let test_mid_step_removal_schedule () =
+  let schedule sched seed =
+    let log = Buffer.create 64 in
+    let align () = Runtime.advance (20_000 - Runtime.now ()) in
+    ignore
+      (run ~config:{ cfg with sched; seed } (fun () ->
+           let workers =
+             List.init 7 (fun _ ->
+                 Runtime.spawn (fun () ->
+                     align ();
+                     for _ = 1 to 10 do
+                       Buffer.add_char log (Char.chr (Char.code '0' + Runtime.self ()));
+                       Runtime.yield ()
+                     done))
+           in
+           align ();
+           List.iteri
+             (fun i w ->
+               Runtime.yield ();
+               if i mod 2 = 0 then Runtime.crash w else Runtime.stall ~cycles:300 w)
+             workers;
+           List.iter Runtime.join workers));
+    Buffer.contents log
+  in
+  let check_log name expected got = Alcotest.(check string) name expected got in
+  check_log "timed" "1234567234567234567345674567567677222424246246246"
+    (schedule Runtime.Timed 0);
+  check_log "uniform" "454235145326346473653645347675477222646426662222"
+    (schedule Runtime.Uniform 2);
+  check_log "pct" "5136724536725367456745676772242426426426426424"
+    (schedule (Runtime.Pct { change_points = 3; expected_steps = 200 }) 0)
+
+(* ------------------------------ step cost ------------------------------- *)
+
+(* Minor-heap words allocated per scheduler step.  The count is exact for
+   a given build, so these bounds (about 10 % above the measured 8.1 and
+   5.5) catch any per-step allocation that creeps back in: a closure and
+   an option per resumption, a boxed footprint per shared access or a
+   boxed rng state per draw cost 44 and 166 words on these two runs. *)
+let words_per_step config main =
+  let w0 = Gc.minor_words () in
+  let r = Runtime.run ~config main in
+  let w1 = Gc.minor_words () in
+  (w1 -. w0) /. float_of_int r.Runtime.run_stats.Runtime.steps
+
+let check_words name ~bound w =
+  if w > bound then Alcotest.failf "%s: %.2f minor words per step, bound %.1f" name w bound
+
+(* 64 threads on 64 cores under the default Timed policy: every step is a
+   shared read and a sift of the 64-entry active heap. *)
+let test_words_timed_reads () =
+  let w =
+    words_per_step { cfg with cores = 64 } (fun () ->
+        let base = Runtime.malloc 64 in
+        let readers =
+          List.init 63 (fun _ ->
+              Runtime.spawn (fun () ->
+                  for i = 0 to 2999 do
+                    ignore (Runtime.read (base + (i land 63)))
+                  done))
+        in
+        List.iter Runtime.join readers)
+  in
+  check_words "64-thread timed read loop" ~bound:9.0 w
+
+(* One worker under Uniform: the joining main thread is picked on about
+   half the steps, each a failed join attempt, and every step draws from
+   the scheduler's rng. *)
+let test_words_uniform_join () =
+  let w =
+    words_per_step { cfg with sched = Runtime.Uniform } (fun () ->
+        let a = Runtime.malloc 4 in
+        Runtime.join
+          (Runtime.spawn (fun () ->
+               for i = 0 to 19_999 do
+                 Runtime.write a i
+               done)))
+  in
+  check_words "uniform run with a joining main" ~bound:6.0 w
+
 let () =
   Alcotest.run "ts_sim"
     [
@@ -1146,6 +1231,8 @@ let () =
           Alcotest.test_case "signal pends through stall" `Quick test_signal_pends_through_stall;
           Alcotest.test_case "delayed signal delivery" `Quick test_delay_signals;
           Alcotest.test_case "dropped signals" `Quick test_drop_signals;
+          Alcotest.test_case "mid-step removal keeps the schedule" `Quick
+            test_mid_step_removal_schedule;
         ] );
       ( "trace",
         [
@@ -1180,5 +1267,10 @@ let () =
           Alcotest.test_case "no switches undersubscribed" `Quick
             test_unlimited_cores_no_switches;
           Alcotest.test_case "oversubscription is slower" `Quick test_oversubscription_slower;
+        ] );
+      ( "step-cost",
+        [
+          Alcotest.test_case "timed read loop words per step" `Quick test_words_timed_reads;
+          Alcotest.test_case "uniform join words per step" `Quick test_words_uniform_join;
         ] );
     ]

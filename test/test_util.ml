@@ -53,6 +53,44 @@ let test_rng_split_independent () =
   done;
   Alcotest.(check bool) "children differ" true (!same < 4)
 
+(* The exact SplitMix64 stream: every simulated schedule draws from it,
+   so a change of representation must not move a single bit. *)
+let test_rng_golden () =
+  let golden seed ~next ~below ~child ~parent ~raw ~child_raw =
+    let r = Splitmix.create seed in
+    let ck what = Alcotest.(check (list int)) (Fmt.str "seed %d %s" seed what) in
+    let n1 = Splitmix.next r in
+    let n2 = Splitmix.next r in
+    let n3 = Splitmix.next r in
+    ck "next" next [ n1; n2; n3 ];
+    let b1 = Splitmix.below r 1000 in
+    let b2 = Splitmix.below r 7 in
+    let b3 = Splitmix.below r max_int in
+    ck "below" below [ b1; b2; b3 ];
+    let c = Splitmix.split r in
+    let cn = Splitmix.next c in
+    ck "split: child, then parent" [ child; parent ] [ cn; Splitmix.next r ];
+    Alcotest.(check int64) "raw state" raw (Splitmix.raw_state r);
+    Alcotest.(check int64) "child raw state" child_raw (Splitmix.raw_state c);
+    (* rewinding to a raw state replays the stream from there *)
+    let ahead = Splitmix.next r in
+    Splitmix.set_raw_state r raw;
+    check "set_raw_state rewinds" ahead (Splitmix.next r);
+    let other = Splitmix.create 1 in
+    Splitmix.set_raw_state other raw;
+    Alcotest.(check int64) "raw state round-trips" raw (Splitmix.raw_state other)
+  in
+  golden 0
+    ~next:[ 3535418189901915863; 3980143261097177850; 243808509735772839 ]
+    ~below:[ 318; 4; 3019047300631581045 ]
+    ~child:3839612256768486958 ~parent:2504574914372785566 ~raw:(-1028001813962170200L)
+    ~child_raw:(-3838733228386046218L);
+  golden 0x5EED
+    ~next:[ 358316333273208026; 3069548440181523002; 3363596436466409945 ]
+    ~below:[ 598; 1; 3412598862942846565 ]
+    ~child:2016470105990197786 ~parent:667890968176923352 ~raw:(-1028001813962145899L)
+    ~child_raw:(-4061038860289180763L)
+
 let test_rng_copy () =
   let a = Splitmix.create 9 in
   ignore (Splitmix.next a);
@@ -343,6 +381,7 @@ let () =
           Alcotest.test_case "int_in inclusive" `Quick test_rng_int_in;
           Alcotest.test_case "split independence" `Quick test_rng_split_independent;
           Alcotest.test_case "copy replays" `Quick test_rng_copy;
+          Alcotest.test_case "golden stream" `Quick test_rng_golden;
           Alcotest.test_case "float range" `Quick test_rng_float_range;
           Alcotest.test_case "shuffle permutes" `Quick test_rng_shuffle_permutes;
         ] );
