@@ -94,15 +94,6 @@ let print_result (r : Workload.result) =
   Fmt.pr "%-11s elapsed=%d signals=%d switches=%d faults=%d@."
     (match r.spec.backend with Workload.Backend_sim -> "simulator:" | _ -> "native:")
     r.elapsed r.signals_delivered r.ctx_switches r.faults;
-  if r.wall_ns > 0 then begin
-    Fmt.pr "wall:       %.1f ms, %.1f kops/s@."
-      (float_of_int r.wall_ns /. 1e6)
-      (r.wall_throughput /. 1e3);
-    if r.trials > 1 then
-      Fmt.pr "trials:     median of %d (spread %.1f..%.1f ms)@." r.trials
-        (float_of_int r.wall_min_ns /. 1e6)
-        (float_of_int r.wall_max_ns /. 1e6)
-  end;
   if r.extras <> [] then begin
     Fmt.pr "scheme:    ";
     List.iter (fun (k, v) -> Fmt.pr " %s=%d" k v) r.extras;
@@ -156,22 +147,6 @@ let run_cmd =
   let help_free =
     Arg.(value & flag & info [ "help-free" ] ~doc:"Enable the help-free ThreadScan variant.")
   in
-  let no_magazine =
-    Arg.(
-      value & flag
-      & info [ "no-magazine" ]
-          ~doc:
-            "Disable the per-thread allocator magazines (both backends): every small \
-             malloc/free goes through the central free lists.")
-  in
-  let trials =
-    Arg.(
-      value & opt int 0
-      & info [ "trials" ]
-          ~doc:
-            "Repeat the run and report the median by wall time (0 = auto: 3 on the native \
-             backend, 1 on the deterministic simulator).")
-  in
   let delay =
     Arg.(value & opt int 600_000 & info [ "delay" ] ~doc:"Slow-epoch errant delay (cycles).")
   in
@@ -207,7 +182,7 @@ let run_cmd =
              (0 = off).  Required for chaos plans that starve plain epoch forever.")
   in
   let action ds scheme_name threads cores horizon init range update buffer help_free
-      no_magazine trials delay padding seed analyze chaos watchdog backend pool =
+      delay padding seed analyze chaos watchdog backend pool =
     match
       ( scheme_conv ~buffer ~help_free ~delay scheme_name,
         Ts_util.Fault_plan.parse chaos )
@@ -230,16 +205,11 @@ let run_cmd =
             seed;
             chaos;
             watchdog_ms = watchdog;
-            magazine = not no_magazine;
             backend = make_backend backend pool;
           }
         in
-        let trials =
-          if trials > 0 then trials
-          else match spec.Workload.backend with Workload.Backend_native _ -> 3 | _ -> 1
-        in
         if not analyze then begin
-          print_result (Workload.run_trials ~trials spec);
+          print_result (Workload.run spec);
           `Ok ()
         end
         else begin
@@ -253,7 +223,7 @@ let run_cmd =
           in
           let r_plain, t_plain = time (fun () -> Workload.run spec) in
           let an = Ts_analyze.Analyze.attach ~notes:false () in
-          let r_an, t_an =
+          let _, t_an =
             Fun.protect
               ~finally:(fun () -> Ts_analyze.Analyze.detach an)
               (fun () ->
@@ -262,10 +232,6 @@ let run_cmd =
                       { spec with Workload.smr_wrap = Some (Ts_analyze.Analyze.wrap_smr an) }))
           in
           print_result r_plain;
-          let host r t =
-            if r.Workload.wall_ns > 0 then float_of_int r.Workload.wall_ns /. 1e9 else t
-          in
-          let base = host r_plain t_plain and instr = host r_an t_an in
           Fmt.pr "@.analysis:   %d ops observed, %d allocations tracked@."
             (Ts_analyze.Analyze.ops_seen an)
             (Ts_analyze.Analyze.allocs_seen an);
@@ -276,8 +242,8 @@ let run_cmd =
           List.iter
             (fun v -> Fmt.pr "            %a@." Ts_analyze.Analyze.pp_violation v)
             (Ts_analyze.Analyze.violations an);
-          Fmt.pr "overhead:   %.3fs plain -> %.3fs analyzed (%.1fx)@." base instr
-            (if base > 0.0 then instr /. base else 0.0);
+          Fmt.pr "overhead:   %.3fs plain -> %.3fs analyzed (%.1fx)@." t_plain t_an
+            (if t_plain > 0.0 then t_an /. t_plain else 0.0);
           if Ts_analyze.Analyze.violations an = [] then `Ok ()
           else begin
             Fmt.pr "tsbench: analysis found violations@.";
@@ -290,7 +256,7 @@ let run_cmd =
     Term.(
       ret
         (const action $ ds $ scheme_name $ threads $ cores $ horizon $ init $ range $ update
-       $ buffer $ help_free $ no_magazine $ trials $ delay $ padding $ seed
+       $ buffer $ help_free $ delay $ padding $ seed
        $ analyze $ chaos $ watchdog $ backend_arg $ pool_arg))
 
 (* ------------------------------- sweep ---------------------------------- *)
@@ -303,19 +269,11 @@ let json_arg =
     value & flag
     & info [ "json" ] ~doc:"Also write the sweep as $(b,BENCH_<experiment>.json).")
 
-let trials_arg =
-  Arg.(
-    value & opt int 0
-    & info [ "trials" ]
-        ~doc:
-          "Trials per wall-clock measurement; the median run is reported with the min/max \
-           spread (0 = auto: 3 on the native backend, 1 on the simulator).")
-
 let sweep_cmd =
   let exp_name =
     Arg.(required & pos 0 (some string) None & info [] ~docv:"EXPERIMENT" ~doc:"Experiment name.")
   in
-  let action name scale backend pool json trials =
+  let action name scale backend pool json =
     match List.assoc_opt name Experiment.names with
     | None ->
         `Error
@@ -323,17 +281,16 @@ let sweep_cmd =
             Fmt.str "unknown experiment %S; one of: %s" name
               (String.concat ", " (List.map fst Experiment.names)) )
     | Some f ->
-        Experiment.run_and_print ~title:name ~backend:(make_backend backend pool) ~json ~trials
-          f scale;
+        Experiment.run_and_print ~title:name ~backend:(make_backend backend pool) ~json f scale;
         `Ok ()
   in
   Cmd.v
     (Cmd.info "sweep" ~doc:"Run one named experiment (a paper figure or an ablation).")
     Term.(
-      ret (const action $ exp_name $ scale_arg $ backend_arg $ pool_arg $ json_arg $ trials_arg))
+      ret (const action $ exp_name $ scale_arg $ backend_arg $ pool_arg $ json_arg))
 
 let all_cmd =
-  let action scale backend pool json trials =
+  let action scale backend pool json =
     let backend = make_backend backend pool in
     List.iter
       (fun (name, f) ->
@@ -341,12 +298,12 @@ let all_cmd =
            meaningless on the simulator, so `all` only runs it natively *)
         if name = "chaos-recovery" && backend = Workload.Backend_sim then
           Fmt.pr "@.== chaos-recovery == skipped (native backend only)@."
-        else Experiment.run_and_print ~title:name ~backend ~json ~trials f scale)
+        else Experiment.run_and_print ~title:name ~backend ~json f scale)
       Experiment.names
   in
   Cmd.v
     (Cmd.info "all" ~doc:"Run every experiment at the given scale.")
-    Term.(const action $ scale_arg $ backend_arg $ pool_arg $ json_arg $ trials_arg)
+    Term.(const action $ scale_arg $ backend_arg $ pool_arg $ json_arg)
 
 let list_cmd =
   let action () = List.iter (fun (n, _) -> print_endline n) Experiment.names in

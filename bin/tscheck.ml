@@ -93,14 +93,6 @@ let buffer_arg =
 let help_free_arg =
   Arg.(value & flag & info [ "help-free" ] ~doc:"Check the help-free ThreadScan variant.")
 
-let no_magazine_arg =
-  Arg.(
-    value & flag
-    & info [ "no-magazine" ]
-        ~doc:
-          "Disable the per-thread allocator magazines: every small malloc/free goes \
-           through the central free lists.")
-
 let inject_arg =
   Arg.(
     value
@@ -231,7 +223,7 @@ let sweep_cmd =
   in
   let seed0 = Arg.(value & opt int 0 & info [ "seed0" ] ~doc:"First seed of the family.") in
   let action ds_list schedules pct_depth seed0 scheme threads ops key_range buffer_size
-      help_free no_magazine inject fault race bug fork prune fork_factor fork_stride fork_window
+      help_free inject fault race bug fork prune fork_factor fork_stride fork_window
       differential step_budget =
     let analyze = race || bug <> None in
     (* A seeded bug lives in one specific structure; sweeping any other
@@ -261,7 +253,6 @@ let sweep_cmd =
         key_range;
         buffer_size;
         help_free;
-        magazine = not no_magazine;
         inject;
         fault;
         analyze;
@@ -280,7 +271,6 @@ let sweep_cmd =
         (if prune then "on" else "off")
         differential;
     if step_budget > 0 then Fmt.pr "step budget: %d per structure@." step_budget;
-    if no_magazine then Fmt.pr "allocator: magazines off (central free lists only)@.";
     if inject <> Threadscan.No_fault then
       Fmt.pr "injected bug: %s@." (Scenario.inject_to_string inject);
     if fault <> Scenario.Fault_none then
@@ -361,7 +351,7 @@ let sweep_cmd =
     Term.(
       ret
         (const action $ ds_list $ schedules $ pct_depth $ seed0 $ scheme_arg $ threads_arg
-       $ ops_arg $ range_arg $ buffer_arg $ help_free_arg $ no_magazine_arg $ inject_arg
+       $ ops_arg $ range_arg $ buffer_arg $ help_free_arg $ inject_arg
        $ fault_arg $ race_arg $ bug_arg $ fork_arg $ prune_arg $ fork_factor_arg $ fork_stride_arg
        $ fork_window_arg $ differential_arg $ step_budget_arg))
 
@@ -376,8 +366,8 @@ let replay_cmd =
       & info [ "policy" ] ~doc:"Schedule policy (timed|uniform|pct:<d>).")
   in
   let seed = Arg.(value & opt int 0 & info [ "seed" ] ~doc:"Schedule seed.") in
-  let action ds policy seed scheme threads ops key_range buffer_size help_free no_magazine
-      inject fault race bug =
+  let action ds policy seed scheme threads ops key_range buffer_size help_free inject
+      fault race bug =
     let analyze = race || bug <> None in
     let ds = match bug with None -> ds | Some b -> Scenario.bug_ds b in
     let spec =
@@ -389,7 +379,6 @@ let replay_cmd =
         key_range;
         buffer_size;
         help_free;
-        magazine = not no_magazine;
         inject;
         fault;
         policy;
@@ -399,13 +388,12 @@ let replay_cmd =
       }
     in
     Fmt.pr
-      "replay: ds=%s%s threads=%d ops=%d key-range=%d buffer=%d%s%s inject=%s fault=%s \
+      "replay: ds=%s%s threads=%d ops=%d key-range=%d buffer=%d%s inject=%s fault=%s \
        policy=%s seed=%d%s%s@."
       (Scenario.ds_to_string ds)
       (if scheme = Scenario.default.Scenario.scheme then "" else " scheme=" ^ scheme)
       threads ops key_range buffer_size
       (if help_free then " help-free" else "")
-      (if no_magazine then " no-magazine" else "")
       (Scenario.inject_to_string inject)
       (Scenario.fault_to_string fault)
       (Scenario.policy_to_string policy)
@@ -424,7 +412,7 @@ let replay_cmd =
     Term.(
       ret
         (const action $ ds $ policy $ seed $ scheme_arg $ threads_arg $ ops_arg $ range_arg $ buffer_arg
-       $ help_free_arg $ no_magazine_arg $ inject_arg $ fault_arg $ race_arg $ bug_arg))
+       $ help_free_arg $ inject_arg $ fault_arg $ race_arg $ bug_arg))
 
 let () =
   let doc = "systematic concurrency checker for the ThreadScan reproduction" in

@@ -16,7 +16,6 @@
 
    Usage: dune exec bin/tstrace.exe
             [-- --threads N] [--buffer N] [--cores N] [--seed N]
-            [--no-magazine]
             [--scheme NAME] [--fault none|crash|stall|<plan>] [--analyze]
 
    --scheme selects any registry scheme (default threadscan).  The
@@ -45,7 +44,6 @@ let parse_args () =
   let threads = ref 3
   and buffer = ref 8
   and cores = ref 0
-  and magazine = ref true
   and scheme = ref default_scheme
   and fault = ref "none"
   and analyze = ref false
@@ -60,9 +58,6 @@ let parse_args () =
         go rest
     | "--cores" :: n :: rest ->
         cores := int_of_string n;
-        go rest
-    | "--no-magazine" :: rest ->
-        magazine := false;
         go rest
     | "--scheme" :: n :: rest ->
         (match Registry.canonical n with
@@ -86,12 +81,10 @@ let parse_args () =
     | arg :: _ -> failwith ("unknown argument: " ^ arg)
   in
   go (List.tl (Array.to_list Sys.argv));
-  (!threads, !buffer, !cores, !magazine, !scheme, !fault, !seed, !analyze)
+  (!threads, !buffer, !cores, !scheme, !fault, !seed, !analyze)
 
 let () =
-  let nthreads, buffer_size, cores, magazine, scheme, fault, seed, analyze =
-    parse_args ()
-  in
+  let nthreads, buffer_size, cores, scheme, fault, seed, analyze = parse_args () in
   let record, entries = Trace.recorder () in
   let config =
     {
@@ -100,7 +93,6 @@ let () =
       seed;
       (* under multiplexing, a short quantum makes the scheduling visible *)
       quantum = (if cores > 0 then 2_000 else Sim.default_config.Sim.quantum);
-      magazine;
       trace = Some record;
     }
   in
@@ -236,11 +228,10 @@ let () =
        (if cores <= 0 then "dedicated" else string_of_int cores)
        fault seed);
   Fmt.pr
-    "replay: dune exec bin/tstrace.exe -- --threads %d --buffer %d --cores %d%s%s --fault %s \
+    "replay: dune exec bin/tstrace.exe -- --threads %d --buffer %d --cores %d%s --fault %s \
      --seed %d%s@."
     nthreads buffer_size cores
     (if scheme = default_scheme then "" else " --scheme " ^ scheme)
-    (if magazine then "" else " --no-magazine")
     fault seed
     (if analyze then " --analyze" else "");
   Fmt.pr "(entries are in global schedule order; times are per-thread local clocks)@.";

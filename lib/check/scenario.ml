@@ -25,7 +25,6 @@ type spec = {
   key_range : int;
   buffer_size : int;
   help_free : bool;
-  magazine : bool;
   inject : Threadscan.inject;
   fault : fault;
   policy : policy;
@@ -43,7 +42,6 @@ let default =
     key_range = 32;
     buffer_size = 8;
     help_free = false;
-    magazine = true;
     inject = Threadscan.No_fault;
     fault = Fault_none;
     policy = Uniform;
@@ -141,12 +139,11 @@ let fault_of_string s =
 let replay_command spec =
   Fmt.str
     "dune exec bin/tscheck.exe -- replay --ds %s%s --threads %d --ops %d --key-range %d \
-     --buffer %d%s%s --inject %s --fault %s --policy %s --seed %d%s%s"
+     --buffer %d%s --inject %s --fault %s --policy %s --seed %d%s%s"
     (ds_to_string spec.ds)
     (if spec.scheme = default.scheme then "" else " --scheme " ^ spec.scheme)
     spec.threads spec.ops spec.key_range spec.buffer_size
     (if spec.help_free then " --help-free" else "")
-    (if spec.magazine then "" else " --no-magazine")
     (inject_to_string spec.inject) (fault_to_string spec.fault) (policy_to_string spec.policy)
     spec.seed
     (if spec.analyze then " --race" else "")
@@ -368,7 +365,6 @@ let run ?configure ?trace spec =
       sched;
       sanitize = true;
       strict_mem = true;
-      magazine = spec.magazine;
       propagate_failures = true;
       (* ~30x the step count of a typical clean run: failing runs often end
          in a spin (a dead thread never acks) and should fail fast.  Fault

@@ -81,9 +81,6 @@ type spec = {
   key_range : int;
   buffer_size : int;  (** ThreadScan per-thread delete buffer *)
   help_free : bool;
-  magazine : bool;
-      (** per-thread allocator magazines in the simulated heap; [false]
-          routes every small malloc/free through the central lists *)
   inject : Threadscan.inject;  (** deliberate bug, for checker validation *)
   fault : fault;  (** injected environment fault the protocol must survive *)
   policy : policy;
@@ -98,8 +95,7 @@ type spec = {
 
 val default : spec
 (** list over threadscan, 3 threads, 40 ops, keys 0..31, buffer 8, no help-free,
-    magazines on, no injection, uniform policy, seed 0, no analysis, no
-    seeded bug. *)
+    no injection, uniform policy, seed 0, no analysis, no seeded bug. *)
 
 val ds_to_string : ds_kind -> string
 

@@ -91,9 +91,8 @@ val phase_latencies : t -> int list
     by moving the free() calls into the scanners' handlers. *)
 
 val total_phase_cycles : t -> int
-(** Sum of {!phase_latencies}: total cycles spent inside collect phases.
-    The harness scales this by the wall-clock-per-cycle ratio to report
-    [reclaim_phase_ns] per benchmark cell. *)
+(** Sum of {!phase_latencies}: total cycles spent inside collect phases,
+    reported as the [phase-cycles] scheme extra. *)
 
 val reclaimer_frees : t -> int
 (** Nodes freed by the reclaimer inside collect phases (as opposed to by

@@ -110,22 +110,17 @@ let fig4_setup = function
 (* Sweep machinery                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let run_sweep ~backend ~trials ~threads_list ~series =
+let run_sweep ~backend ~threads_list ~series =
   List.map
     (fun threads ->
       let cells =
         List.map
           (fun (label, spec) ->
-            (label, Workload.run_trials ~trials { spec with Workload.threads; backend }))
+            (label, Workload.run { spec with Workload.threads; backend }))
           series
       in
       { threads; cells })
     threads_list
-
-let has_wall points =
-  List.exists
-    (fun { cells; _ } -> List.exists (fun (_, r) -> r.Workload.wall_ns > 0) cells)
-    points
 
 let print_points ~title points =
   match points with
@@ -142,52 +137,7 @@ let print_points ~title points =
           List.iter (fun (_, r) -> Fmt.pr "%14.1f" r.Workload.throughput) cells;
           Fmt.pr "@.")
         points;
-      Fmt.pr "(throughput: completed operations per million simulated cycles)@.";
-      if has_wall points then begin
-        (* native backend: the virtual-cycle table above keeps runs
-           comparable with the simulator; this one is the real machine *)
-        let trials =
-          List.fold_left
-            (fun acc { cells; _ } ->
-              List.fold_left (fun acc (_, r) -> max acc r.Workload.trials) acc cells)
-            1 points
-        in
-        if trials > 1 then
-          Fmt.pr "@.-- %s: wall clock (kops per real second, median of %d trials) --@." title
-            trials
-        else Fmt.pr "@.-- %s: wall clock (kops per real second) --@." title;
-        Fmt.pr "%-8s" "threads";
-        List.iter (fun l -> Fmt.pr "%14s" l) labels;
-        Fmt.pr "@.";
-        List.iter
-          (fun { threads; cells } ->
-            Fmt.pr "%-8d" threads;
-            List.iter
-              (fun (_, r) -> Fmt.pr "%14.1f" (r.Workload.wall_throughput /. 1e3))
-              cells;
-            Fmt.pr "@.")
-          points;
-        if trials > 1 then begin
-          (* the run-to-run noise behind each median, as min/med/max ms *)
-          Fmt.pr "@.-- %s: wall-clock spread (min/median/max ms per run) --@." title;
-          Fmt.pr "%-8s" "threads";
-          List.iter (fun l -> Fmt.pr "%14s" l) labels;
-          Fmt.pr "@.";
-          List.iter
-            (fun { threads; cells } ->
-              Fmt.pr "%-8d" threads;
-              List.iter
-                (fun (_, r) ->
-                  Fmt.pr "%14s"
-                    (Fmt.str "%.0f/%.0f/%.0f"
-                       (float_of_int r.Workload.wall_min_ns /. 1e6)
-                       (float_of_int r.Workload.wall_ns /. 1e6)
-                       (float_of_int r.Workload.wall_max_ns /. 1e6)))
-                cells;
-              Fmt.pr "@.")
-            points
-        end
-      end
+      Fmt.pr "(throughput: completed operations per million simulated cycles)@."
 
 let ratio_summary points ~num ~den =
   let ratios =
@@ -227,8 +177,8 @@ let fig3_series scale ds =
            ((Registry.descriptor s.Workload.scheme).Registry.caps.Registry.neutralizes
            && ds = Workload.Skip_ds))
 
-let fig3 ~backend ~trials scale ds =
-  run_sweep ~backend ~trials ~threads_list:(fig3_threads scale) ~series:(fig3_series scale ds)
+let fig3 ~backend scale ds =
+  run_sweep ~backend ~threads_list:(fig3_threads scale) ~series:(fig3_series scale ds)
 
 (* Fig 5 regime: the hash table (large key range, cheap operations, heavy
    retire traffic), ThreadScan against the leaky, epoch, DEBRA+ and
@@ -243,10 +193,10 @@ let fig5_series scale =
     ("threadscan", { spec with scheme = Registry.spec ~buffer:ts_buffer "threadscan" });
   ]
 
-let fig5 ~backend ~trials scale =
-  run_sweep ~backend ~trials ~threads_list:(fig3_threads scale) ~series:(fig5_series scale)
+let fig5 ~backend scale =
+  run_sweep ~backend ~threads_list:(fig3_threads scale) ~series:(fig5_series scale)
 
-let fig4 ~backend ~trials scale ds =
+let fig4 ~backend scale ds =
   let cores, threads_list = fig4_setup scale in
   let spec, ts_buffer = base_spec scale ds in
   (* Oversubscribed threads share the cores, so the wall-clock horizon must
@@ -278,13 +228,13 @@ let fig4 ~backend ~trials scale ds =
         ]
     | _ -> []
   in
-  run_sweep ~backend ~trials ~threads_list ~series
+  run_sweep ~backend ~threads_list ~series
 
 (* ------------------------------------------------------------------ *)
 (* Ablations                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let ablate_buffer ~backend ~trials scale =
+let ablate_buffer ~backend scale =
   let cores, threads_list = fig4_setup scale in
   let spec, ts_buffer = base_spec scale Workload.Hash_ds in
   let spec =
@@ -297,9 +247,9 @@ let ablate_buffer ~backend ~trials scale =
           { spec with Workload.scheme = Registry.spec ~buffer:(ts_buffer * mult) "threadscan" } ))
       [ 1; 4; 16 ]
   in
-  run_sweep ~backend ~trials ~threads_list ~series
+  run_sweep ~backend ~threads_list ~series
 
-let ablate_slow_epoch ~backend ~trials scale =
+let ablate_slow_epoch ~backend scale =
   let spec, _ = base_spec scale Workload.List_ds in
   let threads_list = match scale with Quick -> [ 8; 16 ] | _ -> [ 16; 40 ] in
   let series =
@@ -310,9 +260,9 @@ let ablate_slow_epoch ~backend ~trials scale =
              { spec with Workload.scheme = Registry.spec ~delay "slow-epoch" } ))
          [ slow_delay scale / 32; slow_delay scale / 8; slow_delay scale ]
   in
-  run_sweep ~backend ~trials ~threads_list ~series
+  run_sweep ~backend ~threads_list ~series
 
-let ablate_help_free ~backend ~trials scale =
+let ablate_help_free ~backend scale =
   let spec, ts_buffer = base_spec scale Workload.Hash_ds in
   (* frequent phases, so the reclaimer-latency difference is observable *)
   let ts_buffer = max 4 (ts_buffer / 4) in
@@ -327,9 +277,9 @@ let ablate_help_free ~backend ~trials scale =
       );
     ]
   in
-  run_sweep ~backend ~trials ~threads_list ~series
+  run_sweep ~backend ~threads_list ~series
 
-let ablate_padding ~backend ~trials scale =
+let ablate_padding ~backend scale =
   let spec, ts_buffer = base_spec scale Workload.List_ds in
   let ts = Registry.spec ~buffer:ts_buffer "threadscan" in
   let threads_list = match scale with Quick -> [ 4; 16; 32 ] | _ -> [ 8; 32; 80 ] in
@@ -339,7 +289,7 @@ let ablate_padding ~backend ~trials scale =
       ("pad=19", { spec with Workload.scheme = ts; padding = 19 });
     ]
   in
-  run_sweep ~backend ~trials ~threads_list ~series
+  run_sweep ~backend ~threads_list ~series
 
 (* Fault tolerance: kill one worker mid-operation at 25 % of the base
    horizon, then let the rest run 1x / 2x / 4x of it.  The x-axis is the
@@ -349,7 +299,7 @@ let ablate_padding ~backend ~trials scale =
    condition the dead thread's odd counter blocks forever — accumulates
    every node retired after the crash.  Plain epoch is not even runnable
    here: its unbounded quiescence wait would simply hang. *)
-let ablate_crash ~backend ~trials scale =
+let ablate_crash ~backend scale =
   let spec, ts_buffer = base_spec scale Workload.List_ds in
   let threads = match scale with Quick -> 8 | _ -> 16 in
   let base_horizon = spec.Workload.horizon in
@@ -370,12 +320,12 @@ let ablate_crash ~backend ~trials scale =
         threads = mult;
         cells =
           List.map
-            (fun (l, s) -> (l, Workload.run_trials ~trials { s with Workload.backend }))
+            (fun (l, s) -> (l, Workload.run { s with Workload.backend }))
             (series mult);
       })
     [ 1; 2; 4 ]
 
-let ablate_structures ~backend ~trials scale =
+let ablate_structures ~backend scale =
   (* all six structures under ThreadScan: the library-breadth overview *)
   let threads_list = match scale with Quick -> [ 4; 16; 32 ] | _ -> [ 8; 32; 80 ] in
   let series =
@@ -393,7 +343,7 @@ let ablate_structures ~backend ~trials scale =
         Workload.Skip_ds;
       ]
   in
-  run_sweep ~backend ~trials ~threads_list ~series
+  run_sweep ~backend ~threads_list ~series
 
 (* Chaos recovery: the crash/stall degradation ablation rerun on the
    native backend with real-domain fault injection.  One worker is taken
@@ -405,7 +355,7 @@ let ablate_structures ~backend ~trials scale =
    unbounded quiescence wait wedges under the crash and the unreleased
    stall; the liveness watchdog turns that hang into a reported, bounded
    datum instead of a hung benchmark. *)
-let chaos_recovery ~backend ~trials scale =
+let chaos_recovery ~backend scale =
   (match backend with
   | Workload.Backend_native _ -> ()
   | Workload.Backend_sim ->
@@ -453,16 +403,14 @@ let chaos_recovery ~backend ~trials scale =
             (* An unreleased stall-forever parks its victim until the
                watchdog fires, so every scheme's *run* wedges on that row
                by design; under a crash only schemes whose registry entry
-               is not crash-tolerant (quiescence waiters) do.  A wedge
-               takes the full watchdog budget and is deterministic, so
-               one trial suffices there — and retrying it would just
-               double the wait for the same answer. *)
+               is not crash-tolerant (quiescence waiters) do.  Any other
+               wedge may be a loaded machine starving the run, so it is
+               rerun once and the rerun is kept, wedged or not. *)
             let caps = (Registry.descriptor s.Workload.scheme).Registry.caps in
             let wedge_expected = forever || (crash && not caps.Registry.crash_tolerant) in
-            let trials = if wedge_expected then 1 else max 1 trials in
-            ( label,
-              Workload.run_trials ~retry_wedged:(not wedge_expected) ~trials
-                { s with Workload.chaos = plan } ))
+            let s = { s with Workload.chaos = plan } in
+            let r = Workload.run s in
+            (label, if r.Workload.wedged && not wedge_expected then Workload.run s else r))
           series
       in
       { threads = idx + 1; cells })
@@ -649,6 +597,28 @@ let chaos_oracle points =
       List.iter (fun v -> Fmt.pr "oracle violation: %s@." v) vs;
       failwith (Fmt.str "chaos-recovery: %d oracle violation(s)" (List.length vs))
 
+(* The sweep oracle: a fault-free run of a scheme that reclaims must
+   leave nothing retired-but-unfreed after its flush.  Memory faults
+   already fail the run itself. *)
+let sweep_violations points =
+  List.concat_map
+    (fun { threads; cells } ->
+      List.filter_map
+        (fun (label, r) ->
+          let spec = r.Workload.spec in
+          if
+            spec.Workload.fault = Workload.Fault_none
+            && spec.Workload.chaos = []
+            && (Registry.descriptor spec.Workload.scheme).Registry.caps.Registry.reclaims
+            && r.Workload.outstanding <> 0
+          then
+            Some
+              (Fmt.str "%d threads, %s: outstanding = %d after flush" threads label
+                 r.Workload.outstanding)
+          else None)
+        cells)
+    points
+
 (* ------------------------------------------------------------------ *)
 (* JSON report                                                         *)
 (* ------------------------------------------------------------------ *)
@@ -679,38 +649,16 @@ let json_params_suffix (r : Workload.result) =
         (String.concat ", "
            (List.map (fun (k, v) -> Fmt.str "\"%s\": %d" (json_escape k) v) kv))
 
-(* Derived per-cell fields.  [reclaim_phase_ns] converts the scheme's
-   virtual phase-cycles total into wall-clock nanoseconds with this run's
-   own ns-per-cycle ratio (0 on the sim backend, which has no wall
-   clock); the magazine counters ride the extras channel from the
-   allocator.  Each group is emitted only when the run carried its
-   counter, so cells of schemes without a phase clock keep their exact
-   prior shape. *)
-let json_derived_suffix (r : Workload.result) =
+(* The allocator's magazine counters ride the extras channel; emitted
+   only when the run carried them. *)
+let json_mag_suffix (r : Workload.result) =
   let get k = List.assoc_opt k r.Workload.extras in
-  let phase =
-    match get "phase-cycles" with
-    | None -> ""
-    | Some cycles ->
-        let ns =
-          if r.Workload.wall_ns <= 0 || r.Workload.elapsed <= 0 then 0
-          else
-            int_of_float
-              (float_of_int cycles *. float_of_int r.Workload.wall_ns
-              /. float_of_int r.Workload.elapsed)
-        in
-        Fmt.str ", \"reclaim_phase_ns\": %d" ns
-  in
-  let mag =
-    match (get "mag-hits", get "mag-misses") with
-    | Some hits, Some misses ->
-        let v k = Option.value (get k) ~default:0 in
-        Fmt.str
-          ", \"mag_hits\": %d, \"mag_misses\": %d, \"mag_refills\": %d, \"mag_flushes\": %d"
-          hits misses (v "mag-refills") (v "mag-flushes")
-    | _ -> ""
-  in
-  phase ^ mag
+  match (get "mag-hits", get "mag-misses") with
+  | Some hits, Some misses ->
+      let v k = Option.value (get k) ~default:0 in
+      Fmt.str ", \"mag_hits\": %d, \"mag_misses\": %d, \"mag_refills\": %d, \"mag_flushes\": %d"
+        hits misses (v "mag-refills") (v "mag-flushes")
+  | _ -> ""
 
 (* Appended to a cell only when that run carried a chaos plan, so every
    pre-existing consumer of the JSON sees unchanged bytes. *)
@@ -743,19 +691,15 @@ let json_of_points ~target ~backend ~scale points =
           Buffer.add_string buf
             (Fmt.str
                "      { \"series\": \"%s\", \"scheme\": \"%s\"%s, \"ds\": \"%s\", \"ops\": %d, \
-                \"throughput\": %.3f, \"wall_ns\": %d, \"wall_throughput\": %.1f, \
-                \"trials\": %d, \"wall_min_ns\": %d, \"wall_max_ns\": %d, \
-                \"retired\": %d, \"freed\": %d, \"outstanding\": %d, \"faults\": %d, \
+                \"throughput\": %.3f, \"retired\": %d, \"freed\": %d, \"outstanding\": %d, \"faults\": %d, \
                 \"signals\": %d%s%s }%s\n"
                (json_escape label)
                (json_escape (Registry.label r.Workload.spec.Workload.scheme))
                (json_params_suffix r)
                (json_escape (Workload.ds_kind_to_string r.Workload.spec.Workload.ds))
-               r.Workload.ops r.Workload.throughput r.Workload.wall_ns
-               r.Workload.wall_throughput r.Workload.trials r.Workload.wall_min_ns
-               r.Workload.wall_max_ns r.Workload.retired r.Workload.freed
+               r.Workload.ops r.Workload.throughput r.Workload.retired r.Workload.freed
                r.Workload.outstanding r.Workload.faults r.Workload.signals_delivered
-               (json_derived_suffix r) (json_chaos_suffix r)
+               (json_mag_suffix r) (json_chaos_suffix r)
                (if ci = List.length cells - 1 then "" else ",")))
         cells;
       Buffer.add_string buf
@@ -771,15 +715,8 @@ let write_json ~target ~backend ~scale points =
   close_out oc;
   file
 
-let run_and_print ~title ?(backend = Workload.Backend_sim) ?(json = false) ?(trials = 0) f scale
-    =
-  (* trials = 0 means auto: median-of-3 where wall clocks are real and
-     noisy, a single run on the deterministic simulator. *)
-  let trials =
-    if trials > 0 then trials
-    else match backend with Workload.Backend_native _ -> 3 | Workload.Backend_sim -> 1
-  in
-  let points = f ~backend ~trials scale in
+let run_and_print ~title ?(backend = Workload.Backend_sim) ?(json = false) f scale =
+  let points = f ~backend scale in
   if title = "ablate-crash" then degradation_summary points
   else if title = "chaos-recovery" then chaos_summary points
   else print_points ~title points;
@@ -788,6 +725,11 @@ let run_and_print ~title ?(backend = Workload.Backend_sim) ?(json = false) ?(tri
     Fmt.pr "wrote %s@." file
   end;
   (* after the JSON is on disk, so a failing gate still leaves the data *)
+  (match sweep_violations points with
+  | [] -> ()
+  | vs ->
+      List.iter (fun v -> Fmt.pr "oracle violation: %s@." v) vs;
+      failwith (Fmt.str "%s: %d cell(s) leaked after flush" title (List.length vs)));
   if title = "chaos-recovery" then chaos_oracle points;
   ratio_summary points ~num:"threadscan" ~den:"hazard";
   ratio_summary points ~num:"threadscan" ~den:"leaky";
@@ -831,12 +773,12 @@ let run_and_print ~title ?(backend = Workload.Backend_sim) ?(json = false) ?(tri
 
 let names =
   [
-    ("fig3-list", fun ~backend ~trials s -> fig3 ~backend ~trials s Workload.List_ds);
-    ("fig3-hash", fun ~backend ~trials s -> fig3 ~backend ~trials s Workload.Hash_ds);
-    ("fig3-skip", fun ~backend ~trials s -> fig3 ~backend ~trials s Workload.Skip_ds);
-    ("fig4-list", fun ~backend ~trials s -> fig4 ~backend ~trials s Workload.List_ds);
-    ("fig4-hash", fun ~backend ~trials s -> fig4 ~backend ~trials s Workload.Hash_ds);
-    ("fig4-skip", fun ~backend ~trials s -> fig4 ~backend ~trials s Workload.Skip_ds);
+    ("fig3-list", fun ~backend s -> fig3 ~backend s Workload.List_ds);
+    ("fig3-hash", fun ~backend s -> fig3 ~backend s Workload.Hash_ds);
+    ("fig3-skip", fun ~backend s -> fig3 ~backend s Workload.Skip_ds);
+    ("fig4-list", fun ~backend s -> fig4 ~backend s Workload.List_ds);
+    ("fig4-hash", fun ~backend s -> fig4 ~backend s Workload.Hash_ds);
+    ("fig4-skip", fun ~backend s -> fig4 ~backend s Workload.Skip_ds);
     ("fig5-hash", fig5);
     ("ablate-buffer", ablate_buffer);
     ("ablate-slow-epoch", ablate_slow_epoch);

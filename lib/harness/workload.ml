@@ -49,7 +49,6 @@ type spec = {
   fault : fault;
   chaos : Ts_util.Fault_plan.t;
   watchdog_ms : int;
-  magazine : bool;
   seed : int;
   backend : backend;
   smr_wrap : (Smr.t -> Smr.t) option;
@@ -74,7 +73,6 @@ let default_spec =
     fault = Fault_none;
     chaos = [];
     watchdog_ms = 0;
-    magazine = true;
     seed = 0xBE5;
     backend = Backend_sim;
     smr_wrap = None;
@@ -85,11 +83,6 @@ type result = {
   ops : int;
   throughput : float;
   elapsed : int;
-  wall_ns : int;
-  wall_throughput : float;
-  trials : int; (* runs behind this result; fields below are the median's *)
-  wall_min_ns : int;
-  wall_max_ns : int;
   retired : int;
   freed : int;
   outstanding : int;
@@ -232,7 +225,7 @@ let body spec counts retired freed extras ~chaos ~smr_cell () =
       Runtime.write done_addr 1;
       Runtime.join m
 
-let finish spec counts ~retired ~freed ~extras ~elapsed ~wall_ns ~peak_live_blocks
+let finish spec counts ~retired ~freed ~extras ~elapsed ~peak_live_blocks
     ~peak_live_words ~signals_delivered ~ctx_switches ~faults ~wedged ~post_mortem ~chaos =
   let ops = Array.fold_left (fun acc c -> acc + !c) 0 counts in
   if faults > 0 then failwith "workload produced memory faults";
@@ -241,12 +234,6 @@ let finish spec counts ~retired ~freed ~extras ~elapsed ~wall_ns ~peak_live_bloc
     ops;
     throughput = float_of_int ops *. 1_000_000.0 /. float_of_int spec.horizon;
     elapsed;
-    wall_ns;
-    wall_throughput =
-      (if wall_ns > 0 then float_of_int ops *. 1e9 /. float_of_int wall_ns else 0.0);
-    trials = 1;
-    wall_min_ns = wall_ns;
-    wall_max_ns = wall_ns;
     retired = !retired;
     freed = !freed;
     outstanding = !retired - !freed;
@@ -295,7 +282,6 @@ let run_sim (spec : spec) =
       cores = spec.cores;
       quantum = spec.quantum;
       seed = spec.seed;
-      magazine = spec.magazine;
       propagate_failures = true;
     }
   in
@@ -311,7 +297,7 @@ let run_sim (spec : spec) =
     !extras
     @ alloc_extras ~hits:(Alloc.cache_hits a) ~misses:(Alloc.cache_misses a)
         ~refills:(Alloc.central_refills a) ~flushes:(Alloc.cache_flushes a);
-  finish spec counts ~retired ~freed ~extras ~elapsed:res.Sim.elapsed ~wall_ns:0
+  finish spec counts ~retired ~freed ~extras ~elapsed:res.Sim.elapsed
     ~peak_live_blocks:(Alloc.peak_live_blocks (Sim.alloc rt))
     ~peak_live_words:(Alloc.peak_live_words (Sim.alloc rt))
     ~signals_delivered:res.Sim.run_stats.signals_delivered
@@ -335,7 +321,6 @@ let run_native (spec : spec) ~pool =
       max_threads = spec.threads + 2;
       mem_capacity;
       strict_mem = true;
-      magazine = spec.magazine;
       propagate_failures = true;
       watchdog_ns = spec.watchdog_ms * 1_000_000;
     }
@@ -365,7 +350,6 @@ let run_native (spec : spec) ~pool =
         ~refills:(Ts_par.Heap.central_refills heap)
         ~flushes:(Ts_par.Heap.cache_flushes heap);
   finish spec counts ~retired ~freed ~extras ~elapsed:res.Ts_par.Runtime.elapsed
-    ~wall_ns:res.Ts_par.Runtime.wall_ns
     ~peak_live_blocks:(Ts_par.Heap.peak_live_blocks heap)
     ~peak_live_words:(Ts_par.Heap.peak_live_words heap)
     ~signals_delivered:res.Ts_par.Runtime.run_stats.signals_delivered ~ctx_switches:0
@@ -421,28 +405,3 @@ let run (spec : spec) =
   match spec.backend with
   | Backend_sim -> run_sim spec
   | Backend_native { pool } -> run_native spec ~pool
-
-(* Median-of-trials for wall-clock runs: the sim backend is deterministic
-   (one trial tells all), but native wall times on a shared machine are
-   noisy, so sweeps report the median run with the min/max spread.
-   [retry_wedged] reruns a trial once if the watchdog killed it — a slow
-   shared machine can wedge spuriously — keeping the retried result
-   (wedged or not) if the rerun wedges too. *)
-let run_trials ?(retry_wedged = false) ~trials spec =
-  let run_one () =
-    let r = run spec in
-    if r.wedged && retry_wedged then run spec else r
-  in
-  let n = max 1 trials in
-  if n = 1 then run_one ()
-  else begin
-    let rs = List.init n (fun _ -> run_one ()) in
-    let sorted = List.sort (fun a b -> compare a.wall_ns b.wall_ns) rs in
-    let med = List.nth sorted (n / 2) in
-    {
-      med with
-      trials = n;
-      wall_min_ns = (List.hd sorted).wall_ns;
-      wall_max_ns = (List.nth sorted (n - 1)).wall_ns;
-    }
-  end

@@ -67,11 +67,6 @@ type spec = {
       (** native backend only: arm {!Ts_par.Runtime}'s liveness watchdog
           so a wedged run (e.g. epoch under stall-forever) is killed and
           reported instead of hanging.  [0] disables. *)
-  magazine : bool;
-      (** per-thread allocator magazines (both backends); [false] is the
-          no-magazine baseline where every small malloc/free goes through
-          the central free lists.  An allocator knob, not a scheme
-          parameter — it applies to every scheme alike. *)
   seed : int;
   backend : backend;
   smr_wrap : (Ts_smr.Smr.t -> Ts_smr.Smr.t) option;
@@ -86,11 +81,6 @@ type result = {
   ops : int;  (** completed operations, all workers *)
   throughput : float;  (** ops per million cycles *)
   elapsed : int;  (** virtual end time of the whole run *)
-  wall_ns : int;  (** real elapsed nanoseconds (0 on the sim backend) *)
-  wall_throughput : float;  (** ops per real second (0 on the sim backend) *)
-  trials : int;  (** runs behind this result ({!run_trials}); 1 for {!run} *)
-  wall_min_ns : int;  (** fastest trial's wall time *)
-  wall_max_ns : int;  (** slowest trial's wall time *)
   retired : int;
   freed : int;
   outstanding : int;  (** retired - freed after flush *)
@@ -119,12 +109,3 @@ val run : spec -> result
     triggers on the sim backend, or when an unreleased stall-forever
     chaos plan runs on the sim at all (virtual time would never end the
     run). *)
-
-val run_trials : ?retry_wedged:bool -> trials:int -> spec -> result
-(** {!run} repeated [trials] times, reporting the median run (by
-    [wall_ns]) with the min/max spread in [wall_min_ns]/[wall_max_ns].
-    Meant for the noisy native backend; on the deterministic sim backend
-    every trial is identical, so use [trials = 1] there.  [retry_wedged]
-    (default false) reruns a watchdog-killed trial once — for schemes
-    that are {e expected} to recover, a wedge on a loaded machine may be
-    noise; leave it off for rows where the wedge is the datum. *)

@@ -71,7 +71,6 @@ type t = {
   large_free : (int, Vec.t) Hashtbl.t;
   cache_cap : int;
   batch : int;
-  magazine : bool; (* per-thread magazines on; off = every call takes the lock *)
   faults : int Atomic.t array; (* per fault kind *)
   mallocs : int Atomic.t;
   frees : int Atomic.t;
@@ -87,7 +86,7 @@ type t = {
 }
 
 let create ?(strict = true) ?(capacity = 1 lsl 21) ?(cache_cap = 64) ?(batch = 32)
-    ?(magazine = true) ~max_threads () =
+    ~max_threads () =
   {
     words = Array.init capacity (fun _ -> Atomic.make 0);
     shadow = Bytes.make capacity st_unalloc;
@@ -100,7 +99,6 @@ let create ?(strict = true) ?(capacity = 1 lsl 21) ?(cache_cap = 64) ?(batch = 3
     large_free = Hashtbl.create 16;
     cache_cap;
     batch;
-    magazine;
     faults = Array.init (Array.length fault_kinds) (fun _ -> Atomic.make 0);
     (* allocator counters are bumped by every thread on every
        malloc/free; keep each on its own cache line so traffic on one
@@ -280,9 +278,12 @@ let malloc t ~tid n =
   let addr =
     if Size_class.is_small n then begin
       let cls = Size_class.of_size n in
-      if not t.magazine then begin
-        (* Magazines off: every small allocation takes the central lock
-           (the no-magazine baseline configuration). *)
+      let cache = (cache_row t tid).(cls) in
+      if not (Vec.is_empty cache) then begin
+        Atomic.incr t.hits;
+        Vec.pop cache
+      end
+      else begin
         Mutex.lock t.lock;
         let central = t.central.(cls) in
         if Vec.is_empty central then begin
@@ -293,40 +294,17 @@ let malloc t ~tid n =
           done;
           Atomic.incr t.refills
         end;
+        (* Batch refill: move up to half a batch into the magazine so
+           the next allocations stay off the lock; keep one for the
+           caller. *)
+        let take = min (t.batch / 2) (max 0 (Vec.length central - 1)) in
+        for _ = 1 to take do
+          Vec.push cache (Vec.pop central)
+        done;
         let a = if Vec.is_empty central then 0 else Vec.pop central in
         Mutex.unlock t.lock;
         Atomic.incr t.misses;
         a
-      end
-      else begin
-        let cache = (cache_row t tid).(cls) in
-        if not (Vec.is_empty cache) then begin
-          Atomic.incr t.hits;
-          Vec.pop cache
-        end
-        else begin
-          Mutex.lock t.lock;
-          let central = t.central.(cls) in
-          if Vec.is_empty central then begin
-            let block_w = Size_class.size cls in
-            for _ = 1 to t.batch do
-              let a = carve_locked t block_w in
-              if a > 0 then Vec.push central a
-            done;
-            Atomic.incr t.refills
-          end;
-          (* Batch refill: move up to half a batch into the magazine so
-             the next allocations stay off the lock; keep one for the
-             caller. *)
-          let take = min (t.batch / 2) (max 0 (Vec.length central - 1)) in
-          for _ = 1 to take do
-            Vec.push cache (Vec.pop central)
-          done;
-          let a = if Vec.is_empty central then 0 else Vec.pop central in
-          Mutex.unlock t.lock;
-          Atomic.incr t.misses;
-          a
-        end
       end
     end
     else begin
@@ -367,27 +345,20 @@ let free t ~tid addr =
         if Size_class.is_small block_w && Size_class.size (Size_class.of_size block_w) = block_w
         then begin
           let cls = Size_class.of_size block_w in
-          if not t.magazine then begin
+          (* Batched flush: once the magazine overflows, move a whole
+             batch to central under one lock acquisition — not one
+             address per free, which would serialise every free on the
+             lock as soon as the cache first filled. *)
+          let cache = (cache_row t tid).(cls) in
+          Vec.push cache addr;
+          if Vec.length cache > t.cache_cap then begin
             Mutex.lock t.lock;
-            Vec.push t.central.(cls) addr;
-            Mutex.unlock t.lock
-          end
-          else begin
-            (* Batched flush: once the magazine overflows, move a whole
-               batch to central under one lock acquisition — not one
-               address per free, which would serialise every free on the
-               lock as soon as the cache first filled. *)
-            let cache = (cache_row t tid).(cls) in
-            Vec.push cache addr;
-            if Vec.length cache > t.cache_cap then begin
-              Mutex.lock t.lock;
-              let central = t.central.(cls) in
-              for _ = 1 to t.batch do
-                Vec.push central (Vec.pop cache)
-              done;
-              Mutex.unlock t.lock;
-              Atomic.incr t.flushes
-            end
+            let central = t.central.(cls) in
+            for _ = 1 to t.batch do
+              Vec.push central (Vec.pop cache)
+            done;
+            Mutex.unlock t.lock;
+            Atomic.incr t.flushes
           end
         end
         else begin
@@ -424,4 +395,3 @@ let cache_hits t = Atomic.get t.hits
 let cache_misses t = Atomic.get t.misses
 let central_refills t = Atomic.get t.refills
 let cache_flushes t = Atomic.get t.flushes
-let magazines_enabled t = t.magazine

@@ -13,7 +13,6 @@ val create :
   ?capacity:int ->
   ?cache_cap:int ->
   ?batch:int ->
-  ?magazine:bool ->
   max_threads:int ->
   unit ->
   t
@@ -21,12 +20,10 @@ val create :
     fault; non-strict records the fault, returns poison on bad reads and
     drops bad writes. [capacity] is in words and fixed at creation.
 
-    [magazine] (default [true]) enables the per-thread magazines:
-    fixed-capacity per-size-class caches ([cache_cap], default 64)
-    refilled and flushed against the central free lists in batches of
-    [batch] (default 32), so the central lock is taken once per batch
-    instead of once per call.  [false] routes every small
-    [malloc]/[free] through the lock — the no-magazine baseline. *)
+    Small blocks go through per-thread magazines: fixed-capacity
+    per-size-class caches ([cache_cap], default 64) refilled and flushed
+    against the central free lists in batches of [batch] (default 32), so
+    the central lock is taken once per batch instead of once per call. *)
 
 (** {1 Faults} *)
 
@@ -75,13 +72,11 @@ val cache_hits : t -> int
 (** Small allocations served from the caller's magazine, lock-free. *)
 
 val cache_misses : t -> int
-(** Small allocations that took the central lock (all of them, when
-    magazines are off).  Hit rate is [hits / (hits + misses)]. *)
+(** Small allocations that took the central lock.  Hit rate is
+    [hits / (hits + misses)]. *)
 
 val central_refills : t -> int
 (** Batches of fresh blocks carved into a central free list. *)
 
 val cache_flushes : t -> int
 (** Magazine overflows flushed to central, one batch per lock take. *)
-
-val magazines_enabled : t -> bool

@@ -63,7 +63,6 @@ type config = {
   reg_words : int;
   mem_capacity : int;  (** words; fixed at creation (the native heap cannot grow) *)
   strict_mem : bool;
-  magazine : bool;  (** per-thread allocator magazines (see {!Heap.create}) *)
   max_threads : int;
   propagate_failures : bool;
   stall_ns_per_cycle : float;
@@ -83,7 +82,6 @@ let default_config =
     reg_words = 32;
     mem_capacity = 1 lsl 21;
     strict_mem = true;
-    magazine = true;
     max_threads = 128;
     propagate_failures = true;
     stall_ns_per_cycle = 100.0;
@@ -900,8 +898,7 @@ let pool_size cfg =
 
 let create cfg =
   let heap =
-    Heap.create ~strict:cfg.strict_mem ~capacity:cfg.mem_capacity ~magazine:cfg.magazine
-      ~max_threads:cfg.max_threads ()
+    Heap.create ~strict:cfg.strict_mem ~capacity:cfg.mem_capacity ~max_threads:cfg.max_threads ()
   in
   {
     cfg;

@@ -20,11 +20,6 @@ type config = {
   reg_words : int;
   mem_capacity : int;  (** words; fixed at creation (the native heap cannot grow) *)
   strict_mem : bool;
-  magazine : bool;
-      (** per-thread allocator magazines: per-size-class caches with
-          batched refill/flush against the central lists (see
-          {!Heap.create}).  [false] is the no-magazine baseline where
-          every small malloc/free takes the central lock. *)
   max_threads : int;
   propagate_failures : bool;
   stall_ns_per_cycle : float;

@@ -26,7 +26,6 @@ type config = {
   mem_capacity : int;
   strict_mem : bool;
   sanitize : bool;
-  magazine : bool;
   max_steps : int;
   propagate_failures : bool;
   trace : (Trace.entry -> unit) option;
@@ -44,7 +43,6 @@ let default_config =
     mem_capacity = 1 lsl 26;
     strict_mem = true;
     sanitize = false;
-    magazine = true;
     max_steps = 1 lsl 32;
     propagate_failures = true;
     trace = None;
@@ -1229,7 +1227,7 @@ let create cfg =
   let mem = Mem.create ~strict:cfg.strict_mem ~capacity_limit:cfg.mem_capacity () in
   (* max_threads for allocator caches: grown lazily via modulo mapping is
      wrong; instead size generously and let Alloc index by tid directly. *)
-  let alloc = Alloc.create ~sanitize:cfg.sanitize ~magazine:cfg.magazine ~max_threads:4096 mem in
+  let alloc = Alloc.create ~sanitize:cfg.sanitize ~max_threads:4096 mem in
   let rng = Splitmix.create cfg.seed in
   let pct_points =
     match cfg.sched with

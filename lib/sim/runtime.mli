@@ -64,11 +64,6 @@ type config = {
       (** heap-sanitizer mode: the allocator adds canary words and
           allocation-generation counters (see {!Ts_umem.Alloc}); changes
           block layout, so off by default *)
-  magazine : bool;
-      (** per-thread allocator magazines (see {!Ts_umem.Alloc.create});
-          [true] by default — the legacy allocator behaviour.  [false]
-          routes every small malloc/free through the central free lists,
-          the no-magazine baseline configuration. *)
   max_steps : int;  (** hard step bound, guards against livelock *)
   propagate_failures : bool;  (** re-raise the first thread failure after the run *)
   trace : (Trace.entry -> unit) option;

@@ -19,7 +19,6 @@ type t = {
   large_free : (int, Vec.t) Hashtbl.t; (* exact size -> free list *)
   cache_cap : int;
   batch : int;
-  magazine : bool; (* per-thread caches on; off = every call hits central *)
   sanitize : bool;
   generations : (int, int) Hashtbl.t; (* user base -> allocation generation *)
   mutable mallocs : int;
@@ -34,8 +33,7 @@ type t = {
   mutable misses : int;
 }
 
-let create ?(cache_cap = 64) ?(batch = 32) ?(magazine = true) ?(sanitize = false)
-    ~max_threads mem =
+let create ?(cache_cap = 64) ?(batch = 32) ?(sanitize = false) ~max_threads mem =
   {
     mem;
     central = Array.init Size_class.count (fun _ -> Vec.create ());
@@ -43,7 +41,6 @@ let create ?(cache_cap = 64) ?(batch = 32) ?(magazine = true) ?(sanitize = false
     large_free = Hashtbl.create 16;
     cache_cap;
     batch;
-    magazine;
     sanitize;
     generations = Hashtbl.create 64;
     mallocs = 0;
@@ -94,30 +91,21 @@ let cache_row t tid =
 let malloc_small t ~tid n =
   let cls = Size_class.of_size n in
   let addr =
-    if not t.magazine then begin
-      (* Magazines off: every small allocation goes to the central list. *)
+    let cache = (cache_row t tid).(cls) in
+    if not (Vec.is_empty cache) then begin
+      t.hits <- t.hits + 1;
+      Vec.pop cache
+    end
+    else begin
       let central = t.central.(cls) in
       if Vec.is_empty central then refill_central t cls;
       t.misses <- t.misses + 1;
+      (* Move up to half a batch into the cache, keep one for the caller. *)
+      let take = min (t.batch / 2) (Vec.length central - 1) in
+      for _ = 1 to take do
+        Vec.push cache (Vec.pop central)
+      done;
       Vec.pop central
-    end
-    else begin
-      let cache = (cache_row t tid).(cls) in
-      if not (Vec.is_empty cache) then begin
-        t.hits <- t.hits + 1;
-        Vec.pop cache
-      end
-      else begin
-        let central = t.central.(cls) in
-        if Vec.is_empty central then refill_central t cls;
-        t.misses <- t.misses + 1;
-        (* Move up to half a batch into the cache, keep one for the caller. *)
-        let take = min (t.batch / 2) (Vec.length central - 1) in
-        for _ = 1 to take do
-          Vec.push cache (Vec.pop central)
-        done;
-        Vec.pop central
-      end
     end
   in
   activate t addr (Size_class.size cls);
@@ -168,17 +156,14 @@ let free t ~tid addr =
     if Size_class.is_small block_w && Size_class.size (Size_class.of_size block_w) = block_w
     then begin
       let cls = Size_class.of_size block_w in
-      if not t.magazine then Vec.push t.central.(cls) addr
-      else begin
-        let cache = (cache_row t tid).(cls) in
-        Vec.push cache addr;
-        if Vec.length cache > t.cache_cap then begin
-          let central = t.central.(cls) in
-          for _ = 1 to t.batch do
-            Vec.push central (Vec.pop cache)
-          done;
-          t.flushes <- t.flushes + 1
-        end
+      let cache = (cache_row t tid).(cls) in
+      Vec.push cache addr;
+      if Vec.length cache > t.cache_cap then begin
+        let central = t.central.(cls) in
+        for _ = 1 to t.batch do
+          Vec.push central (Vec.pop cache)
+        done;
+        t.flushes <- t.flushes + 1
       end
     end
     else begin
@@ -342,8 +327,6 @@ let central_refills t = t.refills
 let cache_flushes t = t.flushes
 
 let cache_misses t = t.misses
-
-let magazines_enabled t = t.magazine
 
 let pp_stats ppf t =
   Fmt.pf ppf

@@ -16,7 +16,6 @@ type t
 val create :
   ?cache_cap:int ->
   ?batch:int ->
-  ?magazine:bool ->
   ?sanitize:bool ->
   max_threads:int ->
   Mem.t ->
@@ -24,12 +23,6 @@ val create :
 (** [create ~max_threads mem] builds an allocator with one cache per thread
     id in [0, max_threads).  [cache_cap] (default 64) bounds a per-class
     cache; [batch] (default 32) is the cache<->central transfer size.
-
-    [magazine] (default [true]) enables the per-thread magazines (the
-    size-class caches with batched refill/flush against the central
-    lists).  [false] routes every small [malloc]/[free] straight to the
-    central free list — the configuration benchmarked as the
-    no-magazine baseline.
 
     [sanitize] (default [false]) enables heap-sanitizer mode: every block
     carries a trailing canary word (checked on [free], clobbering reports
@@ -110,10 +103,7 @@ val cache_flushes : t -> int
 (** Magazine overflows flushed to a central list, [batch] blocks each. *)
 
 val cache_misses : t -> int
-(** Small allocations that had to go to a central list (every small
-    allocation, when magazines are off).  Hit rate is
+(** Small allocations that had to go to a central list.  Hit rate is
     [hits / (hits + misses)]. *)
-
-val magazines_enabled : t -> bool
 
 val pp_stats : Format.formatter -> t -> unit

@@ -724,12 +724,7 @@ let test_help_free_still_catches_seeded_bug () =
      must surface exactly as it does without them, and the failing spec
      must replay with its flags intact. *)
   let base =
-    {
-      help_free_base with
-      Scenario.ds = Scenario.Churn;
-      magazine = false;
-      inject = Threadscan.Skip_carryover;
-    }
+    { help_free_base with Scenario.ds = Scenario.Churn; inject = Threadscan.Skip_carryover }
   in
   let s = Explore.sweep (Explore.sweep_specs ~base ~schedules:4 ~seed0:0 ~pct_depth:3) in
   check_bool "seeded bug caught with help-free on" true (s.Explore.failures <> []);
@@ -739,8 +734,7 @@ let test_help_free_still_catches_seeded_bug () =
     let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
     go 0
   in
-  check_bool "replay command carries help-free" true (contains cmd "--help-free");
-  check_bool "replay command carries the magazine toggle" true (contains cmd "--no-magazine")
+  check_bool "replay command carries help-free" true (contains cmd "--help-free")
 
 (* ------------------- forked exploration vs replay-from-seed --------------- *)
 

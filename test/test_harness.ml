@@ -123,6 +123,29 @@ let test_scale_parsing () =
   Alcotest.(check bool) "paper" true (Experiment.scale_of_string "paper" = Some Experiment.Paper);
   Alcotest.(check bool) "junk" true (Experiment.scale_of_string "banana" = None)
 
+(* The sweep oracle on a real quick point: leaky's outstanding nodes are
+   exempt (it does not reclaim), every reclaiming scheme flushed to zero;
+   the same point with one threadscan cell leaking one node fails. *)
+let test_sweep_oracle () =
+  let point = List.hd (Experiment.fig5 ~backend:Workload.Backend_sim Experiment.Quick) in
+  let leaky = List.assoc "leaky" point.Experiment.cells in
+  Alcotest.(check bool) "leaky leaks here" true (leaky.Workload.outstanding > 0);
+  Alcotest.(check (list string)) "real point is clean" [] (Experiment.sweep_violations [ point ]);
+  let leaking =
+    {
+      point with
+      Experiment.cells =
+        List.map
+          (fun (label, r) ->
+            (label, if label = "threadscan" then { r with Workload.outstanding = 1 } else r))
+          point.Experiment.cells;
+    }
+  in
+  Alcotest.(check (list string))
+    "one leaking threadscan cell"
+    [ Fmt.str "%d threads, threadscan: outstanding = 1 after flush" point.Experiment.threads ]
+    (Experiment.sweep_violations [ leaking ])
+
 (* Canonical-name stability: the id a scheme prints is the same one the
    CLIs parse — no parameter suffixes leak into labels; tuning rides in a
    separate params assoc. *)
@@ -161,6 +184,7 @@ let () =
         [
           Alcotest.test_case "every figure has a target" `Quick test_names_cover_every_figure;
           Alcotest.test_case "scale parsing" `Quick test_scale_parsing;
+          Alcotest.test_case "sweep oracle" `Quick test_sweep_oracle;
           Alcotest.test_case "scheme names" `Quick test_scheme_names;
         ] );
     ]
