@@ -55,14 +55,12 @@ let scheme_conv =
 
 let fault_conv =
   let parse s =
-    match Scenario.fault_of_string s with
-    | Some f -> Ok f
-    | None ->
-        Error
-          (`Msg
-             (Fmt.str "unknown fault %S (none|crash:<victims>@<after>|stall:<victims>@<after>:<cycles>)" s))
+    match Ts_util.Fault_plan.parse s with
+    | Error e -> Error (`Msg e)
+    | Ok plan -> (
+        match Scenario.check_fault plan with Ok () -> Ok plan | Error e -> Error (`Msg e))
   in
-  Arg.conv (parse, fun ppf f -> Fmt.string ppf (Scenario.fault_to_string f))
+  Arg.conv (parse, fun ppf f -> Fmt.string ppf (Ts_util.Fault_plan.to_string f))
 
 let policy_conv =
   let parse s =
@@ -105,7 +103,7 @@ let inject_arg =
 let fault_arg =
   Arg.(
     value
-    & opt fault_conv Scenario.Fault_none
+    & opt fault_conv []
     & info [ "fault" ]
         ~doc:
           "Environment fault the protocol must survive \
@@ -273,8 +271,7 @@ let sweep_cmd =
     if step_budget > 0 then Fmt.pr "step budget: %d per structure@." step_budget;
     if inject <> Threadscan.No_fault then
       Fmt.pr "injected bug: %s@." (Scenario.inject_to_string inject);
-    if fault <> Scenario.Fault_none then
-      Fmt.pr "injected fault: %s@." (Scenario.fault_to_string fault);
+    if fault <> [] then Fmt.pr "injected fault: %s@." (Ts_util.Fault_plan.to_string fault);
     if analyze then Fmt.pr "analysis: happens-before + lifecycle checkers on@.";
     (match bug with
     | Some b -> Fmt.pr "seeded bug: %s (ds forced to %s)@." (Scenario.bug_to_string b)
@@ -395,7 +392,7 @@ let replay_cmd =
       threads ops key_range buffer_size
       (if help_free then " help-free" else "")
       (Scenario.inject_to_string inject)
-      (Scenario.fault_to_string fault)
+      (Ts_util.Fault_plan.to_string fault)
       (Scenario.policy_to_string policy)
       seed
       (if analyze then " race" else "")

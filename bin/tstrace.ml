@@ -27,8 +27,10 @@
    --fault also accepts a full Ts_util.Fault_plan expression
    (e.g. "stall:2@800:forever,release:2@40000"): each clause fires on
    worker tids 1..V after advancing the trigger's virtual cycles, so the
-   timeline shows exactly when the chaos landed.  The bare crash/stall
-   keywords keep their historical one-victim shapes. *)
+   timeline shows exactly when the chaos landed.  A plan that parks a
+   victim forever (a forever stall with no release) is refused: the
+   trace would never end.  The bare crash/stall keywords are one-victim
+   shapes fired at once. *)
 
 module Sim = Ts_sim.Runtime (* tslint: allow facade -- trace replay drives the simulator backend directly *)
 module Runtime = Ts_rt
@@ -37,6 +39,7 @@ module Frame = Ts_rt.Frame
 module Ptr = Ts_umem.Ptr
 module Smr = Ts_smr.Smr
 module Registry = Ts_scheme.Registry
+module Fault_plan = Ts_util.Fault_plan
 
 let default_scheme = "threadscan"
 
@@ -66,7 +69,11 @@ let parse_args () =
         go rest
     | "--fault" :: f :: rest ->
         if not (List.mem f [ "none"; "crash"; "stall" ]) then begin
-          match Ts_util.Fault_plan.parse f with
+          match Fault_plan.parse f with
+          | Ok plan when Fault_plan.parks_forever plan ->
+              failwith
+                ("fault plan " ^ f
+               ^ " parks a victim forever and the trace would never end; add a release clause")
           | Ok _ -> ()
           | Error e -> failwith ("unknown fault: " ^ f ^ " (none|crash|stall) or a plan: " ^ e)
         end;
@@ -166,30 +173,24 @@ let () =
             leaves it frozen mid-hold, so the reclaimer must suspect it and
             proxy-scan its stack to keep the node alive until it wakes. *)
          (match fault with
-         | "crash" -> Runtime.crash 1
-         | "stall" -> Runtime.stall ~cycles:30_000 1
+         | "crash" -> Fault_plan.inflict 1 Crash
+         | "stall" -> Fault_plan.inflict 1 (Stall (Bounded 30_000))
          | "none" -> ()
          | plan ->
              (* full plan: fire each clause on worker tids 1..V, advancing
                 to its (virtual-cycle) trigger first.  Wall-clock triggers
                 have no meaning in the sim. *)
              let clauses =
-               match Ts_util.Fault_plan.parse plan with Ok cs -> cs | Error e -> failwith e
+               match Fault_plan.parse plan with Ok cs -> cs | Error e -> failwith e
              in
              List.iter
-               (fun { Ts_util.Fault_plan.victims; at; event } ->
+               (fun { Fault_plan.victims; at; event } ->
                  (match at with
-                 | Ts_util.Fault_plan.At k -> Runtime.advance k
-                 | Ts_util.Fault_plan.At_ms _ ->
+                 | Fault_plan.At k -> Runtime.advance k
+                 | Fault_plan.At_ms _ ->
                      failwith "wall-clock (ms) triggers need the native backend");
                  for v = 1 to min victims nthreads do
-                   match event with
-                   | Ts_util.Fault_plan.Crash -> Runtime.crash v
-                   | Ts_util.Fault_plan.Stall (Bounded c) -> Runtime.stall ~cycles:c v
-                   | Ts_util.Fault_plan.Stall Forever -> Runtime.stall v
-                   | Ts_util.Fault_plan.Unstall -> Runtime.unstall v
-                   | Ts_util.Fault_plan.Drop_signals n -> Runtime.drop_signals v n
-                   | Ts_util.Fault_plan.Delay_signals c -> Runtime.delay_signals v c
+                   Fault_plan.inflict v event
                  done)
                clauses);
          (* the main thread retires nodes until its buffer overflows: it

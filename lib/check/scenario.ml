@@ -5,17 +5,13 @@ module Ptr = Ts_umem.Ptr
 module Smr = Ts_smr.Smr
 module Set_intf = Ts_ds.Set_intf
 module Registry = Ts_scheme.Registry
+module Fault_plan = Ts_util.Fault_plan
 
 type ds_kind = List_ds | Hash_ds | Skip_ds | Lazy_ds | Churn
 
 type policy = Timed | Uniform | Pct of int
 
 type bug = Bug_elide_lock | Bug_retire_early | Bug_skip_fence
-
-type fault =
-  | Fault_none
-  | Fault_crash of { victims : int; after : int }
-  | Fault_stall of { victims : int; after : int; cycles : int }
 
 type spec = {
   ds : ds_kind;
@@ -26,7 +22,7 @@ type spec = {
   buffer_size : int;
   help_free : bool;
   inject : Threadscan.inject;
-  fault : fault;
+  fault : Fault_plan.t;
   policy : policy;
   seed : int;
   analyze : bool;
@@ -43,7 +39,7 @@ let default =
     buffer_size = 8;
     help_free = false;
     inject = Threadscan.No_fault;
-    fault = Fault_none;
+    fault = [];
     policy = Uniform;
     seed = 0;
     analyze = false;
@@ -117,24 +113,27 @@ let inject_of_string = function
   | "stall-mid-phase" -> Some Threadscan.Stall_mid_phase
   | _ -> None
 
-let fault_to_string = function
-  | Fault_none -> "none"
-  | Fault_crash { victims; after } -> Fmt.str "crash:%d@%d" victims after
-  | Fault_stall { victims; after; cycles } -> Fmt.str "stall:%d@%d:%d" victims after cycles
-
-(* The checker's fault surface is the single-clause, op-count-triggered
-   subset of the shared {!Ts_util.Fault_plan} grammar: exactly one
-   [crash:V@K] or bounded [stall:V@K:C].  Wall-clock triggers, forever
-   stalls, releases, and signal faults only make sense under a real
-   scheduler and stay rejected here — the harness's chaos plans own
-   them. *)
-let fault_of_string s =
-  match Ts_util.Fault_plan.parse s with
-  | Ok [] -> Some Fault_none
-  | Ok [ { victims; at = At after; event = Crash } ] -> Some (Fault_crash { victims; after })
-  | Ok [ { victims; at = At after; event = Stall (Bounded cycles) } ] ->
-      Some (Fault_stall { victims; after; cycles })
-  | Ok _ | Error _ -> None
+(* The checker's fault surface is a subset of the shared plan grammar:
+   one op-count-triggered crash or bounded stall.  A forever stall, a
+   release, signal faults and wall-clock triggers only make sense under
+   a real scheduler and stay with the harness's chaos plans. *)
+let check_fault (plan : Fault_plan.t) =
+  let outside what why =
+    Error
+      (Fmt.str "fault %s is outside the checker's subset (none, crash:V@K, stall:V@K:C): %s"
+         what why)
+  in
+  let clause c = Fmt.str "clause %S" (Fault_plan.clause_to_string c) in
+  match plan with
+  | [] | [ { at = At _; event = Crash | Stall (Bounded _); _ } ] -> Ok ()
+  | [ ({ at = At_ms _; _ } as c) ] ->
+      outside (clause c) "the checker triggers on completed operations, not wall-clock time"
+  | [ ({ event = Stall Forever; _ } as c) ] ->
+      outside (clause c) "a stall that never ends would park its victim for the rest of the run"
+  | [ ({ event = Unstall; _ } as c) ] -> outside (clause c) "the checker's stalls end on their own"
+  | [ ({ event = Drop_signals _ | Delay_signals _; _ } as c) ] ->
+      outside (clause c) "signal faults need the harness's chaos plans"
+  | _ -> outside (Fmt.str "plan %S" (Fault_plan.to_string plan)) "the checker takes one clause"
 
 let replay_command spec =
   Fmt.str
@@ -144,7 +143,7 @@ let replay_command spec =
     (if spec.scheme = default.scheme then "" else " --scheme " ^ spec.scheme)
     spec.threads spec.ops spec.key_range spec.buffer_size
     (if spec.help_free then " --help-free" else "")
-    (inject_to_string spec.inject) (fault_to_string spec.fault) (policy_to_string spec.policy)
+    (inject_to_string spec.inject) (Fault_plan.to_string spec.fault) (policy_to_string spec.policy)
     spec.seed
     (if spec.analyze then " --race" else "")
     (match spec.bug with None -> "" | Some b -> " --bug " ^ bug_to_string b)
@@ -165,18 +164,16 @@ let failed o = o.violations <> []
 let expected_steps spec = spec.threads * spec.ops * 250
 
 (* Self-injection point, called by worker [i] before its [n]-th operation
-   (1-based).  The victim set is the [victims] lowest-indexed workers, and
-   the injection lands deterministically after [after] completed operations
-   — so a failing spec replays exactly, fault included.  A crash never
+   (1-based).  For a clause [V@K] the victim set is the [V] lowest-indexed
+   workers, and the injection lands deterministically after [K] completed
+   operations — so a failing spec replays exactly, fault included.  A crash never
    returns (the fiber is killed); a stalled worker resumes here and finishes
    its remaining operations, exercising suspect → recovery (or reap →
    re-admission) on the reclaimer side. *)
 let fault_hook spec i n =
   match spec.fault with
-  | Fault_crash { victims; after } when i < victims && n = after + 1 ->
-      Runtime.crash (Runtime.self ())
-  | Fault_stall { victims; after; cycles } when i < victims && n = after + 1 ->
-      Runtime.stall ~cycles (Runtime.self ())
+  | [ { victims; at = At after; event } ] when i < victims && n = after + 1 ->
+      Fault_plan.inflict (Runtime.self ()) event
   | _ -> ()
 
 (* Set workload: concurrent inserts/removes/contains over one of the lib/ds
@@ -335,6 +332,7 @@ let run_churn rt spec (smr : Smr.t) ~pinned =
   (baseline, [])
 
 let run ?configure ?trace spec =
+  Result.iter_error invalid_arg (check_fault spec.fault);
   let d = Registry.get spec.scheme in
   (* Capability guards, before any runtime exists.  The protocol
      injection points live inside the ThreadScan collect protocol. *)
@@ -371,7 +369,7 @@ let run ?configure ?trace spec =
          runs get headroom — blind phases and overflow churn retry work. *)
       max_steps =
         (200_000 + (spec.threads * spec.ops * 2_000))
-        * (match spec.fault with Fault_none -> 1 | _ -> 4);
+        * (match spec.fault with [] -> 1 | _ -> 4);
     }
   in
   (* TSCHECK_TRACE=1 streams the scheduler/protocol trace of every run to
@@ -443,7 +441,7 @@ let run ?configure ?trace spec =
              epoch_batch = 8;
              budgets =
                (match (spec.fault, spec.inject) with
-               | ( Fault_none,
+               | ( [],
                    (Threadscan.No_fault | Skip_carryover | Skip_ack_wait | Skip_proxy_scan) ) ->
                    None
                | _, _ ->
@@ -517,7 +515,7 @@ let run ?configure ?trace spec =
            (* the scheme's per-corpse budget (in-flight retires, stranded
               protection slots, a lost batch ...) per crashed thread *)
            (match spec.fault with
-           | Fault_crash { victims; _ } ->
+           | [ { victims; event = Crash; _ } ] ->
                victims * d.Registry.crash_leak_per_victim rspec.Registry.params
            | _ -> 0)
            + (match spec.inject with Threadscan.Crash_mid_phase -> 1 | _ -> 0)

@@ -53,21 +53,6 @@ type bug =
           boundary), so a cleanup frees under a live traversal:
           free-vs-read race + sanitizer use-after-free *)
 
-(** Environment fault plan: the [victims] lowest-indexed workers self-inject
-    after [after] completed operations.  Unlike {!Threadscan.inject} (a
-    deliberate {e protocol} bug that must produce a violation), a fault is a
-    legal execution — crashes and stalls are things the paper's signal-based
-    protocol must survive, so a faulted run is held to the same oracles as a
-    clean one. *)
-type fault =
-  | Fault_none
-  | Fault_crash of { victims : int; after : int }
-      (** victims die mid-workload ([SIGKILL]-style, no cleanup, still
-          registered with the SMR). *)
-  | Fault_stall of { victims : int; after : int; cycles : int }
-      (** victims are descheduled for [cycles] virtual cycles, then resume
-          and finish their operations. *)
-
 type spec = {
   ds : ds_kind;
   scheme : string;
@@ -82,7 +67,16 @@ type spec = {
   buffer_size : int;  (** ThreadScan per-thread delete buffer *)
   help_free : bool;
   inject : Threadscan.inject;  (** deliberate bug, for checker validation *)
-  fault : fault;  (** injected environment fault the protocol must survive *)
+  fault : Ts_util.Fault_plan.t;
+      (** injected environment fault the protocol must survive, within
+          the subset {!check_fault} admits: the [V] lowest-indexed
+          workers self-inject after [K] completed operations.  Unlike
+          {!Threadscan.inject} (a deliberate {e protocol} bug that must
+          produce a violation), a fault is a legal execution — crashed
+          victims die mid-workload ([SIGKILL]-style, no cleanup, still
+          registered with the SMR), stalled ones are descheduled for
+          the clause's cycles and then finish their operations — so a
+          faulted run is held to the same oracles as a clean one. *)
   policy : policy;
   seed : int;
   analyze : bool;
@@ -119,11 +113,10 @@ val inject_to_string : Threadscan.inject -> string
 
 val inject_of_string : string -> Threadscan.inject option
 
-val fault_to_string : fault -> string
-
-val fault_of_string : string -> fault option
-(** ["none"], ["crash:<victims>\@<after>"], or
-    ["stall:<victims>\@<after>:<cycles>"]. *)
+val check_fault : Ts_util.Fault_plan.t -> (unit, string) result
+(** The checker's subset of the fault-plan grammar: the empty plan, or
+    one op-count-triggered clause whose event is a crash or a bounded
+    stall.  [Error] names the clause outside it and says why. *)
 
 val replay_command : spec -> string
 (** The exact shell command that reproduces this run. *)
@@ -147,9 +140,10 @@ val run :
   outcome
 (** Deterministic: same spec, same outcome.
 
-    @raise Invalid_argument when the scheme's registry capabilities rule
-    the spec out: a protocol injection on a scheme without the ThreadScan
-    collect protocol, or a neutralizing scheme paired with a lock-based
+    @raise Invalid_argument when [spec.fault] is outside {!check_fault},
+    or when the scheme's registry capabilities rule the spec out: a
+    protocol injection on a scheme without the ThreadScan collect
+    protocol, or a neutralizing scheme paired with a lock-based
     structure ([Lazy_ds], [Skip_ds]).
 
     [configure] runs right after the runtime is created and before any

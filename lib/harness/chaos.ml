@@ -14,11 +14,11 @@ type report = {
 }
 
 (* Clause ownership: a worker can inflict cycle-triggered faults on
-   itself (the trigger is its own virtual clock, like the classic
-   [Workload.fault] hook); everything else — wall-clock triggers,
-   releases of parked victims — needs the monitor.  [fired] flags are
-   written only by their owner (worker [i] writes slot [i]; the monitor
-   owns its own list), so no locking is needed on the hot path. *)
+   itself (the trigger is its own virtual clock); everything else —
+   wall-clock triggers, releases of parked victims — needs the monitor.
+   [fired] flags are written only by their owner (worker [i] writes slot
+   [i]; the monitor owns its own list), so no locking is needed on the
+   hot path. *)
 type worker_clause = { wc : Fault_plan.clause; fired : bool array }
 
 type monitor_clause = { mc : Fault_plan.clause; mutable mfired : bool }
@@ -120,23 +120,12 @@ let note_fired t smr (c : Fault_plan.clause) =
         t.last_signals <- t.base_signals
       end)
 
-let inflict_self (smr : Smr.t) (event : Fault_plan.event) =
-  let self = Runtime.self () in
-  match event with
-  | Fault_plan.Crash ->
-      (* inside a bracketed operation, like the classic injection: the
-         victim dies holding its op open — worst case for epochs *)
-      smr.Smr.op_begin ();
-      Runtime.crash self
-  | Fault_plan.Stall d ->
-      smr.Smr.op_begin ();
-      (match d with
-      | Fault_plan.Bounded n -> Runtime.stall ~cycles:n self
-      | Fault_plan.Forever -> Runtime.stall self);
-      smr.Smr.op_end ()
-  | Fault_plan.Drop_signals n -> Runtime.drop_signals self n
-  | Fault_plan.Delay_signals c -> Runtime.delay_signals self c
-  | Fault_plan.Unstall -> ()
+(* Lands inside a bracketed operation: a crashed victim dies holding its
+   op open, the worst case for epoch-style schemes. *)
+let inflict_self (smr : Smr.t) event =
+  smr.Smr.op_begin ();
+  Fault_plan.inflict (Runtime.self ()) event;
+  smr.Smr.op_end ()
 
 let worker_hook t smr ~i =
   List.iter
@@ -166,13 +155,7 @@ let fire_monitor t smr =
           note_fired t smr c;
           (* worker tids are 1..threads: main is 0, the monitor is last *)
           for v = 1 to min c.Fault_plan.victims t.threads do
-            match c.Fault_plan.event with
-            | Fault_plan.Unstall -> Runtime.unstall v
-            | Fault_plan.Crash -> Runtime.crash v
-            | Fault_plan.Stall (Fault_plan.Bounded n) -> Runtime.stall ~cycles:n v
-            | Fault_plan.Stall Fault_plan.Forever -> Runtime.stall v
-            | Fault_plan.Drop_signals n -> Runtime.drop_signals v n
-            | Fault_plan.Delay_signals cyc -> Runtime.delay_signals v cyc
+            Fault_plan.inflict v c.Fault_plan.event
           done
         end
       end)

@@ -6,9 +6,8 @@
     - {!worker_hook} runs inside each worker's operation loop and fires
       the {e self-inflicted} clauses — cycle-triggered ([V\@K]) crash,
       stall, drop-signals and delay-signals on workers [0..V-1], landing
-      inside an [op_begin] bracket exactly like the classic
-      [Workload.fault] injection, which is the worst case for
-      epoch-style schemes.
+      inside an [op_begin] bracket, which is the worst case for
+      epoch-style schemes (a crashed victim never reaches [op_end]).
     - {!monitor} is the body of one extra logical thread that fires the
       clauses a victim cannot deliver to itself — wall-clock ([V\@Kms])
       triggers and [release] clauses — and samples recovery metrics

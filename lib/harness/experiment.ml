@@ -1,4 +1,5 @@
 module Registry = Ts_scheme.Registry
+module Fault_plan = Ts_util.Fault_plan
 
 type scale = Quick | Full | Paper
 
@@ -303,10 +304,10 @@ let ablate_crash ~backend scale =
   let spec, ts_buffer = base_spec scale Workload.List_ds in
   let threads = match scale with Quick -> 8 | _ -> 16 in
   let base_horizon = spec.Workload.horizon in
-  let fault = Workload.Fault_crash { victims = 1; at = base_horizon / 4 } in
+  let chaos = [ { Fault_plan.victims = 1; at = At (base_horizon / 4); event = Crash } ] in
   let patience = max 20_000 (base_horizon / 10) in
   let series mult =
-    let spec = { spec with Workload.threads; fault; horizon = mult * base_horizon } in
+    let spec = { spec with Workload.threads; chaos; horizon = mult * base_horizon } in
     [
       ( "threadscan",
         { spec with Workload.scheme = Registry.spec ~buffer:ts_buffer "threadscan" }
@@ -344,6 +345,8 @@ let ablate_structures ~backend scale =
       ]
   in
   run_sweep ~backend ~threads_list ~series
+
+let crashes plan = List.exists (fun c -> c.Fault_plan.event = Fault_plan.Crash) plan
 
 (* Chaos recovery: the crash/stall degradation ablation rerun on the
    native backend with real-domain fault injection.  One worker is taken
@@ -387,27 +390,22 @@ let chaos_recovery ~backend scale =
   List.mapi
     (fun idx plan_str ->
       let plan =
-        match Ts_util.Fault_plan.parse plan_str with
+        match Fault_plan.parse plan_str with
         | Ok p -> p
         | Error e -> invalid_arg ("chaos-recovery: " ^ e)
       in
-      let forever =
-        Ts_util.Fault_plan.has_forever plan && not (Ts_util.Fault_plan.has_release plan)
-      in
-      let crash =
-        List.exists (fun c -> c.Ts_util.Fault_plan.event = Ts_util.Fault_plan.Crash) plan
-      in
+      let forever = Fault_plan.parks_forever plan and crash = crashes plan in
       let cells =
         List.map
           (fun (label, s) ->
             (* An unreleased stall-forever parks its victim until the
                watchdog fires, so every scheme's *run* wedges on that row
                by design; under a crash only schemes whose registry entry
-               is not crash-tolerant (quiescence waiters) do.  Any other
+               says they wedge under a stall (quiescence waiters) do.  Any other
                wedge may be a loaded machine starving the run, so it is
                rerun once and the rerun is kept, wedged or not. *)
             let caps = (Registry.descriptor s.Workload.scheme).Registry.caps in
-            let wedge_expected = forever || (crash && not caps.Registry.crash_tolerant) in
+            let wedge_expected = forever || (crash && caps.Registry.wedges_under_stall) in
             let s = { s with Workload.chaos = plan } in
             let r = Workload.run s in
             (label, if r.Workload.wedged && not wedge_expected then Workload.run s else r))
@@ -479,15 +477,6 @@ let degradation_summary points =
     "(outstanding = retired - freed after flush; epoch cannot reclaim anything retired after \
      the crash, threadscan reaps the corpse and keeps the count bounded)@."
 
-let chaos_plan_features plan =
-  let forever =
-    Ts_util.Fault_plan.has_forever plan && not (Ts_util.Fault_plan.has_release plan)
-  in
-  let crash =
-    List.exists (fun c -> c.Ts_util.Fault_plan.event = Ts_util.Fault_plan.Crash) plan
-  in
-  (forever, crash)
-
 let chaos_summary points =
   Fmt.pr "@.== chaos-recovery == (native fault injection; times are wall-clock ms after the fault)@.";
   Fmt.pr "%-24s %-12s %-6s %9s %9s %10s %10s %8s %12s@." "plan" "scheme" "wedged" "baseline"
@@ -501,7 +490,7 @@ let chaos_summary points =
           | None -> ()
           | Some c ->
               Fmt.pr "%-24s %-12s %-6b %9d %9d %10s %10s %8d %12d@."
-                (Ts_util.Fault_plan.to_string r.Workload.spec.Workload.chaos)
+                (Fault_plan.to_string r.Workload.spec.Workload.chaos)
                 label r.Workload.wedged c.Chaos.baseline_outstanding c.Chaos.peak_outstanding
                 (ms c.Chaos.takeover_after) (ms c.Chaos.recover_after) c.Chaos.storm_signals
                 r.Workload.outstanding)
@@ -522,8 +511,8 @@ let chaos_oracle points =
       List.iter
         (fun (label, r) ->
           let plan = r.Workload.spec.Workload.chaos in
-          let forever, crash = chaos_plan_features plan in
-          let cell = Fmt.str "%s/%s" (Ts_util.Fault_plan.to_string plan) label in
+          let forever = Fault_plan.parks_forever plan and crash = crashes plan in
+          let cell = Fmt.str "%s/%s" (Fault_plan.to_string plan) label in
           if r.Workload.faults > 0 then
             bad "%s: %d memory faults (must be 0)" cell r.Workload.faults;
           match r.Workload.chaos with
@@ -607,8 +596,7 @@ let sweep_violations points =
         (fun (label, r) ->
           let spec = r.Workload.spec in
           if
-            spec.Workload.fault = Workload.Fault_none
-            && spec.Workload.chaos = []
+            spec.Workload.chaos = []
             && (Registry.descriptor spec.Workload.scheme).Registry.caps.Registry.reclaims
             && r.Workload.outstanding <> 0
           then
@@ -661,19 +649,22 @@ let json_mag_suffix (r : Workload.result) =
   | _ -> ""
 
 (* Appended to a cell only when that run carried a chaos plan, so every
-   pre-existing consumer of the JSON sees unchanged bytes. *)
-let json_chaos_suffix (r : Workload.result) =
+   pre-existing consumer of the JSON sees unchanged bytes.  The three
+   times are in the chaos clock's unit: ns natively, virtual cycles on
+   the sim. *)
+let json_chaos_suffix ~backend (r : Workload.result) =
   match r.Workload.chaos with
   | None -> ""
   | Some c ->
+      let u = match backend with Workload.Backend_sim -> "cycles" | _ -> "ns" in
       Fmt.str
-        ", \"wedged\": %b, \"chaos_plan\": \"%s\", \"fault_at_ns\": %d, \
-         \"baseline_outstanding\": %d, \"peak_outstanding\": %d, \"takeover_ns\": %d, \
-         \"recover_ns\": %d, \"storm_signals\": %d"
+        ", \"wedged\": %b, \"chaos_plan\": \"%s\", \"fault_at_%s\": %d, \
+         \"baseline_outstanding\": %d, \"peak_outstanding\": %d, \"takeover_%s\": %d, \
+         \"recover_%s\": %d, \"storm_signals\": %d"
         r.Workload.wedged
-        (json_escape (Ts_util.Fault_plan.to_string r.Workload.spec.Workload.chaos))
-        c.Chaos.fault_at c.Chaos.baseline_outstanding c.Chaos.peak_outstanding
-        c.Chaos.takeover_after c.Chaos.recover_after c.Chaos.storm_signals
+        (json_escape (Fault_plan.to_string r.Workload.spec.Workload.chaos))
+        u c.Chaos.fault_at c.Chaos.baseline_outstanding c.Chaos.peak_outstanding u
+        c.Chaos.takeover_after u c.Chaos.recover_after c.Chaos.storm_signals
 
 let json_of_points ~target ~backend ~scale points =
   let buf = Buffer.create 4096 in
@@ -699,7 +690,7 @@ let json_of_points ~target ~backend ~scale points =
                (json_escape (Workload.ds_kind_to_string r.Workload.spec.Workload.ds))
                r.Workload.ops r.Workload.throughput r.Workload.retired r.Workload.freed
                r.Workload.outstanding r.Workload.faults r.Workload.signals_delivered
-               (json_mag_suffix r) (json_chaos_suffix r)
+               (json_mag_suffix r) (json_chaos_suffix ~backend r)
                (if ci = List.length cells - 1 then "" else ",")))
         cells;
       Buffer.add_string buf

@@ -61,8 +61,8 @@ val print_points : title:string -> point list -> unit
     by tsperf ([bench/perf]), not here. *)
 
 val sweep_violations : point list -> string list
-(** The sweep oracle: one message per cell that ran without a [fault] or
-    [chaos] plan, under a scheme whose registry capabilities say it
+(** The sweep oracle: one message per cell that ran without a [chaos]
+    plan, under a scheme whose registry capabilities say it
     [reclaims], and still had [outstanding <> 0] after its flush. *)
 
 val json_of_points :
@@ -70,7 +70,9 @@ val json_of_points :
 (** The whole sweep as a JSON document (hand-emitted; no JSON dependency):
     target/backend/scale header plus one object per (threads, series) cell
     with ops, virtual throughput, the reclamation counters and the
-    allocator's magazine counters. *)
+    allocator's magazine counters.  A cell run under a chaos plan also
+    carries its {!Chaos.report}; its times are suffixed [_ns] on the
+    native backend and [_cycles] on the sim. *)
 
 val write_json :
   target:string -> backend:Workload.backend -> scale:scale -> point list -> string

@@ -14,22 +14,12 @@ let backend_to_string = function
 
 type ds_kind = List_ds | Hash_ds | Skip_ds | Lazy_ds | Split_ds
 
-type fault =
-  | Fault_none
-  | Fault_crash of { victims : int; at : int }
-  | Fault_stall of { victims : int; at : int; cycles : int }
-
 let ds_kind_to_string = function
   | List_ds -> "list"
   | Hash_ds -> "hash"
   | Skip_ds -> "skiplist"
   | Lazy_ds -> "lazy-list"
   | Split_ds -> "split-hash"
-
-let fault_to_string = function
-  | Fault_none -> "none"
-  | Fault_crash { victims; at } -> Fmt.str "crash:%d@%d" victims at
-  | Fault_stall { victims; at; cycles } -> Fmt.str "stall:%d@%d:%d" victims at cycles
 
 type spec = {
   ds : ds_kind;
@@ -46,7 +36,6 @@ type spec = {
   max_height : int;
   epoch_batch : int;
   stack_depth : int;
-  fault : fault;
   chaos : Ts_util.Fault_plan.t;
   watchdog_ms : int;
   seed : int;
@@ -70,7 +59,6 @@ let default_spec =
     max_height = 10;
     epoch_batch = 64;
     stack_depth = 64;
-    fault = Fault_none;
     chaos = [];
     watchdog_ms = 0;
     seed = 0xBE5;
@@ -104,12 +92,11 @@ let scheme_env spec =
     | List_ds | Hash_ds | Lazy_ds | Split_ds -> 3
   in
   let budgets =
-    (* Under injected faults (classic or chaos-plan) ThreadScan's
-       degradation ladder must fire within the horizon, so the budgets
-       scale with it instead of using the (deliberately generous)
-       defaults. *)
-    match (spec.fault, spec.chaos) with
-    | Fault_none, [] -> None
+    (* Under a fault plan ThreadScan's degradation ladder must fire
+       within the horizon, so the budgets scale with it instead of using
+       the (deliberately generous) defaults. *)
+    match spec.chaos with
+    | [] -> None
     | _ -> Some (Registry.fault_budgets ~horizon:spec.horizon)
   in
   {
@@ -139,37 +126,14 @@ let prefill spec (ds : Set_intf.t) =
     if ds.Set_intf.insert key key then incr inserted
   done
 
-(* Fault self-injection, between two data-structure operations.  The fault
-   lands {e inside} a bracketed operation ([op_begin] with no matching
-   [op_end] for a crash): for epoch-style schemes that is the worst case —
-   the victim's counter is parked odd and no quiescence wait involving it
-   ever succeeds — while ThreadScan's free [op_begin] leaves the victim
-   simply crashed/stalled with its buffer and stack for the reclaimer's
-   degradation ladder to deal with. *)
-let maybe_inject spec (smr : Smr.t) ~i ~start ~armed =
-  if !armed then
-    match spec.fault with
-    | Fault_crash { victims; at } when i < victims && Runtime.now () - start >= at ->
-        armed := false;
-        smr.Smr.op_begin ();
-        Runtime.crash (Runtime.self ())
-    | Fault_stall { victims; at; cycles } when i < victims && Runtime.now () - start >= at ->
-        armed := false;
-        smr.Smr.op_begin ();
-        Runtime.stall ~cycles (Runtime.self ());
-        smr.Smr.op_end ()
-    | _ -> ()
-
-let worker spec (smr : Smr.t) (ds : Set_intf.t) ~chaos ~i ~start ~deadline ~count () =
+let worker spec (smr : Smr.t) (ds : Set_intf.t) ~chaos ~i ~deadline ~count () =
   smr.Smr.thread_init ();
   (* Baseline call-chain frame: a real thread's used stack is far deeper
      than the data structure's own frame, and TS-Scan walks all of it. *)
   if spec.stack_depth > 0 then ignore (Ts_rt.Frame.push spec.stack_depth);
   let insert_below = spec.update_ratio /. 2.0 in
   let ops = ref 0 in
-  let armed = ref (spec.fault <> Fault_none) in
   while Runtime.now () < deadline do
-    maybe_inject spec smr ~i ~start ~armed;
     (match chaos with Some c -> Chaos.worker_hook c smr ~i | None -> ());
     let key = Runtime.rand_below spec.key_range in
     let dice = float_of_int (Runtime.rand_below 1_000_000) /. 1_000_000.0 in
@@ -201,7 +165,7 @@ let body spec counts retired freed extras ~chaos ~smr_cell () =
   let deadline = start + spec.horizon in
   let ws =
     List.init spec.threads (fun i ->
-        Runtime.spawn (worker spec smr ds ~chaos ~i ~start ~deadline ~count:counts.(i)))
+        Runtime.spawn (worker spec smr ds ~chaos ~i ~deadline ~count:counts.(i)))
   in
   (* The chaos monitor is spawned after the workers so their tids stay
      1..threads (the clause victim indexing the plan grammar promises). *)
@@ -271,8 +235,7 @@ let run_sim (spec : spec) =
     invalid_arg
       "Workload.run: wall-clock (ms) chaos triggers need the native backend (the sim has no \
        wall clock)";
-  if Ts_util.Fault_plan.has_forever spec.chaos && not (Ts_util.Fault_plan.has_release spec.chaos)
-  then
+  if Ts_util.Fault_plan.parks_forever spec.chaos then
     invalid_arg
       "Workload.run: an unreleased stall-forever plan never terminates on the sim backend; \
        add a release clause or use the native backend with a watchdog";
@@ -362,26 +325,12 @@ let run_native (spec : spec) ~pool =
    waiter forever — fatal for any scheme whose registry descriptor says
    [wedges_under_stall]. *)
 let chaos_wedges plan =
-  List.exists
-    (fun c ->
-      match c.Ts_util.Fault_plan.event with
-      | Ts_util.Fault_plan.Crash -> true
-      | Ts_util.Fault_plan.Stall Ts_util.Fault_plan.Forever ->
-          not (Ts_util.Fault_plan.has_release plan)
-      | _ -> false)
-    plan
+  Ts_util.Fault_plan.parks_forever plan
+  || List.exists (fun c -> c.Ts_util.Fault_plan.event = Ts_util.Fault_plan.Crash) plan
 
 let run (spec : spec) =
   let d = Registry.descriptor spec.scheme in
   let caps = d.Registry.caps in
-  (match spec.fault with
-  | Fault_crash _ when not caps.Registry.crash_tolerant ->
-      invalid_arg
-        (Fmt.str
-           "Workload.run: %s cannot survive a crash (its quiescence wait never returns); use a \
-            crash-tolerant scheme"
-           d.Registry.id)
-  | _ -> ());
   if caps.Registry.wedges_under_stall && chaos_wedges spec.chaos then (
     match spec.backend with
     | Backend_native _ when spec.watchdog_ms > 0 ->

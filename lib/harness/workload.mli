@@ -19,20 +19,7 @@ val backend_to_string : backend -> string
 
 type ds_kind = List_ds | Hash_ds | Skip_ds | Lazy_ds | Split_ds
 
-(** Environment fault: the [victims] lowest-indexed workers self-inject once
-    their clock passes [at] cycles after the measured interval starts.  The
-    injection lands {e inside} a bracketed operation (an [op_begin] that,
-    for a crash, never reaches its [op_end]) — the worst case for
-    epoch-style schemes, whose quiescence condition the victim then never
-    satisfies. *)
-type fault =
-  | Fault_none
-  | Fault_crash of { victims : int; at : int }
-  | Fault_stall of { victims : int; at : int; cycles : int }
-
 val ds_kind_to_string : ds_kind -> string
-
-val fault_to_string : fault -> string
 
 type spec = {
   ds : ds_kind;
@@ -54,15 +41,15 @@ type spec = {
   stack_depth : int;
       (** words of baseline call-chain stack each worker occupies (scanned
           by TS-Scan on every signal, like a real thread's used stack) *)
-  fault : fault;
-      (** injected crash/stall plan; under a fault, ThreadScan runs with
-          horizon-scaled degradation budgets so the ladder can fire *)
   chaos : Ts_util.Fault_plan.t;
-      (** multi-clause chaos plan ({!Chaos}): cycle-triggered clauses are
-          self-inflicted by the victims, wall-clock triggers and releases
-          are fired by a dedicated monitor thread that also samples
-          recovery metrics into [result.chaos].  [[]] (the default) adds
-          no monitor and leaves sim schedules untouched. *)
+      (** fault plan ({!Chaos}): cycle-triggered clauses are
+          self-inflicted by the victims inside an operation bracket,
+          wall-clock triggers and releases are fired by a dedicated
+          monitor thread that also samples recovery metrics into
+          [result.chaos].  Under a plan, ThreadScan runs with
+          horizon-scaled degradation budgets so the ladder can fire.
+          [[]] (the default) adds no monitor and leaves sim schedules
+          untouched. *)
   watchdog_ms : int;
       (** native backend only: arm {!Ts_par.Runtime}'s liveness watchdog
           so a wedged run (e.g. epoch under stall-forever) is killed and
@@ -98,14 +85,13 @@ type result = {
 val run : spec -> result
 (** Executes the workload on [spec.backend] — a fresh simulator, or a fresh
     domain pool for [Backend_native].  @raise Failure if the run produced
-    memory faults or a thread died (an injected {!fault} is not a death in
-    this sense — crashed victims are expected).
+    memory faults or a thread died (a victim of [spec.chaos] is not a
+    death in this sense — crashed victims are expected).
     @raise Invalid_argument when the scheme's registry capabilities rule
-    the spec out: {!Fault_crash} on a scheme that is not
-    [crash_tolerant], a wedging chaos plan (crash or unreleased
-    stall-forever clause) on a [wedges_under_stall] scheme without a
-    native watchdog to bound it, or a neutralizing scheme paired with a
-    lock-based structure.  Also when a chaos plan uses wall-clock
-    triggers on the sim backend, or when an unreleased stall-forever
-    chaos plan runs on the sim at all (virtual time would never end the
+    the spec out: a wedging chaos plan (a crash clause, or one that
+    {!Ts_util.Fault_plan.parks_forever}) on a [wedges_under_stall]
+    scheme without a native watchdog to bound it, or a neutralizing
+    scheme paired with a lock-based structure.  Also when a chaos plan
+    uses wall-clock triggers on the sim backend, or parks a victim
+    forever on the sim at all (virtual time would never end the
     run). *)

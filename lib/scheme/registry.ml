@@ -5,7 +5,6 @@
    through this table instead of matching on scheme names. *)
 
 type caps = {
-  crash_tolerant : bool;
   wedges_under_stall : bool;
   protect_slots : bool;
   ts_protocol : bool;
@@ -101,7 +100,6 @@ let build_threadscan env p =
 
 let no_reclaim =
   {
-    crash_tolerant = true;
     wedges_under_stall = false;
     protect_slots = false;
     ts_protocol = false;
@@ -112,7 +110,7 @@ let no_reclaim =
   }
 
 let reclaims = { no_reclaim with reclaims = true; pins_frames = false }
-let epoch_caps = { reclaims with crash_tolerant = false; wedges_under_stall = true }
+let epoch_caps = { reclaims with wedges_under_stall = true }
 
 let all =
   [

@@ -6,19 +6,19 @@
     ({!Ts_harness.Workload}, the chaos oracle, [tsbench], [tscheck],
     [tstrace], the backend conformance tests) goes through this table, so
     adding a scheme is one entry here and zero hand-maintained matches
-    elsewhere.  Capability flags replace the old per-call-site
-    scheme-name matches: the crash guard reads {!caps.crash_tolerant},
-    the stall-wedge guard reads {!caps.wedges_under_stall}, the chaos
-    oracle reads {!descriptor.chaos}, and the recovery ladder counts the
-    extras named in {!descriptor.recovery_extras}. *)
+    elsewhere.  Capability flags replace per-call-site scheme-name
+    matches: the wedge guard for crash and stall-forever plans reads
+    {!caps.wedges_under_stall}, the chaos oracle reads
+    {!descriptor.chaos}, and the recovery ladder counts the extras named
+    in {!descriptor.recovery_extras}. *)
 
 type caps = {
-  crash_tolerant : bool;
-      (** survives a mid-operation thread crash without wedging and with
-          at most a bounded leak; [false] makes [Fault_crash] invalid *)
   wedges_under_stall : bool;
-      (** an unreleased stall starves reclamation forever (quiescence
-          waiters): chaos plans with such triggers need a watchdog *)
+      (** a thread crashed or parked inside an operation starves
+          reclamation forever (quiescence waiters): fault plans with a
+          crash or an unreleased stall need a watchdog; every other
+          scheme survives a mid-operation crash with at most a bounded
+          leak *)
   protect_slots : bool;  (** dereferences require [protect ~slot] *)
   ts_protocol : bool;
       (** runs the ThreadScan collect protocol: [built.ts] is set, and

@@ -123,9 +123,14 @@ let to_string = function
 let has_wall_triggers t =
   List.exists (fun c -> match c.at with At_ms _ -> true | At _ -> false) t
 
-let has_forever t =
+let parks_forever t =
   List.exists (fun c -> c.event = Stall Forever) t
+  && not (List.exists (fun c -> c.event = Unstall) t)
 
-let has_release t = List.exists (fun c -> c.event = Unstall) t
-
-let needs_monitor t = has_wall_triggers t || has_release t
+let inflict tid = function
+  | Crash -> Ts_rt.crash tid
+  | Stall (Bounded c) -> Ts_rt.stall ~cycles:c tid
+  | Stall Forever -> Ts_rt.stall tid
+  | Unstall -> Ts_rt.unstall tid
+  | Drop_signals n -> Ts_rt.drop_signals tid n
+  | Delay_signals c -> Ts_rt.delay_signals tid c

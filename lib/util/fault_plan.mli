@@ -18,9 +18,15 @@
     ([crash:1\@250ms]) triggers on wall-clock milliseconds instead — only
     the native backend can honour those; the simulator has no wall clock.
 
-    The printer round-trips: [to_string] of a parsed single [crash:V\@K] /
-    [stall:V\@K:C] clause is byte-identical to what {!Ts_check} always
-    printed in replay commands. *)
+    The printer round-trips: [to_string] of a parsed plan reparses to the
+    same plan, and prints a canonical clause ([crash:V\@K],
+    [stall:V\@K:C]) byte-for-byte as written, so replay commands can
+    carry a plan verbatim.
+
+    Tools differ only in which plans they accept: the checker takes the
+    subset [Ts_check.Scenario.check_fault] admits, tstrace and the
+    simulator harness refuse wall-clock triggers and plans that
+    {!parks_forever}, and the native harness takes every plan. *)
 
 type stall_dur = Bounded of int  (** cycles *) | Forever
 
@@ -56,11 +62,12 @@ val grammar : string
 val has_wall_triggers : t -> bool
 (** Any [At_ms] clause present (the plan needs a wall clock)? *)
 
-val has_forever : t -> bool
-(** Any [stall:...:forever] clause present? *)
+val parks_forever : t -> bool
+(** Some clause stalls its victims forever and no [release] clause
+    wakes them: the plan parks a victim for good, so a run under it
+    ends only by a watchdog. *)
 
-val has_release : t -> bool
-
-val needs_monitor : t -> bool
-(** True when some clause cannot be fired by the victims themselves —
-    wall-clock triggers and releases need a third party watching. *)
+val inflict : int -> event -> unit
+(** [inflict tid event] delivers [event] to thread [tid] through
+    {!Ts_rt}: the one place a plan event becomes a runtime call.  A
+    thread that crashes itself does not return. *)

@@ -23,6 +23,7 @@ module Smr = Ts_smr.Smr
 module Backoff = Ts_sync.Backoff
 module Config = Threadscan.Config
 module Delete_buffer = Threadscan.Delete_buffer
+module Fault_plan = Ts_util.Fault_plan
 module Set_intf = Ts_ds.Set_intf
 module Scenario = Ts_check.Scenario
 module Explore = Ts_check.Explore
@@ -34,6 +35,11 @@ module Report = Ts_check.Report
 let check = Alcotest.(check int)
 
 let check_bool = Alcotest.(check bool)
+
+let contains hay needle =
+  let nh = String.length hay and nn = String.length needle in
+  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
+  go 0
 
 let cfg = Runtime.default_config
 
@@ -520,11 +526,6 @@ let test_explorer_catches_seeded_bug () =
   check_bool "shrink did not grow the spec" true
     (shrunk.Scenario.threads <= first.Scenario.threads && shrunk.Scenario.ops <= first.Scenario.ops);
   let cmd = Scenario.replay_command shrunk in
-  let contains hay needle =
-    let nh = String.length hay and nn = String.length needle in
-    let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-    go 0
-  in
   check_bool "replay command names the injection" true (contains cmd "skip-carryover")
 
 let test_scenario_attributes_uaf () =
@@ -544,20 +545,31 @@ let test_scenario_attributes_uaf () =
 
 (* ------------------------- fault plans (crash/stall) ---------------------- *)
 
+let plan s = match Fault_plan.parse s with Ok p -> p | Error e -> Alcotest.fail e
+
 let test_fault_string_roundtrip () =
+  (* The checker's subset of the plan grammar: none, one crash, one
+     bounded stall — each accepted and printed back verbatim in replay
+     commands.  Every other plan is refused with the reason. *)
   List.iter
-    (fun f ->
-      let s = Scenario.fault_to_string f in
-      match Scenario.fault_of_string s with
-      | Some f' -> check_bool (Fmt.str "roundtrip %s" s) true (f = f')
-      | None -> Alcotest.fail (Fmt.str "unparseable: %s" s))
+    (fun s ->
+      check_bool (Fmt.str "%s accepted" s) true (Scenario.check_fault (plan s) = Ok ());
+      Alcotest.(check string) (Fmt.str "%s round-trips" s) s (Fault_plan.to_string (plan s)))
+    [ "none"; "crash:1@10"; "crash:3@0"; "stall:2@7:60000" ];
+  List.iter
+    (fun s ->
+      match Scenario.check_fault (plan s) with
+      | Ok () -> Alcotest.failf "%s should be outside the checker's subset" s
+      | Error e -> check_bool (Fmt.str "%s: error names it (got %S)" s e) true (contains e s))
     [
-      Scenario.Fault_none;
-      Scenario.Fault_crash { victims = 1; after = 10 };
-      Scenario.Fault_crash { victims = 3; after = 0 };
-      Scenario.Fault_stall { victims = 2; after = 7; cycles = 60_000 };
+      "stall:1@3:forever";
+      "release:1@3";
+      "drop-signals:1@3:2";
+      "delay-signals:1@3:500";
+      "crash:1@3ms";
+      "crash:1@3,stall:1@9:100";
     ];
-  check_bool "garbage rejected" true (Scenario.fault_of_string "crash@oops" = None)
+  check_bool "garbage is a parse error" true (Result.is_error (Fault_plan.parse "crash@oops"))
 
 let test_crash_sweep_stays_clean () =
   (* Killing a worker mid-operation is a legal execution: the degradation
@@ -569,7 +581,7 @@ let test_crash_sweep_stays_clean () =
         {
           Scenario.default with
           Scenario.ds;
-          fault = Scenario.Fault_crash { victims = 1; after = 10 };
+          fault = plan "crash:1@10";
         }
       in
       let s = Explore.sweep (Explore.sweep_specs ~base ~schedules:6 ~seed0:0 ~pct_depth:3) in
@@ -582,7 +594,7 @@ let test_stall_sweep_stays_clean () =
     {
       Scenario.default with
       Scenario.ds = Scenario.Churn;
-      fault = Scenario.Fault_stall { victims = 1; after = 10; cycles = 60_000 };
+      fault = plan "stall:1@10:60000";
     }
   in
   let s = Explore.sweep (Explore.sweep_specs ~base ~schedules:6 ~seed0:0 ~pct_depth:3) in
@@ -601,7 +613,7 @@ let test_proxy_scan_load_bearing_under_stall () =
       ops = 40;
       key_range = 4;
       inject = Threadscan.Skip_proxy_scan;
-      fault = Scenario.Fault_stall { victims = 1; after = 10; cycles = 60_000 };
+      fault = plan "stall:1@10:60000";
       policy = Scenario.Pct 3;
       seed = 1;
     }
@@ -631,7 +643,7 @@ let test_stale_recovery_blinds_phase () =
       threads = 3;
       ops = 40;
       key_range = 4;
-      fault = Scenario.Fault_stall { victims = 1; after = 10; cycles = 60_000 };
+      fault = plan "stall:1@10:60000";
       policy = Scenario.Uniform;
       seed = 50;
     }
@@ -648,7 +660,7 @@ let test_crash_leak_budget_enforced () =
     {
       Scenario.default with
       Scenario.ds = Scenario.Churn;
-      fault = Scenario.Fault_crash { victims = 2; after = 5 };
+      fault = plan "crash:2@5";
       seed = 3;
     }
   in
@@ -688,7 +700,7 @@ let test_help_free_crash_sweep_clean () =
         {
           help_free_base with
           Scenario.ds;
-          fault = Scenario.Fault_crash { victims = 1; after = 10 };
+          fault = plan "crash:1@10";
         }
       in
       let s = Explore.sweep (Explore.sweep_specs ~base ~schedules:6 ~seed0:0 ~pct_depth:3) in
@@ -703,7 +715,7 @@ let test_help_free_stall_sweep_clean () =
     {
       help_free_base with
       Scenario.ds = Scenario.Churn;
-      fault = Scenario.Fault_stall { victims = 1; after = 10; cycles = 60_000 };
+      fault = plan "stall:1@10:60000";
     }
   in
   let s = Explore.sweep (Explore.sweep_specs ~base ~schedules:6 ~seed0:0 ~pct_depth:3) in
@@ -729,11 +741,6 @@ let test_help_free_still_catches_seeded_bug () =
   let s = Explore.sweep (Explore.sweep_specs ~base ~schedules:4 ~seed0:0 ~pct_depth:3) in
   check_bool "seeded bug caught with help-free on" true (s.Explore.failures <> []);
   let cmd = Scenario.replay_command (List.hd s.Explore.failures).Scenario.spec in
-  let contains hay needle =
-    let nh = String.length hay and nn = String.length needle in
-    let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-    go 0
-  in
   check_bool "replay command carries help-free" true (contains cmd "--help-free")
 
 (* ------------------- forked exploration vs replay-from-seed --------------- *)
@@ -762,14 +769,14 @@ let test_fork_differential_200 () =
         {
           Scenario.default with
           Scenario.ds = Scenario.Lazy_ds;
-          fault = Scenario.Fault_crash { victims = 1; after = 10 };
+          fault = plan "crash:1@10";
         },
         40 );
       ( "hash under stall:1@10:60000",
         {
           Scenario.default with
           Scenario.ds = Scenario.Hash_ds;
-          fault = Scenario.Fault_stall { victims = 1; after = 10; cycles = 60_000 };
+          fault = plan "stall:1@10:60000";
         },
         40 );
     ]

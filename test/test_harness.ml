@@ -107,6 +107,21 @@ let test_stack_depth_scanned () =
     true
     (words deep > words shallow)
 
+(* A self-inflicted chaos crash lands inside an operation bracket: the
+   corpse's epoch stays announced, so patient epoch can never again free
+   what was retired after it, while ThreadScan reaps the corpse once and
+   flushes to zero. *)
+let test_chaos_crash_inside_op () =
+  let chaos =
+    [ { Ts_util.Fault_plan.victims = 1; at = At (spec.Workload.horizon / 4); event = Crash } ]
+  in
+  let run scheme = Workload.run { spec with Workload.chaos; scheme } in
+  let ep = run (Registry.spec "patient-epoch") in
+  Alcotest.(check bool) "patient-epoch leaks past the corpse" true (ep.Workload.outstanding > 0);
+  let ts = run spec.Workload.scheme in
+  check "threadscan reaps the corpse once" 1 (List.assoc "reaps" ts.Workload.extras);
+  check "threadscan flushes to zero" 0 ts.Workload.outstanding
+
 let test_names_cover_every_figure () =
   let names = List.map fst Experiment.names in
   List.iter
@@ -179,6 +194,8 @@ let () =
           Alcotest.test_case "signals only with threadscan" `Quick
             test_signals_only_with_threadscan;
           Alcotest.test_case "stack depth scanned" `Quick test_stack_depth_scanned;
+          Alcotest.test_case "chaos crash lands inside an operation" `Quick
+            test_chaos_crash_inside_op;
         ] );
       ( "experiments",
         [

@@ -349,15 +349,13 @@ let test_plan_feature_flags () =
     (Fault_plan.has_wall_triggers (plan "crash:1@5ms"));
   Alcotest.(check bool) "no wall trigger" false
     (Fault_plan.has_wall_triggers (plan "crash:1@5"));
-  Alcotest.(check bool) "forever" true (Fault_plan.has_forever (plan "stall:1@5:forever"));
-  Alcotest.(check bool) "bounded is not forever" false
-    (Fault_plan.has_forever (plan "stall:1@5:9"));
-  Alcotest.(check bool) "release flag" true
-    (Fault_plan.has_release (plan "stall:1@5:forever,release:1@50"));
-  Alcotest.(check bool) "release needs monitor" true
-    (Fault_plan.needs_monitor (plan "stall:1@5:forever,release:1@50"));
-  Alcotest.(check bool) "self-inflicted plan needs none" false
-    (Fault_plan.needs_monitor (plan "crash:1@5,stall:1@9:20"))
+  Alcotest.(check bool) "unreleased forever parks" true
+    (Fault_plan.parks_forever (plan "stall:1@5:forever"));
+  Alcotest.(check bool) "bounded stall does not park" false
+    (Fault_plan.parks_forever (plan "stall:1@5:9"));
+  Alcotest.(check bool) "released forever does not park" false
+    (Fault_plan.parks_forever (plan "stall:1@5:forever,release:1@50"));
+  Alcotest.(check bool) "crash does not park" false (Fault_plan.parks_forever (plan "crash:1@5"))
 
 let () =
   let qt t = QCheck_alcotest.to_alcotest t in
