@@ -70,6 +70,23 @@ let policy_conv =
   in
   Arg.conv (parse, fun ppf p -> Fmt.string ppf (Scenario.policy_to_string p))
 
+(* the [Fork.options] ranges [Fork.sweep] accepts *)
+let fork_factor_conv =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 1 -> Ok n
+    | _ -> Error (`Msg (Fmt.str "%S is not an integer >= 1" s))
+  in
+  Arg.conv (parse, Fmt.int)
+
+let fork_window_conv =
+  let parse s =
+    match float_of_string_opt s with
+    | Some w when w >= 0. && w < 1. -> Ok w
+    | _ -> Error (`Msg (Fmt.str "%S is not a fraction in [0, 1)" s))
+  in
+  Arg.conv (parse, Fmt.float)
+
 (* ------------------------------ shared args ----------------------------- *)
 
 let threads_arg = Arg.(value & opt int 3 & info [ "t"; "threads" ] ~doc:"Worker threads.")
@@ -147,7 +164,7 @@ let prune_arg =
 
 let fork_factor_arg =
   Arg.(
-    value & opt int 3
+    value & opt fork_factor_conv 3
     & info [ "fork-factor" ] ~doc:"With --fork: max alternatives forked per decision point.")
 
 let fork_stride_arg =
@@ -158,7 +175,7 @@ let fork_stride_arg =
 
 let fork_window_arg =
   Arg.(
-    value & opt float 0.5
+    value & opt fork_window_conv 0.5
     & info [ "fork-window" ]
         ~doc:
           "With --fork: fraction of the trunk run below which no fork point is placed.  \

@@ -9,12 +9,12 @@
    explores a distinct complete schedule while inheriting the trunk's
    first [s] steps without re-executing them.
 
-   Process snapshots rather than in-heap savepoints because OCaml's
-   one-shot continuations cannot be cloned: a fiber suspended mid-effect
-   exists once per address space, so the only way to branch a *running*
-   simulation is to branch the address space.  [Runtime.savepoint] /
-   [restore] (passive state copies, verified by replay) remain the
-   in-process oracle machinery; [fork] is the throughput mechanism.
+   Process snapshots because OCaml's one-shot continuations cannot be
+   cloned: a fiber suspended mid-effect exists once per address space,
+   so the only way to branch a *running* simulation is to branch the
+   address space.  Reproducing a run is the other half: its choice log,
+   fed to [Runtime.preload_choices], replays it from step zero.  There
+   is no in-process rewind.
 
    Each trunk runs twice:
 
@@ -523,7 +523,16 @@ let run_trunk ~opts ~quota ~budget spec st =
     diff_steps = st.diff_steps + dsteps;
   }
 
+(* A factor below 1 forks nothing and a window of 1 or more places no
+   fork point: either would run the trunks alone and report them as the
+   whole sweep. *)
+let check_options opts =
+  if opts.fork_factor < 1 then invalid_arg "Fork: fork_factor must be >= 1";
+  if not (opts.window >= 0. && opts.window < 1.) then
+    invalid_arg "Fork: window must lie in [0, 1)"
+
 let explore ?(opts = default_options) ~schedules spec =
+  check_options opts;
   let schedules = max 1 schedules in
   let budget = if opts.step_budget > 0 then opts.step_budget else max_int in
   run_trunk ~opts ~quota:schedules ~budget spec empty_stats
@@ -533,6 +542,7 @@ let explore ?(opts = default_options) ~schedules spec =
    exploring a slice of the schedule budget. *)
 let sweep ?(progress = fun _ -> ()) ?(opts = default_options) ~base ~schedules ~seed0
     ~pct_depth () =
+  check_options opts;
   let schedules = max 1 schedules in
   let trunks = min schedules (max 2 (schedules / 512)) in
   let quota0 = schedules / trunks in

@@ -63,7 +63,8 @@ val speedup : stats -> float
 
 val explore : ?opts:options -> schedules:int -> Scenario.spec -> stats
 (** Explore [schedules] schedules of one spec's tree: the spec's own
-    trunk plus leaves forked at its deepest decision points. *)
+    trunk plus leaves forked at its deepest decision points.
+    @raise Invalid_argument on the options {!sweep} rejects. *)
 
 val sweep :
   ?progress:(int -> unit) ->
@@ -78,4 +79,5 @@ val sweep :
     family: a few trunks (even seeds {!Scenario.Uniform}, odd seeds
     {!Scenario.Pct}[ pct_depth]) split the [schedules] budget and each
     explores its slice by forking.  [progress] receives the cumulative
-    explored count after every trunk. *)
+    explored count after every trunk.  @raise Invalid_argument if
+    [opts.fork_factor < 1] or [opts.window] is outside [\[0, 1)]. *)

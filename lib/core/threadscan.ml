@@ -683,11 +683,6 @@ let outstanding t =
   let c = counters t in
   c.retired - c.freed
 
-let phase_latencies t =
-  let out = ref [] in
-  Ts_util.Vec.iter (fun d -> out := d :: !out) t.phase_latencies;
-  List.rev !out
-
 let reclaimer_frees t = t.free_burden
 
 let ack_timeouts t = t.ack_timeouts
@@ -709,9 +704,6 @@ let takeovers t = t.takeovers
 let gen_aborts t = t.gen_aborts
 
 let overflow_pushes t = t.overflow_pushes
-
-let suspects_now t =
-  Array.fold_left (fun acc s -> if s >= 0 then acc + 1 else acc) 0 t.suspect_since
 
 let set_inject t inject = t.inject <- inject
 

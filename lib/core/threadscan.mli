@@ -84,15 +84,13 @@ val full_waits : t -> int
 val outstanding : t -> int
 (** Nodes retired but not yet freed. *)
 
-val phase_latencies : t -> int list
-(** Cycles the reclaiming thread spent inside each collect phase, in phase
-    order — the §7 responsiveness concern: the reclaimer is unavailable to
-    its application for this long.  The [help_free] variant shortens these
-    by moving the free() calls into the scanners' handlers. *)
-
 val total_phase_cycles : t -> int
-(** Sum of {!phase_latencies}: total cycles spent inside collect phases,
-    reported as the [phase-cycles] scheme extra. *)
+(** Total cycles the reclaiming threads spent inside collect phases,
+    reported as the [phase-cycles] scheme extra.  Per phase this is the §7
+    responsiveness concern — the reclaimer is unavailable to its
+    application for that long — reported as the [max-phase-latency] and
+    [avg-phase-latency] extras.  The [help_free] variant shortens phases
+    by moving the free() calls into the scanners' handlers. *)
 
 val reclaimer_frees : t -> int
 (** Nodes freed by the reclaimer inside collect phases (as opposed to by
@@ -116,9 +114,6 @@ val carried_blind : t -> int
 
 val suspected_total : t -> int
 (** Threads ever marked suspect (cumulative). *)
-
-val suspects_now : t -> int
-(** Threads currently suspect. *)
 
 val recoveries : t -> int
 (** Suspects cleared because they acked again. *)

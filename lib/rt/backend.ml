@@ -130,8 +130,6 @@ let exit_run () =
   in
   dec ()
 
-let run_active () = Atomic.get run_depth > 0
-
 let installed () = Atomic.get current <> None
 
 let[@inline] ops () =

@@ -107,9 +107,6 @@ val enter_run : unit -> unit
 val exit_run : unit -> unit
 (** Mark the end of a backend run.  Extra calls at depth zero are ignored. *)
 
-val run_active : unit -> bool
-(** [true] while at least one backend run is in flight. *)
-
 (** {1 Dispatch wrappers} *)
 
 val read : int -> int

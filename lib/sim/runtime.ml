@@ -97,31 +97,6 @@ let pp_stats ppf s =
   if s.crashes + s.stalls + s.signals_dropped > 0 then
     Fmt.pf ppf " crashes=%d stalls=%d sigdrops=%d" s.crashes s.stalls s.signals_dropped
 
-let reset_stats s =
-  s.steps <- 0;
-  s.reads <- 0;
-  s.writes <- 0;
-  s.cas_ops <- 0;
-  s.cas_failures <- 0;
-  s.fences <- 0;
-  s.mallocs <- 0;
-  s.frees <- 0;
-  s.yields <- 0;
-  s.signals_sent <- 0;
-  s.signals_delivered <- 0;
-  s.ctx_switches <- 0;
-  s.spawns <- 0;
-  s.crashes <- 0;
-  s.stalls <- 0;
-  s.signals_dropped <- 0
-
-let stats_to_array s =
-  [|
-    s.steps; s.reads; s.writes; s.cas_ops; s.cas_failures; s.fences; s.mallocs; s.frees;
-    s.yields; s.signals_sent; s.signals_delivered; s.ctx_switches; s.spawns; s.crashes;
-    s.stalls; s.signals_dropped;
-  |]
-
 type result = {
   elapsed : int;
   run_stats : stats;
@@ -236,22 +211,14 @@ type t = {
   mutable sched_steps : int; (* steps counted for PCT change points *)
   mutable current : int; (* tid being stepped, -1 outside [step] *)
   mutable stalled : thread list; (* descheduled by fault injection *)
-  (* ---- guided scheduling, savepoints and replay ---- *)
+  (* ---- guided scheduling and replay ---- *)
   mutable hook : (t -> int array -> int) option; (* decision-point callback *)
   mutable guided : bool; (* record every choice; policy never draws [rng] *)
   choice_log : Vec.t; (* tid stepped at each step index (guided runs) *)
   fp_log : Vec.t; (* encoded footprint of each step (guided runs) *)
   mutable replay_limit : int; (* force choices from the log below this step *)
-  mutable replay_mute : bool; (* suppress trace callbacks during replay *)
-  mutable trace_cursor : int; (* total trace entries emitted (incl. muted) *)
-  mutable initial_bodies : (unit -> unit) list; (* reversed add order *)
-  mutable init_rng : int64; (* scheduler rng state before the first thread *)
-  init_pct_points : int list;
-  mutable entered : bool; (* [step_run] holds the Ts_rt run bracket *)
-  mutable finished : bool; (* the run reached its end state *)
   mutable step_fp : int; (* what the last step touched, packed *)
   mutable last_pick_policy : bool; (* the pending pick came from the policy *)
-  mutable my_crit : int * int; (* this runtime's (crit_depth, crit_tid) *)
   mutable op_result : int; (* the handled effect's result, see [make_handler] *)
 }
 
@@ -340,15 +307,10 @@ let ready_remove rt th =
 
 let[@inline] charge th c = th.clock <- th.clock + c
 
-(* The cursor counts every entry, muted or not: a restore replays the
-   prefix with the callback muted and then checks the cursor landed where
-   the savepoint said it would, so trace positions survive savepoints. *)
 let emit rt th event =
-  rt.trace_cursor <- rt.trace_cursor + 1;
-  if not rt.replay_mute then
-    match rt.cfg.trace with
-    | None -> ()
-    | Some f -> f { Trace.time = th.clock; event }
+  match rt.cfg.trace with
+  | None -> ()
+  | Some f -> f { Trace.time = th.clock; event }
 
 let[@inline] unlimited rt = rt.cfg.cores <= 0
 
@@ -578,9 +540,9 @@ let do_signal rt sender target_tid =
 
    The refs are module-level because the [Ts_rt.ops] record is static;
    exactly one simulator instance runs at a time (enforced by
-   [Ts_rt.install]), and [create] resets them.  When no critical body
-   performs an effect — true of every in-tree caller except the
-   analyzer — the scheduler never observes a nonzero depth and
+   [Ts_rt.install]), and [create] and [start] reset them.  When no
+   critical body performs an effect — true of every in-tree caller except
+   the analyzer — the scheduler never observes a nonzero depth and
    schedules are bit-for-bit what they were. *)
 
 let crit_depth = ref 0
@@ -1111,7 +1073,6 @@ let[@inline] forced_pick rt =
    a negative value to defer to the configured policy; deferring everywhere
    makes a hook-guided run identical to the plain run. *)
 let hook_pick rt h =
-  rt.my_crit <- (!crit_depth, !crit_tid);
   let tid = h rt (runnable_tids rt) in
   if tid < 0 then policy_pick rt
   else begin
@@ -1264,24 +1225,13 @@ let create cfg =
     choice_log = Vec.create ();
     fp_log = Vec.create ();
     replay_limit = 0;
-    replay_mute = false;
-    trace_cursor = 0;
-    initial_bodies = [];
-    (* captured after the PCT draws and before any thread is created, so a
-       rewind to this state replays thread-creation rng splits exactly *)
-    init_rng = Splitmix.raw_state rng;
-    init_pct_points = pct_points;
-    entered = false;
-    finished = false;
     step_fp = fp_global;
     last_pick_policy = false;
-    my_crit = (0, -1);
     op_result = 0;
   }
 
 let add_thread rt body =
   if rt.started then invalid_arg "Runtime.add_thread: already started";
-  rt.initial_bodies <- body :: rt.initial_bodies;
   let th = new_thread rt body in
   ready_push rt th;
   th.tid
@@ -1309,8 +1259,8 @@ let collect_failures rt =
 
    Structured around canonical decision points: [advance_phase] (wake
    stalled threads, refill cores) runs before *every* pick, so the state a
-   scheduler hook or [savepoint] observes between steps is exactly the
-   state a restore's replay lands on. *)
+   scheduler hook observes at step [i] is the same whether the prefix ran
+   under the hook or was forced from a preloaded choice log. *)
 
 let[@inline] advance_phase rt =
   wake_stalled rt;
@@ -1318,15 +1268,10 @@ let[@inline] advance_phase rt =
   if not (ready_nonempty rt) then rt.want_preempt <- false
 
 (* Whether the run can still step; drives virtual time over stall gaps.
-   Returns with the runtime at a decision point ([nactive > 0]) or with
-   [finished] set. *)
+   Returns [true] with the runtime at a decision point ([nactive > 0]). *)
 let rec progress rt =
-  if rt.finished then false
-  else if rt.nactive > 0 then true
-  else if rt.live = 0 then begin
-    rt.finished <- true;
-    false
-  end
+  if rt.nactive > 0 then true
+  else if rt.live = 0 then false
   else begin
     (* Nothing runnable.  If a stalled thread has a finite deadline, jump
        virtual time forward to the earliest wake-up.  If every remaining
@@ -1343,42 +1288,9 @@ let rec progress rt =
       advance_phase rt;
       progress rt
     end
-    else if rt.stalled <> [] && List.length rt.stalled = rt.live then begin
-      rt.finished <- true;
-      false
-    end
+    else if rt.stalled <> [] && List.length rt.stalled = rt.live then false
     else raise (Deadlock (blocked_summary rt))
   end
-
-let[@inline] step_once rt =
-  step rt (pick_next rt);
-  advance_phase rt
-
-(* Critical-section pin state lives in module-level refs shared by every
-   runtime in the process (the [Ts_rt.ops] record is static); each runtime
-   keeps its own copy in [my_crit] and swaps it in around its steps, so
-   branched runtimes can be driven in any order. *)
-let step_loop rt max_steps =
-  if not rt.started then begin
-    rt.started <- true;
-    advance_phase rt
-  end;
-  let d, t = rt.my_crit in
-  crit_depth := d;
-  crit_tid := t;
-  Fun.protect
-    ~finally:(fun () -> rt.my_crit <- (!crit_depth, !crit_tid))
-    (fun () ->
-      let stop_at =
-        if max_steps >= max_int - rt.sim_stats.steps then max_int
-        else rt.sim_stats.steps + max_steps
-      in
-      let continue_ = ref (progress rt) in
-      while !continue_ && rt.sim_stats.steps < stop_at do
-        step_once rt;
-        continue_ := progress rt
-      done;
-      !continue_)
 
 let result_of rt =
   let abandoned =
@@ -1393,306 +1305,22 @@ let result_of rt =
 
 let start rt =
   if rt.started then invalid_arg "Runtime.start: already started";
-  ignore (step_loop rt max_int : bool);
+  rt.started <- true;
+  (* same reset as [create]: a pin left by an earlier run in this process
+     must not decide this run's first pick *)
+  crit_depth := 0;
+  crit_tid := -1;
+  advance_phase rt;
+  while progress rt do
+    step rt (pick_next rt);
+    advance_phase rt
+  done;
   result_of rt
 
 let run ?(config = default_config) main =
   let rt = create config in
   ignore (add_thread rt main);
   start rt
-
-(* ------------------------------------------------------------------ *)
-(* Savepoints: capture, digest, restore, branch                        *)
-(* ------------------------------------------------------------------ *)
-
-(* A savepoint is a *passive* deep copy of everything that defines the
-   simulation state — heap words, allocator free lists, per-thread
-   bookkeeping, scheduler queues, rng states, clocks, the trace cursor —
-   plus the choice log that reaches it.  Fibers (one-shot OCaml
-   continuations) cannot be copied, so [restore]/[branch] reconstruct the
-   execution by deterministic replay from the initial state and then prove
-   the reconstruction landed on the same state by digest comparison.  The
-   copy is the oracle, the replay is the mechanism. *)
-
-type thread_state = {
-  ts_tid : int;
-  ts_clock : int;
-  ts_done : bool;
-  ts_runnable : bool;
-  ts_saved_depth : int;
-  ts_on_core : bool;
-  ts_core_since : int;
-  ts_ever_scheduled : bool;
-  ts_boosted : bool;
-  ts_wants_yield : bool;
-  ts_stack_base : int;
-  ts_sp : int;
-  ts_reg_base : int;
-  ts_manual_save_base : int;
-  ts_sig_saves : int list;
-  ts_save_pool : int list;
-  ts_reg_cursor : int;
-  ts_has_handler : bool;
-  ts_pending : int list;
-  ts_sig_depth : int;
-  ts_failed : bool;
-  ts_rng : int64;
-  ts_private_ranges : (int * int) list;
-  ts_prio : int;
-  ts_stalled_until : int;
-  ts_crashed : bool;
-  ts_drop_sigs : int;
-  ts_sig_delay : int;
-  ts_wait_note : string option;
-  ts_abort_pending : bool;
-}
-
-type savepoint = {
-  sp_steps : int;
-  sp_guided : bool;
-  sp_log : int array;
-  sp_trace_cursor : int;
-  sp_mem : Mem.snapshot;
-  sp_alloc : Alloc.snapshot;
-  sp_threads : thread_state array;
-  sp_ready : int list;
-  sp_active : int list; (* heap order *)
-  sp_stalled : int list;
-  sp_live : int;
-  sp_now : int;
-  sp_want_preempt : bool;
-  sp_stats : int array;
-  sp_rng : int64;
-  sp_pct_points : int list;
-  sp_floor_prio : int;
-  sp_sched_steps : int;
-  sp_crit : int * int;
-}
-
-let capture_thread th =
-  {
-    ts_tid = th.tid;
-    ts_clock = th.clock;
-    ts_done = (th.status = Done);
-    ts_runnable = runnable th;
-    ts_saved_depth = List.length th.saved;
-    ts_on_core = th.on_core;
-    ts_core_since = th.core_since;
-    ts_ever_scheduled = th.ever_scheduled;
-    ts_boosted = th.boosted;
-    ts_wants_yield = th.wants_yield;
-    ts_stack_base = th.stack_base;
-    ts_sp = th.sp;
-    ts_reg_base = th.reg_base;
-    ts_manual_save_base = th.manual_save_base;
-    ts_sig_saves = th.sig_saves;
-    ts_save_pool = th.save_pool;
-    ts_reg_cursor = th.reg_cursor;
-    ts_has_handler = th.handler <> None;
-    ts_pending = Queue.fold (fun acc x -> x :: acc) [] th.pending |> List.rev;
-    ts_sig_depth = th.sig_depth;
-    ts_failed = th.failure <> None;
-    ts_rng = Splitmix.raw_state th.rng;
-    ts_private_ranges = th.private_ranges;
-    ts_prio = th.prio;
-    ts_stalled_until = th.stalled_until;
-    ts_crashed = th.crashed;
-    ts_drop_sigs = th.drop_sigs;
-    ts_sig_delay = th.sig_delay;
-    ts_wait_note = th.wait_note;
-    ts_abort_pending = th.abort_pending <> None;
-  }
-
-let savepoint rt =
-  if not rt.started then raise (Sim_error "Runtime.savepoint: run not started");
-  if rt.current >= 0 then raise (Sim_error "Runtime.savepoint: only legal between steps");
-  if rt.guided && Vec.length rt.choice_log <> rt.sim_stats.steps then
-    raise (Sim_error "Runtime.savepoint: choice log does not cover the run");
-  {
-    sp_steps = rt.sim_stats.steps;
-    sp_guided = rt.guided;
-    sp_log = (if rt.guided then Vec.to_array rt.choice_log else [||]);
-    sp_trace_cursor = rt.trace_cursor;
-    sp_mem = Mem.snapshot rt.mem;
-    sp_alloc = Alloc.snapshot rt.alloc;
-    sp_threads = Array.init rt.nthreads (fun i -> capture_thread rt.threads.(i));
-    sp_ready =
-      List.map (fun th -> th.tid) rt.ready_front
-      @ List.rev_map (fun th -> th.tid) rt.ready_back;
-    sp_active = List.init rt.nactive (fun i -> rt.heap_tid.(i));
-    sp_stalled = List.map (fun th -> th.tid) rt.stalled;
-    sp_live = rt.live;
-    sp_now = rt.now;
-    sp_want_preempt = rt.want_preempt;
-    sp_stats = stats_to_array rt.sim_stats;
-    sp_rng = Splitmix.raw_state rt.rng;
-    sp_pct_points = rt.pct_points;
-    sp_floor_prio = rt.floor_prio;
-    sp_sched_steps = rt.sched_steps;
-    sp_crit = rt.my_crit;
-  }
-
-let savepoint_steps sp = sp.sp_steps
-
-(* Deterministic serialisation of a savepoint; equal digests mean equal
-   captured states.  Recomputed from the stored copies on every call, so a
-   snapshot mutated through aliasing would change its digest. *)
-let savepoint_digest sp =
-  let buf = Buffer.create 65536 in
-  let int i = Buffer.add_int64_ne buf (Int64.of_int i) in
-  let i64 v = Buffer.add_int64_ne buf v in
-  let flag b = int (Bool.to_int b) in
-  let ints l =
-    int (List.length l);
-    List.iter int l
-  in
-  int sp.sp_steps;
-  flag sp.sp_guided;
-  int sp.sp_trace_cursor;
-  Mem.snapshot_digest_into buf sp.sp_mem;
-  Alloc.snapshot_digest_into buf sp.sp_alloc;
-  int (Array.length sp.sp_threads);
-  Array.iter
-    (fun ts ->
-      int ts.ts_tid;
-      int ts.ts_clock;
-      flag ts.ts_done;
-      flag ts.ts_runnable;
-      int ts.ts_saved_depth;
-      flag ts.ts_on_core;
-      int ts.ts_core_since;
-      flag ts.ts_ever_scheduled;
-      flag ts.ts_boosted;
-      flag ts.ts_wants_yield;
-      int ts.ts_stack_base;
-      int ts.ts_sp;
-      int ts.ts_reg_base;
-      int ts.ts_manual_save_base;
-      ints ts.ts_sig_saves;
-      ints ts.ts_save_pool;
-      int ts.ts_reg_cursor;
-      flag ts.ts_has_handler;
-      ints ts.ts_pending;
-      int ts.ts_sig_depth;
-      flag ts.ts_failed;
-      i64 ts.ts_rng;
-      int (List.length ts.ts_private_ranges);
-      List.iter
-        (fun (b, l) ->
-          int b;
-          int l)
-        ts.ts_private_ranges;
-      int ts.ts_prio;
-      int ts.ts_stalled_until;
-      flag ts.ts_crashed;
-      int ts.ts_drop_sigs;
-      int ts.ts_sig_delay;
-      flag ts.ts_abort_pending;
-      (match ts.ts_wait_note with
-      | None -> int (-1)
-      | Some s ->
-          int (String.length s);
-          Buffer.add_string buf s))
-    sp.sp_threads;
-  ints sp.sp_ready;
-  ints sp.sp_active;
-  ints sp.sp_stalled;
-  int sp.sp_live;
-  int sp.sp_now;
-  flag sp.sp_want_preempt;
-  Array.iter int sp.sp_stats;
-  i64 sp.sp_rng;
-  ints sp.sp_pct_points;
-  int sp.sp_floor_prio;
-  int sp.sp_sched_steps;
-  let d, t = sp.sp_crit in
-  int d;
-  int t;
-  Digest.string (Buffer.contents buf)
-
-let state_digest rt = savepoint_digest (savepoint rt)
-
-(* Rewind the runtime to the just-created state: heap, allocator, threads,
-   queues, clocks, stats and rng all go back; the initial threads are
-   re-created, which replays their creation-time rng splits exactly. *)
-let reset_to_start rt =
-  Mem.reset rt.mem;
-  Alloc.reset rt.alloc;
-  crit_depth := 0;
-  crit_tid := -1;
-  cur_tid := -1;
-  rt.my_crit <- (0, -1);
-  rt.threads <- [||];
-  rt.nthreads <- 0;
-  rt.ready_front <- [];
-  rt.ready_back <- [];
-  rt.heap_tid <- [||];
-  rt.heap_key <- [||];
-  rt.heap_pos <- [||];
-  rt.nactive <- 0;
-  rt.live <- 0;
-  rt.now <- 0;
-  rt.want_preempt <- false;
-  reset_stats rt.sim_stats;
-  Splitmix.set_raw_state rt.rng rt.init_rng;
-  rt.pct_points <- rt.init_pct_points;
-  rt.floor_prio <- 0;
-  rt.sched_steps <- 0;
-  rt.current <- -1;
-  rt.stalled <- [];
-  rt.finished <- false;
-  rt.trace_cursor <- 0;
-  Vec.clear rt.fp_log;
-  List.iter (fun body -> ready_push rt (new_thread rt body)) (List.rev rt.initial_bodies)
-
-let restore rt sp =
-  if rt.current >= 0 then raise (Sim_error "Runtime.restore: only legal between steps");
-  if not rt.started then raise (Sim_error "Runtime.restore: run not started");
-  let was_mute = rt.replay_mute in
-  rt.replay_mute <- true;
-  Vec.clear rt.choice_log;
-  if sp.sp_guided then begin
-    Vec.append_array rt.choice_log sp.sp_log;
-    rt.replay_limit <- sp.sp_steps
-  end
-  else rt.replay_limit <- 0;
-  let finish () =
-    rt.replay_limit <- 0;
-    rt.replay_mute <- was_mute
-  in
-  (try
-     reset_to_start rt;
-     advance_phase rt;
-     while rt.sim_stats.steps < sp.sp_steps && progress rt do
-       step_once rt
-     done
-   with e ->
-     finish ();
-     raise e);
-  finish ();
-  rt.my_crit <- (!crit_depth, !crit_tid);
-  if rt.sim_stats.steps <> sp.sp_steps then
-    raise (Sim_error "Runtime.restore: replay ended before the savepoint");
-  let emitted = rt.trace_cursor in
-  rt.trace_cursor <- sp.sp_trace_cursor;
-  if emitted <> sp.sp_trace_cursor then
-    raise (Sim_error "Runtime.restore: trace drift during replay");
-  if savepoint_digest (savepoint rt) <> savepoint_digest sp then
-    raise (Sim_error "Runtime.restore: replay diverged from the savepoint")
-
-(* A fresh runtime positioned at [sp]; the parent is untouched.  The two
-   runtimes share no mutable state and may be driven independently (though
-   not interleaved within one [critical] section, which cannot happen at a
-   decision point anyway). *)
-let branch rt sp =
-  if not rt.started then raise (Sim_error "Runtime.branch: run not started");
-  let rt2 = create rt.cfg in
-  rt2.initial_bodies <- rt.initial_bodies;
-  rt2.hook <- rt.hook;
-  rt2.guided <- rt.guided;
-  rt2.started <- true;
-  restore rt2 sp;
-  rt2
 
 (* ------------------------------------------------------------------ *)
 (* Guided scheduling                                                   *)
@@ -1719,10 +1347,6 @@ let choices rt = Vec.to_array rt.choice_log
 let choice_tid c = c lsr 1
 
 let step_count rt = rt.sim_stats.steps
-
-let trace_position rt = rt.trace_cursor
-
-let last_footprint rt = decode_fp rt.step_fp
 
 let step_footprint rt i =
   if i < 0 || i >= Vec.length rt.fp_log then None else Some (decode_fp (Vec.get rt.fp_log i))
@@ -1907,40 +1531,3 @@ let run ?config main =
   Ts_rt.install rt_ops;
   Ts_rt.enter_run ();
   Fun.protect ~finally:Ts_rt.exit_run (fun () -> run ?config main)
-
-(* Incremental driving: the first call takes the backend run bracket, the
-   call that completes the run (or [finalize]) releases it.  A caller that
-   abandons an unfinished run without calling [finalize] leaks the
-   bracket. *)
-let step_run rt ~max_steps =
-  if not rt.entered then begin
-    Ts_rt.install rt_ops;
-    Ts_rt.enter_run ();
-    rt.entered <- true
-  end;
-  let release () =
-    Ts_rt.exit_run ();
-    rt.entered <- false
-  in
-  match step_loop rt max_steps with
-  | more ->
-      if not more then release ();
-      more
-  | exception e ->
-      release ();
-      raise e
-
-let finalize rt =
-  if rt.entered then begin
-    Ts_rt.exit_run ();
-    rt.entered <- false
-  end;
-  result_of rt
-
-let restore rt sp =
-  Ts_rt.install rt_ops;
-  restore rt sp
-
-let branch rt sp =
-  Ts_rt.install rt_ops;
-  branch rt sp

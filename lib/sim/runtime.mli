@@ -20,7 +20,9 @@
     registers at all.
 
     A run is a pure function of its configuration (including [seed]): no
-    wall clock, no global randomness. *)
+    wall clock, no global randomness.  It executes once, by {!start}, to
+    completion; the one way to reproduce a run, or a prefix of it, is to
+    replay its choice log ({!preload_choices}). *)
 
 type tid = int
 
@@ -142,25 +144,9 @@ val running_tid : t -> int option
 (** The thread currently being stepped; [None] outside a step.  Lets
     fault hooks installed on {!mem} attribute a fault to a thread. *)
 
-(** {1 Incremental stepping}
-
-    An alternative to {!start} for checkers that interleave simulation
-    with host-side work (taking savepoints, forking children): drive the
-    run a bounded number of steps at a time. *)
-
-val step_run : t -> max_steps:int -> bool
-(** Execute up to [max_steps] scheduler steps; [true] while the run can
-    continue.  The first call starts the run (like {!start}); when it
-    returns [false] the run reached its end state and {!finalize} builds
-    the result.  Raises exactly what {!start} raises. *)
-
-val finalize : t -> result
-(** The {!result} of a run driven with {!step_run}.  @raise Thread_failure
-    when [propagate_failures] and a thread failed. *)
-
 (** {1 Step footprints}
 
-    What the most recent scheduler step touched — the commutativity
+    What each step of a guided run touched — the commutativity
     information partial-order pruning needs. *)
 
 type footprint =
@@ -172,54 +158,10 @@ val conflicts : footprint -> footprint -> bool
 (** Whether two adjacent steps by different threads may fail to commute.
     Over-approximate: [Global] conflicts with everything but [Pure]. *)
 
-val last_footprint : t -> footprint
-(** Footprint of the step that just executed. *)
-
 val step_footprint : t -> int -> footprint option
 (** [step_footprint rt i] — footprint of step [i] of a guided run
     ([None] if the run is not guided or step [i] has not executed).
     This is the happens-before data sleep-set pruning consumes. *)
-
-(** {1 Savepoints}
-
-    A savepoint is a passive deep copy of the entire simulation state:
-    heap words, allocator free lists and generation counters, per-thread
-    frames / shadow stacks / register bookkeeping / pending signals,
-    scheduler queues, cost-model clocks, rng states and the trace cursor.
-    OCaml fibers are one-shot and cannot be copied, so {!restore} and
-    {!branch} reconstruct the execution by deterministic replay from the
-    initial state — and then {e prove} the reconstruction is exact by
-    comparing {!savepoint_digest}s, raising {!Sim_error} on any
-    divergence.  The copy is the oracle; the replay is the mechanism.
-
-    Replay re-executes the registered thread bodies, so host-side (OCaml
-    heap) effects of the workload run again: workloads used with
-    savepoints must keep their observable state in simulated memory. *)
-
-type savepoint
-
-val savepoint : t -> savepoint
-(** Capture the current state.  Legal between steps — from a scheduler
-    hook or between {!step_run} calls — once the run has started. *)
-
-val savepoint_steps : savepoint -> int
-(** The step count at which the savepoint was taken. *)
-
-val savepoint_digest : savepoint -> string
-(** Deterministic digest of the captured state; recomputed from the
-    stored copy on every call.  Equal digests = equal states. *)
-
-val state_digest : t -> string
-(** [savepoint_digest] of the current state. *)
-
-val restore : t -> savepoint -> unit
-(** Rewind the runtime to the savepoint by reset + replay (trace emission
-    muted during the replay; the cursor continues from the savepoint).
-    @raise Sim_error if the replayed state's digest differs. *)
-
-val branch : t -> savepoint -> t
-(** A fresh runtime positioned at the savepoint; the parent is untouched
-    and both can be driven independently with {!step_run}/{!restore}. *)
 
 (** {1 Guided scheduling}
 
@@ -252,10 +194,6 @@ val choice_tid : int -> tid
 
 val step_count : t -> int
 (** Scheduler steps executed so far. *)
-
-val trace_position : t -> int
-(** Trace entries emitted so far (including entries muted during a
-    {!restore} replay) — the trace cursor a savepoint preserves. *)
 
 (** {1 Operations (only valid inside a running thread)} *)
 

@@ -187,122 +187,6 @@ let alloc_region t n =
   Mem.mark_live t.mem base n;
   base
 
-(* ---- allocator snapshots (simulator savepoints) ----
-
-   Captures every free list, per-thread cache row, the sanitizer's
-   generation counters and the statistics; restoring (on top of a matching
-   {!Mem.restore_snapshot}) puts the allocator back exactly where it was.
-   Hash-table contents are serialised sorted so digests are canonical. *)
-
-type snapshot = {
-  snap_central : int array array;
-  snap_caches : (int * int array array) list; (* materialised rows, by tid *)
-  snap_large : (int * int array) list; (* by block size *)
-  snap_generations : (int * int) list; (* by user base *)
-  snap_counters : int array;
-}
-
-let snapshot t =
-  let sorted l = List.sort compare l in
-  {
-    snap_central = Array.map Vec.to_array t.central;
-    snap_caches =
-      Array.to_list t.caches
-      |> List.mapi (fun tid row -> (tid, row))
-      |> List.filter_map (fun (tid, row) ->
-             Option.map (fun r -> (tid, Array.map Vec.to_array r)) row);
-    snap_large =
-      Hashtbl.fold (fun n lst acc -> (n, Vec.to_array lst) :: acc) t.large_free []
-      |> sorted;
-    snap_generations = Hashtbl.fold (fun a g acc -> (a, g) :: acc) t.generations [] |> sorted;
-    snap_counters =
-      [|
-        t.mallocs;
-        t.frees;
-        t.live;
-        t.peak_live;
-        t.live_w;
-        t.peak_w;
-        t.hits;
-        t.refills;
-        t.flushes;
-        t.misses;
-      |];
-  }
-
-let refill_vec v a =
-  Vec.clear v;
-  Vec.append_array v a
-
-let restore_snapshot t s =
-  Array.iteri (fun i a -> refill_vec t.central.(i) a) s.snap_central;
-  Array.fill t.caches 0 (Array.length t.caches) None;
-  List.iter
-    (fun (tid, row) -> t.caches.(tid) <- Some (Array.map Vec.of_array row))
-    s.snap_caches;
-  Hashtbl.reset t.large_free;
-  List.iter (fun (n, a) -> Hashtbl.add t.large_free n (Vec.of_array a)) s.snap_large;
-  Hashtbl.reset t.generations;
-  List.iter (fun (a, g) -> Hashtbl.add t.generations a g) s.snap_generations;
-  (match s.snap_counters with
-  | [| m; f; l; pl; lw; pw; h; r; fl; ms |] ->
-      t.mallocs <- m;
-      t.frees <- f;
-      t.live <- l;
-      t.peak_live <- pl;
-      t.live_w <- lw;
-      t.peak_w <- pw;
-      t.hits <- h;
-      t.refills <- r;
-      t.flushes <- fl;
-      t.misses <- ms
-  | _ -> assert false)
-
-let reset t =
-  Array.iter Vec.clear t.central;
-  Array.fill t.caches 0 (Array.length t.caches) None;
-  Hashtbl.reset t.large_free;
-  Hashtbl.reset t.generations;
-  t.mallocs <- 0;
-  t.frees <- 0;
-  t.live <- 0;
-  t.peak_live <- 0;
-  t.live_w <- 0;
-  t.peak_w <- 0;
-  t.hits <- 0;
-  t.refills <- 0;
-  t.flushes <- 0;
-  t.misses <- 0
-
-let snapshot_digest_into buf s =
-  let int i = Buffer.add_int64_ne buf (Int64.of_int i) in
-  Array.iter
-    (fun a ->
-      int (Array.length a);
-      Array.iter int a)
-    s.snap_central;
-  List.iter
-    (fun (tid, row) ->
-      int tid;
-      Array.iter
-        (fun a ->
-          int (Array.length a);
-          Array.iter int a)
-        row)
-    s.snap_caches;
-  List.iter
-    (fun (n, a) ->
-      int n;
-      int (Array.length a);
-      Array.iter int a)
-    s.snap_large;
-  List.iter
-    (fun (a, g) ->
-      int a;
-      int g)
-    s.snap_generations;
-  Array.iter int s.snap_counters
-
 let sanitized t = t.sanitize
 
 let generation t addr =

@@ -53,25 +53,6 @@ val block_size : t -> int -> int
 val is_block : t -> int -> bool
 (** Whether [addr] is the user base of a currently live block. *)
 
-(** {1 Snapshots}
-
-    The allocator half of a simulator savepoint: free lists, per-thread
-    cache rows, sanitizer generation counters, statistics.  Pair with
-    {!Mem.snapshot} of the underlying heap. *)
-
-type snapshot
-
-val snapshot : t -> snapshot
-
-val restore_snapshot : t -> snapshot -> unit
-(** Restore on top of a matching {!Mem.restore_snapshot} of the heap. *)
-
-val reset : t -> unit
-(** Back to the just-{!create}d state (configuration is kept). *)
-
-val snapshot_digest_into : Buffer.t -> snapshot -> unit
-(** Serialise deterministically (hash-table contents sorted). *)
-
 val sanitized : t -> bool
 
 val generation : t -> int -> int

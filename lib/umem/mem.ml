@@ -151,54 +151,6 @@ let raw_read t addr = if in_range t addr then Array.unsafe_get t.words addr else
 
 let raw_write t addr v = if in_range t addr then Array.unsafe_set t.words addr v
 
-(* ---- whole-heap snapshots (simulator savepoints) ----
-
-   A snapshot owns copies of every word and shadow byte below the
-   high-water mark plus the fault counters; restoring puts the heap back
-   bit-for-bit, including words above the snapshot's hwm that a later
-   reservation dirtied. *)
-
-type snapshot = {
-  snap_words : int array;
-  snap_shadow : Bytes.t;
-  snap_hwm : int;
-  snap_faults : int array;
-}
-
-let snapshot t =
-  {
-    snap_words = Array.sub t.words 0 t.hwm;
-    snap_shadow = Bytes.sub t.shadow 0 t.hwm;
-    snap_hwm = t.hwm;
-    snap_faults = Array.copy t.faults;
-  }
-
-let restore_snapshot t s =
-  if Array.length t.words < s.snap_hwm then grow_to t s.snap_hwm;
-  Array.blit s.snap_words 0 t.words 0 s.snap_hwm;
-  Bytes.blit s.snap_shadow 0 t.shadow 0 s.snap_hwm;
-  (* words reserved after the snapshot go back to pristine unallocated *)
-  if t.hwm > s.snap_hwm then begin
-    Array.fill t.words s.snap_hwm (t.hwm - s.snap_hwm) 0;
-    Bytes.fill t.shadow s.snap_hwm (t.hwm - s.snap_hwm) st_unalloc
-  end;
-  t.hwm <- s.snap_hwm;
-  Array.blit s.snap_faults 0 t.faults 0 (Array.length t.faults)
-
-let reset t =
-  Array.fill t.words 0 t.hwm 0;
-  Bytes.fill t.shadow 0 t.hwm st_unalloc;
-  t.hwm <- 1;
-  Array.fill t.faults 0 (Array.length t.faults) 0
-
-let snapshot_digest_into buf s =
-  Buffer.add_int64_ne buf (Int64.of_int s.snap_hwm);
-  for i = 0 to s.snap_hwm - 1 do
-    Buffer.add_int64_ne buf (Int64.of_int s.snap_words.(i))
-  done;
-  Buffer.add_subbytes buf s.snap_shadow 0 s.snap_hwm;
-  Array.iter (fun f -> Buffer.add_int64_ne buf (Int64.of_int f)) s.snap_faults
-
 let fault_count t kind = t.faults.(fault_index kind)
 
 let total_faults t = Array.fold_left ( + ) 0 t.faults

@@ -76,27 +76,6 @@ val raw_read : t -> int -> int
 
 val raw_write : t -> int -> int -> unit
 
-(** {1 Snapshots}
-
-    Deep copies of the whole heap (words, shadow states, high-water mark,
-    fault counters) — the memory half of a simulator savepoint. *)
-
-type snapshot
-
-val snapshot : t -> snapshot
-(** An independent deep copy of the current heap contents; immutable under
-    further execution. *)
-
-val restore_snapshot : t -> snapshot -> unit
-(** Put the heap back bit-for-bit to the snapshotted state.  Words reserved
-    after the snapshot return to the pristine unallocated state. *)
-
-val reset : t -> unit
-(** Back to the just-{!create}d state (capacity is kept). *)
-
-val snapshot_digest_into : Buffer.t -> snapshot -> unit
-(** Serialise the snapshot deterministically for state digests. *)
-
 (** {1 Fault accounting} *)
 
 val fault_count : t -> fault_kind -> int

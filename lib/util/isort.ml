@@ -44,10 +44,6 @@ let binary_search a n key =
   done;
   !found
 
-let is_sorted a n =
-  let rec loop i = i >= n || (a.(i - 1) <= a.(i) && loop (i + 1)) in
-  loop 1
-
 let dedup_sorted a n =
   if n <= 1 then n
   else begin

@@ -10,8 +10,6 @@ val binary_search : int array -> int -> int -> int
 (** [binary_search a n key] returns the index of [key] within the sorted
     prefix [a.(0) .. a.(n-1)], or [-1] when absent. *)
 
-val is_sorted : int array -> int -> bool
-
 val dedup_sorted : int array -> int -> int
 (** [dedup_sorted a n] compacts consecutive duplicates in the sorted prefix
     and returns the new prefix length. *)

@@ -51,8 +51,6 @@ let bool t = Int64.logand (next64 t) 1L = 1L
 
 let float t = Stdlib.float_of_int (next t) /. Stdlib.float_of_int max_int /. (1. +. epsilon_float)
 
-let chance t p = float t < p
-
 let shuffle t a =
   for i = Array.length a - 1 downto 1 do
     let j = below t (i + 1) in

@@ -35,9 +35,6 @@ val int_in : t -> int -> int -> int
 
 val bool : t -> bool
 
-val chance : t -> float -> bool
-(** [chance t p] is [true] with probability [p]. *)
-
 val float : t -> float
 (** Uniform in [\[0, 1)]. *)
 

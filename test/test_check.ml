@@ -817,6 +817,23 @@ let test_fork_throughput () =
     true
     (Fork.speedup st >= 4.0)
 
+let test_fork_rejects_empty_options () =
+  (* A factor below 1 or a window of 1 or more places no fork point, so
+     the sweep would be the trunks alone, reported as if complete. *)
+  let base = { Scenario.default with Scenario.ds = Scenario.Lazy_ds } in
+  List.iter
+    (fun (name, opts) ->
+      match diff_sweep ~opts base 20 with
+      | _ -> Alcotest.failf "%s: accepted" name
+      | exception Invalid_argument _ -> ())
+    [
+      ("factor 0", { fork_opts with Fork.fork_factor = 0 });
+      ("factor -1", { fork_opts with Fork.fork_factor = -1 });
+      ("window 1.0", { fork_opts with Fork.window = 1.0 });
+      ("window -0.1", { fork_opts with Fork.window = -0.1 });
+      ("window nan", { fork_opts with Fork.window = Float.nan });
+    ]
+
 let test_fork_catches_seeded_bug_replayably () =
   (* A forked sweep must find the same seeded bug a replay sweep finds,
      and the recorded choice log must reproduce the failure exactly. *)
@@ -998,6 +1015,8 @@ let () =
           Alcotest.test_case "schedule throughput beats replay" `Quick test_fork_throughput;
           Alcotest.test_case "seeded bug caught with a replayable log" `Quick
             test_fork_catches_seeded_bug_replayably;
+          Alcotest.test_case "out-of-range options refused" `Quick
+            test_fork_rejects_empty_options;
         ] );
       ( "shrink",
         [

@@ -970,12 +970,12 @@ let test_drop_signals () =
   check "drop counted" 1 r.Runtime.run_stats.signals_dropped;
   check "both sends counted" 2 r.Runtime.run_stats.signals_sent
 
-(* ------------------------------ savepoints ------------------------------ *)
+(* -------------------------------- replay -------------------------------- *)
 
-(* Workloads driven under savepoint/restore must keep every observable in
-   simulated memory: a restore replays the thread bodies from the start,
-   so host-side refs would be bumped twice. *)
-let sp_workload () =
+(* Every thread draws from its own rng stream, split from the scheduler's
+   at spawn: a replay that shifted the scheduler's stream would move the
+   draws, and with them the clocks the trace and the result report. *)
+let replay_workload () =
   let shared = Runtime.alloc_region 4 in
   let ts =
     List.init 3 (fun i ->
@@ -987,91 +987,33 @@ let sp_workload () =
               Runtime.write (f + (k land 1)) (v + k + i);
               if k mod 3 = 0 then ignore (Runtime.cas (shared + 1) v (v + 1));
               if k mod 5 = 0 then Runtime.yield ();
-              if k mod 7 = 0 then ignore (Runtime.malloc (1 + (k mod 4)))
+              if k mod 7 = 0 then ignore (Runtime.malloc (1 + (k mod 4)));
+              Runtime.advance (1 + Runtime.rand_below 40)
             done;
             Runtime.pop_frame f))
   in
   List.iter Runtime.join ts
 
-let sp_runtime ?(guided = false) seed =
-  let rt = Runtime.create { cfg with seed; sched = Runtime.Uniform; max_steps = 1 lsl 20 } in
-  if guided then Runtime.set_scheduler_hook rt (Some (fun _ _ -> -1));
-  ignore (Runtime.add_thread rt sp_workload);
-  rt
-
-let drive_to_end rt =
-  while Runtime.step_run rt ~max_steps:4096 do
-    ()
-  done;
-  ignore (Runtime.finalize rt : Runtime.result)
-
-let sp_roundtrip ~guided name =
-  QCheck.Test.make ~name ~count:30
-    QCheck.(pair small_nat small_nat)
-    (fun (seed, burst) ->
-      let rt = sp_runtime ~guided (seed + 1) in
-      ignore (Runtime.step_run rt ~max_steps:(5 + (seed mod 40)) : bool);
-      let sp = Runtime.savepoint rt in
-      let d0 = Runtime.savepoint_digest sp in
-      (* arbitrary burst of further execution must leave the snapshot
-         untouched (deep copy, no aliasing into the live runtime) *)
-      ignore (Runtime.step_run rt ~max_steps:(1 + burst) : bool);
-      let immutable = String.equal (Runtime.savepoint_digest sp) d0 in
-      (* restore itself digest-verifies the replay against [sp]; compare
-         once more through the public accessor for good measure *)
-      Runtime.restore rt sp;
-      let back = String.equal (Runtime.state_digest rt) d0 in
-      drive_to_end rt;
-      immutable && back)
-
-let sp_roundtrip_policy =
-  sp_roundtrip ~guided:false "savepoint/restore round-trips state (policy replay)"
-
-let sp_roundtrip_guided =
-  sp_roundtrip ~guided:true "savepoint/restore round-trips state (forced replay)"
-
-let sp_branch_determinism =
-  QCheck.Test.make ~name:"branch: child reproduces the parent's future exactly" ~count:20
-    QCheck.small_nat
-    (fun seed ->
-      let rt = sp_runtime ~guided:true (seed + 1) in
-      ignore (Runtime.step_run rt ~max_steps:(10 + (seed mod 30)) : bool);
-      let sp = Runtime.savepoint rt in
-      drive_to_end rt;
-      let parent_final = Runtime.state_digest rt in
-      let parent_choices = Runtime.choices rt in
-      let rt2 = Runtime.branch rt sp in
-      let at_sp = String.equal (Runtime.state_digest rt2) (Runtime.savepoint_digest sp) in
-      drive_to_end rt2;
-      at_sp
-      && String.equal (Runtime.state_digest rt2) parent_final
-      && parent_choices = Runtime.choices rt2)
-
-let sp_preload_replay =
+let preload_replay =
   QCheck.Test.make ~name:"preload_choices replays a guided run byte-for-byte" ~count:20
     QCheck.small_nat
     (fun seed ->
-      let record_digest rt =
+      let run prepare =
         let buf = Buffer.create 256 in
         let record e = Buffer.add_string buf (Fmt.str "%a@." Ts_sim.Trace.pp e) in
-        let rt = rt { cfg with seed = seed + 1; sched = Runtime.Uniform; trace = Some record } in
-        ignore (Runtime.add_thread rt sp_workload);
-        drive_to_end rt;
-        (Digest.string (Buffer.contents buf), Runtime.choices rt, Runtime.state_digest rt)
+        let rt =
+          Runtime.create { cfg with seed = seed + 1; sched = Runtime.Uniform; trace = Some record }
+        in
+        prepare rt;
+        ignore (Runtime.add_thread rt replay_workload);
+        let r = Runtime.start rt in
+        (Digest.string (Buffer.contents buf), Runtime.choices rt, r.Runtime.elapsed, r.run_stats)
       in
-      let t1, log, d1 =
-        record_digest (fun c ->
-            let rt = Runtime.create c in
-            Runtime.set_scheduler_hook rt (Some (fun _ _ -> -1));
-            rt)
+      let t1, log, e1, s1 =
+        run (fun rt -> Runtime.set_scheduler_hook rt (Some (fun _ _ -> -1)))
       in
-      let t2, log2, d2 =
-        record_digest (fun c ->
-            let rt = Runtime.create c in
-            Runtime.preload_choices rt log;
-            rt)
-      in
-      String.equal t1 t2 && log = log2 && String.equal d1 d2)
+      let t2, log2, e2, s2 = run (fun rt -> Runtime.preload_choices rt log) in
+      String.equal t1 t2 && log = log2 && e1 = e2 && s1 = s2)
 
 (* Another thread crashing or stalling in the middle of a step removes it
    from the active heap while the stepped thread's clock has already moved
@@ -1246,13 +1188,7 @@ let () =
           QCheck_alcotest.to_alcotest litmus_message_passing;
           QCheck_alcotest.to_alcotest litmus_coherence;
         ] );
-      ( "savepoints",
-        [
-          QCheck_alcotest.to_alcotest sp_roundtrip_policy;
-          QCheck_alcotest.to_alcotest sp_roundtrip_guided;
-          QCheck_alcotest.to_alcotest sp_branch_determinism;
-          QCheck_alcotest.to_alcotest sp_preload_replay;
-        ] );
+      ("replay", [ QCheck_alcotest.to_alcotest preload_replay ]);
       ( "misc",
         [
           Alcotest.test_case "clear_regs" `Quick test_clear_regs;

@@ -314,38 +314,6 @@ let prop_magazine_conservation =
       && Alloc.total_mallocs alloc = Alloc.total_frees alloc
       && Alloc.cache_flushes alloc > 0 (* the churn actually exercised the path *))
 
-(* Savepoint safety: the magazine rows, central lists and the extended
-   counters all round-trip through snapshot/restore — the restored
-   allocator is digest-identical and replays the exact same addresses. *)
-let prop_magazine_snapshot_roundtrip =
-  QCheck.Test.make ~name:"magazines: snapshot/restore replays identically" ~count:60
-    QCheck.(pair int (list (int_range 1 16)))
-    (fun (seed, sizes) ->
-      let sizes = if sizes = [] then [ 2; 5 ] else sizes in
-      let mem = Mem.create () in
-      let alloc = Alloc.create ~cache_cap:4 ~batch:2 ~max_threads:2 mem in
-      let rng = Splitmix.create seed in
-      (* warm the magazines so the snapshot captures non-trivial rows *)
-      let warm = List.map (fun n -> Alloc.malloc alloc ~tid:(Splitmix.below rng 2) n) sizes in
-      List.iteri (fun i a -> if i mod 2 = 0 then Alloc.free alloc ~tid:0 a) warm;
-      let digest s =
-        let b = Buffer.create 256 in
-        Alloc.snapshot_digest_into b s;
-        Buffer.contents b
-      in
-      let msnap = Mem.snapshot mem in
-      let asnap = Alloc.snapshot alloc in
-      let d0 = digest asnap in
-      let replay () =
-        List.map (fun n -> Alloc.malloc alloc ~tid:(n mod 2) (1 + (n mod 16))) sizes
-      in
-      let first = replay () in
-      Mem.restore_snapshot mem msnap;
-      Alloc.restore_snapshot alloc asnap;
-      let d1 = digest (Alloc.snapshot alloc) in
-      let second = replay () in
-      d0 = d1 && first = second)
-
 let () =
   let qt t = QCheck_alcotest.to_alcotest t in
   Alcotest.run "ts_umem"
@@ -390,6 +358,5 @@ let () =
           qt prop_alloc_no_overlap;
           qt prop_alloc_balance;
         ] );
-      ( "magazines",
-        [ qt prop_magazine_conservation; qt prop_magazine_snapshot_roundtrip ] );
+      ("magazines", [ qt prop_magazine_conservation ]);
     ]
