@@ -1,11 +1,24 @@
 (* Domain-safe unmanaged heap.
 
    The native twin of {!Ts_umem.Mem} + {!Ts_umem.Alloc}: a fixed-capacity
-   array of atomic words (every access is sequentially consistent, which
-   is what gives the native backend the same SC memory model the
-   simulator steps out op by op), a per-word allocation-state shadow for
-   UAF/wild/double-free detection, and a TCMalloc-style size-class
-   allocator with per-thread caches.
+   word store, a per-word allocation-state shadow for UAF/wild/double-free
+   detection, and a TCMalloc-style size-class allocator with per-thread
+   caches.
+
+   The word store is one flat [int array].  Every word is an immediate, so
+   no store needs a write barrier, and creating the heap is one
+   [Array.make].  Words are accessed two ways:
+
+   - Shared words (everything [read]/[write]/[cas]/[faa] reach, allocator
+     headers, block zeroing and poisoning) go through the C stubs in
+     words_stubs.c: sequentially consistent [__atomic] load, store, CAS
+     and fetch-add on the tagged word.  That is the SC memory model the
+     simulator steps out op by op.
+   - Owner-private words (a thread's shadow stack, register ring, manual
+     save area and signal save areas, all permanent [alloc_region]s)
+     take the runtime's plain OCaml loads and stores to [words].  Only
+     the owning thread writes them; {!Runtime} documents why every other
+     reader is ordered after those stores.
 
    Differences from the sim heap, all forced by real parallelism:
 
@@ -59,8 +72,27 @@ let fault_kinds : Mem.fault_kind array =
   [| Uaf_read; Uaf_write; Wild_read; Wild_write; Double_free; Bad_free; Out_of_memory;
      Canary_overwrite |]
 
+(* SC accesses to [words.(i)] (words_stubs.c).  The stubs do not check
+   [i]: every caller below has checked [in_range], walks a reserved
+   region or clamps to [capacity]. *)
+external word_load : int array -> (int[@untagged]) -> int
+  = "ts_par_word_load_byte" "ts_par_word_load"
+[@@noalloc]
+
+external word_store : int array -> (int[@untagged]) -> int -> unit
+  = "ts_par_word_store_byte" "ts_par_word_store"
+[@@noalloc]
+
+external word_cas : int array -> (int[@untagged]) -> int -> int -> bool
+  = "ts_par_word_cas_byte" "ts_par_word_cas"
+[@@noalloc]
+
+external word_faa : int array -> (int[@untagged]) -> (int[@untagged]) -> int
+  = "ts_par_word_fetch_add_byte" "ts_par_word_fetch_add"
+[@@noalloc]
+
 type t = {
-  words : int Atomic.t array;
+  words : int array;
   shadow : Bytes.t;
   capacity : int;
   strict : bool;
@@ -71,7 +103,7 @@ type t = {
   large_free : (int, Vec.t) Hashtbl.t;
   cache_cap : int;
   batch : int;
-  faults : int Atomic.t array; (* per fault kind *)
+  faults : int array; (* per fault kind, bumped with [word_faa] *)
   mallocs : int Atomic.t;
   frees : int Atomic.t;
   live : int Atomic.t;
@@ -88,7 +120,7 @@ type t = {
 let create ?(strict = true) ?(capacity = 1 lsl 21) ?(cache_cap = 64) ?(batch = 32)
     ~max_threads () =
   {
-    words = Array.init capacity (fun _ -> Atomic.make 0);
+    words = Array.make capacity 0;
     shadow = Bytes.make capacity st_unalloc;
     capacity;
     strict;
@@ -99,7 +131,7 @@ let create ?(strict = true) ?(capacity = 1 lsl 21) ?(cache_cap = 64) ?(batch = 3
     large_free = Hashtbl.create 16;
     cache_cap;
     batch;
-    faults = Array.init (Array.length fault_kinds) (fun _ -> Atomic.make 0);
+    faults = Array.make (Array.length fault_kinds) 0;
     (* allocator counters are bumped by every thread on every
        malloc/free; keep each on its own cache line so traffic on one
        does not invalidate the others *)
@@ -119,13 +151,13 @@ let create ?(strict = true) ?(capacity = 1 lsl 21) ?(cache_cap = 64) ?(batch = 3
 let set_fault_hook t f = t.on_fault <- Some f
 
 let record_fault t kind addr =
-  Atomic.incr t.faults.(fault_index kind);
+  ignore (word_faa t.faults (fault_index kind) 1 : int);
   (match t.on_fault with Some f -> f kind addr | None -> ());
   if t.strict then raise (Mem.Fault (kind, addr))
 
-let fault_count t kind = Atomic.get t.faults.(fault_index kind)
+let fault_count t kind = word_load t.faults (fault_index kind)
 
-let total_faults t = Array.fold_left (fun acc a -> acc + Atomic.get a) 0 t.faults
+let total_faults t = Array.fold_left (fun acc kind -> acc + fault_count t kind) 0 fault_kinds
 
 let pp_faults ppf t =
   Array.iter
@@ -138,13 +170,7 @@ let[@inline] in_range t addr = addr > 0 && addr < t.capacity
 
 let[@inline] state t addr = Bytes.unsafe_get t.shadow addr
 
-(* Word access below an [in_range]/shadow check uses [Array.unsafe_get]:
-   the range check already established the bound, so the second
-   (compiler-inserted) bounds check is pure overhead on the hottest path
-   in the native backend. *)
-let[@inline] word t addr = Array.unsafe_get t.words addr
-
-(* Data plane: checked, atomic. *)
+(* Data plane: checked, SC. *)
 
 let read t addr =
   if not (in_range t addr) then begin
@@ -153,7 +179,7 @@ let read t addr =
   end
   else
     match state t addr with
-    | c when c = st_live -> Atomic.get (word t addr)
+    | c when c = st_live -> word_load t.words addr
     | c when c = st_freed ->
         record_fault t Uaf_read addr;
         poison
@@ -165,7 +191,7 @@ let write t addr v =
   if not (in_range t addr) then record_fault t Wild_write addr
   else
     match state t addr with
-    | c when c = st_live -> Atomic.set (word t addr) v
+    | c when c = st_live -> word_store t.words addr v
     | c when c = st_freed -> record_fault t Uaf_write addr
     | _ -> record_fault t Wild_write addr
 
@@ -176,7 +202,7 @@ let cas t addr expected desired =
   end
   else
     match state t addr with
-    | c when c = st_live -> Atomic.compare_and_set (word t addr) expected desired
+    | c when c = st_live -> word_cas t.words addr expected desired
     | c when c = st_freed ->
         record_fault t Uaf_write addr;
         false
@@ -191,7 +217,7 @@ let faa t addr delta =
   end
   else
     match state t addr with
-    | c when c = st_live -> Atomic.fetch_and_add (word t addr) delta
+    | c when c = st_live -> word_faa t.words addr delta
     | c when c = st_freed ->
         record_fault t Uaf_write addr;
         poison
@@ -199,11 +225,15 @@ let faa t addr delta =
         record_fault t Wild_write addr;
         poison
 
-(* Control plane: unchecked (allocator metadata, register mirroring). *)
+(* Owner-private words: the runtime's plain loads and stores. *)
 
-let raw_read t addr = if in_range t addr then Atomic.get (word t addr) else poison
+let words t = t.words
 
-let raw_write t addr v = if in_range t addr then Atomic.set (word t addr) v
+(* Control plane: unchecked, SC (allocator headers). *)
+
+let raw_read t addr = if in_range t addr then word_load t.words addr else poison
+
+let raw_write t addr v = if in_range t addr then word_store t.words addr v
 
 let is_live t addr = in_range t addr && state t addr = st_live
 
@@ -212,14 +242,16 @@ let is_freed t addr = in_range t addr && state t addr = st_freed
 let mark_live t base n =
   Bytes.fill t.shadow base n st_live;
   for i = base to base + n - 1 do
-    Atomic.set t.words.(i) 0
+    word_store t.words i 0
   done
 
 let mark_freed t base n =
   (* Poison first, then flip the shadow: a racing reader sees either the
-     old live words or (poison, freed) — never (poison, live). *)
+     old live words or (poison, freed) — never (poison, live).  [n] comes
+     from a block header; clamp it, since the stores are unchecked. *)
+  let n = min n (t.capacity - base) in
   for i = base to base + n - 1 do
-    Atomic.set t.words.(i) poison
+    word_store t.words i poison
   done;
   Bytes.fill t.shadow base n st_freed
 
@@ -337,7 +369,7 @@ let free t ~tid addr =
       (* The live->freed header transition is a CAS: of two racing frees
          of the same block exactly one takes this branch, the other
          faults Double_free below on the freed magic. *)
-      if Atomic.compare_and_set t.words.(addr - 1) hdr (freed_magic lor block_w) then begin
+      if word_cas t.words (addr - 1) hdr (freed_magic lor block_w) then begin
         mark_freed t addr block_w;
         Atomic.incr t.frees;
         ignore (Atomic.fetch_and_add t.live (-1));

@@ -1,10 +1,12 @@
 (** Unmanaged shared heap for the native backend.
 
-    Every word is an [int Atomic.t] (all accesses sequentially
-    consistent), with a shadow byte per word tracking
-    unallocated/live/freed state so use-after-free, double-free and wild
-    accesses are detected with the same {!Ts_umem.Mem.fault_kind}
-    vocabulary as the simulator's heap. *)
+    The word store is one flat [int array].  Shared words are accessed
+    with sequentially consistent loads, stores, CAS and fetch-add (C
+    stubs on the tagged word); a thread's own stack, register ring and
+    save areas take plain loads and stores.  A shadow byte per word
+    tracks unallocated/live/freed state so use-after-free, double-free
+    and wild accesses are detected with the same
+    {!Ts_umem.Mem.fault_kind} vocabulary as the simulator's heap. *)
 
 type t
 
@@ -32,20 +34,28 @@ val fault_count : t -> Ts_umem.Mem.fault_kind -> int
 val total_faults : t -> int
 val pp_faults : Format.formatter -> t -> unit
 
-(** {1 Data plane} *)
+(** {1 Data plane}
+
+    Checked and sequentially consistent. *)
 
 val read : t -> int -> int
 val write : t -> int -> int -> unit
 val cas : t -> int -> int -> int -> bool
 val faa : t -> int -> int -> int
 
-val raw_read : t -> int -> int
-(** Unchecked read (no fault accounting); used for register mirrors. *)
-
-val raw_write : t -> int -> int -> unit
-
 val is_live : t -> int -> bool
 val is_freed : t -> int -> bool
+
+(** {1 Owner-private words}
+
+    Plain (non-atomic) access for words only one thread ever writes: its
+    shadow stack, register ring, manual save area and signal save areas.
+    Every other reader must be ordered after those stores by its own
+    synchronisation ({!Runtime} gives the argument). *)
+
+val words : t -> int array
+(** The word store itself, for the runtime's unchecked plain loads and
+    stores to owner-private words.  Index [a] is heap address [a]. *)
 
 (** {1 Allocation} *)
 

@@ -21,6 +21,26 @@
    the sim.  The scan's own loads ([scan_words]) are the exception: they
    are compared and never stored, so none is ever in flight.
 
+   Memory model.  Shared heap words are sequentially consistent (see
+   {!Heap}).  A thread's own words — shadow stack, register ring, manual
+   save area, signal save areas — take plain stores: [mirror], a private
+   [op_write], [push_frame] zeroing, [clear_regs], [save_regs] and the
+   save/restore copies around a handler.  Only the owner ever writes
+   them, and every other read of them happens after those stores:
+
+   - the owner's own handler runs inline on the owner, so program order
+     covers it;
+   - a proxy scan reads a thread only after observing [stalled_flag =
+     true] with an SC load ([op_is_stalled]).  [park] raises the flag
+     with an SC store that follows every store the victim made before
+     parking, so the scan sees them all.  Stores made after waking
+     follow the SC store that lowers the flag and the clock bump before
+     it, so a scan that could have seen one also sees the clock move
+     ([op_clock_of]) and is discarded;
+   - a dead thread's words are read only after an SC load of [finished]
+     returns [true]; [thread_body] sets it last, after every op the
+     thread ran.
+
    Virtual clocks survive: each op charges the shared {!Ts_rt.Cost_model}
    price to the calling thread's private clock, so horizon-bounded
    workload loops ([now () < deadline]) run unchanged and figure runs
@@ -47,6 +67,12 @@ module Cost_model = Ts_rt.Cost_model
 module Splitmix = Ts_util.Splitmix
 
 type tid = int
+
+(* Stall deadlines, signal-delay windows, the watchdog and [wall_ns] all
+   read CLOCK_MONOTONIC (words_stubs.c), which never steps with the wall
+   clock. *)
+external now_ns : unit -> (int[@untagged]) = "ts_par_monotonic_ns_byte" "ts_par_monotonic_ns"
+[@@noalloc]
 
 exception Par_error of string
 exception Thread_failure of tid * exn
@@ -167,11 +193,11 @@ type dqueue = { dm : Mutex.t; dcv : Condition.t; dq : request Queue.t }
 type t = {
   cfg : config;
   heap : Heap.t;
+  words : int array; (* [Heap.words heap], for owner-private stores *)
   ctxs : ctx option array; (* tid-indexed; written under [reg_lock] *)
   next_tid : int Atomic.t;
   reg_lock : Mutex.t; (* guards thread table growth + ctxs writes *)
   crit : Mutex.t; (* backs Ts_rt.critical *)
-  steps : int Atomic.t; (* coarse global step counter, batched bumps *)
   by_thread : ctx option array Atomic.t; (* Thread.id -> ctx *)
   queues : dqueue array;
 }
@@ -227,30 +253,22 @@ let ctx_of t tid =
 
 let[@inline] charge c n = c.clock <- c.clock + n
 
-let steps_batch = 64
-
-let[@inline] step t c =
+(* [n_ops] is the thread's step count; [op_steps_now] sums them, so no
+   step touches a shared line.  Oversubscribed domains: make sure
+   op-dense loops cannot hog a domain for a whole preemption tick.  Each
+   forced yield is a master-lock handoff (microseconds); 4096 ops is
+   still far below a tick. *)
+let[@inline] step c =
   c.n_ops <- c.n_ops + 1;
-  if c.n_ops land (steps_batch - 1) = 0 then begin
-    ignore (Atomic.fetch_and_add t.steps steps_batch);
-    (* Oversubscribed domains: make sure op-dense loops cannot hog a
-       domain for a whole preemption tick.  Each forced yield is a
-       master-lock handoff (microseconds), so the interval is kept well
-       above the batch size; 4096 ops is still far below a tick. *)
-    if c.n_ops land 4095 = 0 then Thread.yield ()
-  end
+  if c.n_ops land 4095 = 0 then Thread.yield ()
 
-(* [n] calls of [step] at once: the global counter and the forced
-   yield see the same batch boundaries a run of single steps would. *)
-let step_n t c n =
+(* [n] calls of [step] at once: the forced yield sees the same
+   boundaries a run of single steps would. *)
+let step_n c n =
   let before = c.n_ops in
   let after = before + n in
   c.n_ops <- after;
-  let batches = (after / steps_batch) - (before / steps_batch) in
-  if batches > 0 then begin
-    ignore (Atomic.fetch_and_add t.steps (batches * steps_batch));
-    if after / 4096 <> before / 4096 then Thread.yield ()
-  end
+  if after / 4096 <> before / 4096 then Thread.yield ()
 
 let[@inline] is_private c addr =
   (addr >= c.stack_base && addr < c.stack_base + c.stack_words)
@@ -259,17 +277,27 @@ let[@inline] is_private c addr =
 (* How many words of [base, base + len) fall inside [lo, lo + n). *)
 let overlap base len lo n = max 0 (min (base + len) (lo + n) - max base lo)
 
+(* A thread's own words (stack, register ring, save areas) are permanent
+   regions written with plain, unchecked stores to [t.words] — see the
+   header.  A non-strict out-of-memory hands back the null base; refuse
+   it here, so every such store is in range by construction. *)
+let private_region t n =
+  let base = Heap.alloc_region t.heap n in
+  if base = 0 then raise (Par_error "out of memory for a thread's private words");
+  base
+
 let[@inline] mirror t c v =
   (* branch wrap, not [mod]: this runs on every load and an integer
      division is the single most expensive instruction it would issue *)
   let cursor = c.reg_cursor + 1 in
   let cursor = if cursor >= c.reg_words then 0 else cursor in
   c.reg_cursor <- cursor;
-  Heap.raw_write t.heap (c.reg_base + cursor) v
+  Array.unsafe_set t.words (c.reg_base + cursor) v
 
+(* Both ranges are the caller's own words (ring or save areas). *)
 let copy_regs t ~src ~dst n =
   for i = 0 to n - 1 do
-    Heap.raw_write t.heap (dst + i) (Heap.raw_read t.heap (src + i))
+    Array.unsafe_set t.words (dst + i) (Array.unsafe_get t.words (src + i))
   done
 
 (* ------------------------------------------------------------------ *)
@@ -281,7 +309,7 @@ let acquire_save t c =
   | s :: rest ->
       c.save_pool <- rest;
       s
-  | [] -> Heap.alloc_region t.heap c.reg_words
+  | [] -> private_region t c.reg_words
 
 let rec deliver t c =
   charge c t.cfg.cost.signal_dispatch;
@@ -304,8 +332,6 @@ let rec deliver t c =
       charge c t.cfg.cost.signal_return)
     (fun () -> match c.handler with Some h -> h () | None -> ())
 
-and now_ns () = int_of_float (Unix.gettimeofday () *. 1e9)
-
 (* Cooperative stall: the victim parks here, at a safepoint, until the
    bounded deadline passes, a [stall_release] arrives, or it is killed.
    Soundness of the proxy-scan ladder rests on the flag protocol:
@@ -323,8 +349,11 @@ and park t c req =
   c.n_stalls <- c.n_stalls + 1;
   Atomic.set c.stalled_flag true;
   let deadline =
-    if req < 0 then max_float
-    else Unix.gettimeofday () +. (float_of_int req *. t.cfg.stall_ns_per_cycle /. 1e9)
+    if req < 0 then max_int
+    else
+      let now = now_ns () in
+      let span = float_of_int req *. t.cfg.stall_ns_per_cycle in
+      if span >= float_of_int (max_int - now) then max_int else now + int_of_float span
   in
   let rec wait () =
     if Atomic.get c.kill then begin
@@ -333,7 +362,7 @@ and park t c req =
       raise Killed
     end;
     if Atomic.compare_and_set c.stall_release true false then ()
-    else if deadline < max_float && Unix.gettimeofday () >= deadline then ()
+    else if deadline < max_int && now_ns () >= deadline then ()
     else begin
       Thread.delay 0.0001;
       wait ()
@@ -392,9 +421,9 @@ let[@inline] check_abort c =
    threads are allocated back to back and would otherwise ping-pong a
    shared line on every single op. *)
 let new_ctx t tid =
-  let stack_base = Heap.alloc_region t.heap t.cfg.stack_words in
-  let reg_base = Heap.alloc_region t.heap t.cfg.reg_words in
-  let manual_save_base = Heap.alloc_region t.heap t.cfg.reg_words in
+  let stack_base = private_region t t.cfg.stack_words in
+  let reg_base = private_region t t.cfg.reg_words in
+  let manual_save_base = private_region t t.cfg.reg_words in
   Ts_util.Padded.copy
   {
     tid;
@@ -481,7 +510,7 @@ let op_read t addr =
   let c = cur t in
   poll t c;
   check_abort c;
-  step t c;
+  step c;
   c.n_reads <- c.n_reads + 1;
   charge c (if is_private c addr then t.cfg.cost.local_op else t.cfg.cost.shared_read);
   let v = Heap.read t.heap addr in
@@ -498,7 +527,7 @@ let op_scan_words t base len f =
     let c = cur t in
     poll t c;
     check_abort c;
-    step_n t c len;
+    step_n c len;
     c.n_reads <- c.n_reads + len;
     let priv =
       overlap base len c.stack_base c.stack_words + overlap base len c.reg_base c.reg_words
@@ -513,16 +542,23 @@ let op_write t addr v =
   let c = cur t in
   poll t c;
   check_abort c;
-  step t c;
+  step c;
   c.n_writes <- c.n_writes + 1;
-  charge c (if is_private c addr then t.cfg.cost.local_op else t.cfg.cost.shared_write);
-  Heap.write t.heap addr v
+  if is_private c addr then begin
+    (* a permanent region: its shadow is live for the whole run *)
+    charge c t.cfg.cost.local_op;
+    Array.unsafe_set t.words addr v
+  end
+  else begin
+    charge c t.cfg.cost.shared_write;
+    Heap.write t.heap addr v
+  end
 
 let op_cas t addr expected desired =
   let c = cur t in
   poll t c;
   check_abort c;
-  step t c;
+  step c;
   c.n_cas <- c.n_cas + 1;
   charge c t.cfg.cost.cas;
   let ok = Heap.cas t.heap addr expected desired in
@@ -533,7 +569,7 @@ let op_faa t addr delta =
   let c = cur t in
   poll t c;
   check_abort c;
-  step t c;
+  step c;
   c.n_faa <- c.n_faa + 1;
   charge c t.cfg.cost.faa;
   let v = Heap.faa t.heap addr delta in
@@ -544,16 +580,17 @@ let op_fence t () =
   let c = cur t in
   poll t c;
   check_abort c;
-  step t c;
+  step c;
   c.n_fences <- c.n_fences + 1;
-  (* every heap word access is already sequentially consistent *)
+  (* shared word accesses are already sequentially consistent, and
+     owner-private words need no fence (see the header) *)
   charge c t.cfg.cost.fence
 
 let op_malloc t n =
   let c = cur t in
   poll t c;
   check_abort c;
-  step t c;
+  step c;
   c.n_mallocs <- c.n_mallocs + 1;
   charge c t.cfg.cost.malloc;
   let addr = Heap.malloc t.heap ~tid:c.tid n in
@@ -563,7 +600,7 @@ let op_malloc t n =
 let op_free t addr =
   let c = cur t in
   poll t c;
-  step t c;
+  step c;
   c.n_frees <- c.n_frees + 1;
   charge c t.cfg.cost.free;
   Heap.free t.heap ~tid:c.tid addr
@@ -571,7 +608,7 @@ let op_free t addr =
 let op_alloc_region t n =
   let c = cur t in
   poll t c;
-  step t c;
+  step c;
   charge c t.cfg.cost.malloc;
   Heap.alloc_region t.heap n
 
@@ -579,7 +616,7 @@ let op_yield t () =
   let c = cur t in
   poll t c;
   check_abort c;
-  step t c;
+  step c;
   c.n_yields <- c.n_yields + 1;
   charge c t.cfg.cost.yield;
   Thread.yield ()
@@ -597,12 +634,19 @@ let op_rand t n =
   charge c t.cfg.cost.local_op;
   Splitmix.below c.rng n
 
-let op_steps_now t () = Atomic.get t.steps
+(* The sum of every thread's [n_ops]: each is written only by its owner
+   and only grows, so the sum never decreases across calls. *)
+let op_steps_now t () =
+  let sum = ref 0 in
+  for tid = 0 to min (Atomic.get t.next_tid) t.cfg.max_threads - 1 do
+    match t.ctxs.(tid) with Some c -> sum := !sum + c.n_ops | None -> ()
+  done;
+  !sum
 
 let op_spawn t f =
   let c = cur t in
   poll t c;
-  step t c;
+  step c;
   c.n_spawns <- c.n_spawns + 1;
   charge c t.cfg.cost.spawn;
   let tid = Atomic.fetch_and_add t.next_tid 1 in
@@ -643,7 +687,7 @@ let rec consume_drop tc =
 let op_signal t target =
   let c = cur t in
   poll t c;
-  step t c;
+  step c;
   c.n_sent <- c.n_sent + 1;
   charge c t.cfg.cost.signal_send;
   let tc = ctx_of t target in
@@ -681,7 +725,7 @@ let op_push_frame t n =
   let base = c.sp in
   c.sp <- c.sp + n;
   for i = base to c.sp - 1 do
-    Heap.raw_write t.heap i 0
+    Array.unsafe_set t.words i 0
   done;
   base
 
@@ -713,7 +757,7 @@ let op_clear_regs t () =
   let c = cur t in
   charge c (c.reg_words * t.cfg.cost.local_op);
   for i = 0 to c.reg_words - 1 do
-    Heap.raw_write t.heap (c.reg_base + i) 0
+    Array.unsafe_set t.words (c.reg_base + i) 0
   done
 
 let op_add_range t base len =
@@ -896,21 +940,22 @@ let pool_size cfg =
   let d = if cfg.pool > 0 then cfg.pool else Domain.recommended_domain_count () in
   max 1 (min d 64)
 
-let create cfg =
+let create (cfg : config) =
+  (* [mirror] stores into the ring unchecked, so it must have a word *)
+  if cfg.reg_words < 1 then invalid_arg "Ts_par.Runtime: reg_words must be positive";
   let heap =
     Heap.create ~strict:cfg.strict_mem ~capacity:cfg.mem_capacity ~max_threads:cfg.max_threads ()
   in
   {
     cfg;
     heap;
+    words = Heap.words heap;
     ctxs = Array.make cfg.max_threads None;
     (* bumped on every registration, read on every tid lookup — keep it
        off the line shared with the ctxs array header *)
     next_tid = Ts_util.Padded.copy (Atomic.make 1);
     reg_lock = Mutex.create ();
     crit = Mutex.create ();
-    (* every thread batch-bumps [steps]; isolate it from its neighbours *)
-    steps = Ts_util.Padded.copy (Atomic.make 0);
     by_thread = Ts_util.Padded.copy (Atomic.make (Array.make 256 None));
     queues =
       Array.init (pool_size cfg) (fun _ ->
@@ -990,7 +1035,7 @@ let post_mortem_of t =
 let watchdog_body t deadline stop fired pm () =
   let rec loop () =
     if Atomic.get stop then ()
-    else if Unix.gettimeofday () >= deadline then begin
+    else if now_ns () >= deadline then begin
       pm := Some (post_mortem_of t);
       Atomic.set fired true;
       for tid = 0 to Atomic.get t.next_tid - 1 do
@@ -1024,14 +1069,14 @@ let run ?(config = default_config) main =
       Mutex.lock t.reg_lock;
       t.ctxs.(0) <- Some main_ctx;
       Mutex.unlock t.reg_lock;
-      let t0 = Unix.gettimeofday () in
+      let t0 = now_ns () in
       let wd_stop = Atomic.make false in
       let wd_fired = Atomic.make false in
       let wd_pm = ref None in
       let wd =
         if config.watchdog_ns <= 0 then None
         else
-          let deadline = t0 +. (float_of_int config.watchdog_ns /. 1e9) in
+          let deadline = t0 + config.watchdog_ns in
           Some (Thread.create (watchdog_body t deadline wd_stop wd_fired wd_pm) ())
       in
       thread_body t main_ctx main ();
@@ -1057,7 +1102,7 @@ let run ?(config = default_config) main =
       | Some th ->
           Atomic.set wd_stop true;
           Thread.join th);
-      let wall_ns = int_of_float ((Unix.gettimeofday () -. t0) *. 1e9) in
+      let wall_ns = now_ns () - t0 in
       let elapsed =
         Array.fold_left
           (fun acc -> function Some c -> max acc c.clock | None -> acc)

@@ -522,6 +522,143 @@ let test_native_parallel_speedup_shape () =
   Alcotest.(check bool) "wall clocks measured" true (r1.R.wall_ns > 0 && r4.R.wall_ns > 0)
 
 (* ------------------------------------------------------------------ *)
+(* Native-only: the word store's atomics and the step count            *)
+(* ------------------------------------------------------------------ *)
+
+(* [setup] runs on the main thread and returns the body two workers then
+   run, released together by a shared counter so their loops overlap on
+   the pool's two domains.  The counter is a CAS loop, not [faa], so a
+   broken [faa] fails the checks instead of hanging the release; the
+   watchdog bounds anything else that hangs. *)
+let native_race ?(strict = true) setup =
+  let module R = Ts_par.Runtime in
+  let res =
+    R.run
+      ~config:
+        { R.default_config with pool = 2; strict_mem = strict; watchdog_ns = 30_000_000_000 }
+      (fun () ->
+        let body = setup () in
+        let ready = Rt.alloc_region 1 in
+        let rec arrive () =
+          let v = Rt.read ready in
+          if not (Rt.cas ready v (v + 1)) then arrive ()
+        in
+        let ws =
+          List.init 2 (fun _ ->
+              Rt.spawn (fun () ->
+                  arrive ();
+                  while Rt.read ready < 2 do
+                    Rt.yield ()
+                  done;
+                  body ()))
+        in
+        List.iter Rt.join ws)
+  in
+  Alcotest.(check bool) "run not wedged" false res.R.wedged;
+  res
+
+let test_native_atomic_increments () =
+  let n = 100_000 in
+  let counters = ref 0 in
+  let res =
+    native_race (fun () ->
+        let w = Rt.malloc 2 in
+        counters := w;
+        fun () ->
+          for _ = 1 to n do
+            ignore (Rt.faa w 1)
+          done;
+          for _ = 1 to n do
+            let rec incr () =
+              let v = Rt.read (w + 1) in
+              if not (Rt.cas (w + 1) v (v + 1)) then incr ()
+            in
+            incr ()
+          done)
+  in
+  let heap = res.Ts_par.Runtime.heap in
+  check "no faults" 0 (Ts_par.Heap.total_faults heap);
+  check "faa +1 total is exact" (2 * n) (Ts_par.Heap.read heap !counters);
+  check "cas increment total is exact" (2 * n) (Ts_par.Heap.read heap (!counters + 1))
+
+let test_native_faa_deltas () =
+  let module R = Ts_par.Runtime in
+  let deltas = [ -1; -7; 5; max_int; 1; min_int; max_int / 3; -(1 lsl 61); 1 lsl 61; 0; 42 ] in
+  let reference = Atomic.make 3 in
+  let expected = List.map (fun d -> Atomic.fetch_and_add reference d) deltas in
+  let got = ref [] and final = ref 0 in
+  let res =
+    R.run
+      ~config:{ R.default_config with pool = 1 }
+      (fun () ->
+        let w = Rt.malloc 1 in
+        Rt.write w 3;
+        got := List.map (fun d -> Rt.faa w d) deltas;
+        final := Rt.read w)
+  in
+  check "no faults" 0 (Ts_par.Heap.total_faults res.R.heap);
+  Alcotest.(check (list int)) "faa returns the previous value" expected !got;
+  check "final value as Atomic.fetch_and_add leaves it" (Atomic.get reference) !final
+
+(* Both workers free every block: the header CAS lets exactly one free
+   of each block through and records the other as a Double_free. *)
+let test_native_racing_frees () =
+  let blocks = 2_000 in
+  let addrs = Array.make blocks 0 in
+  let res =
+    native_race ~strict:false (fun () ->
+        Array.iteri (fun i _ -> addrs.(i) <- Rt.malloc 2) addrs;
+        fun () -> Array.iter Rt.free addrs)
+  in
+  let heap = res.Ts_par.Runtime.heap in
+  check "one free per block succeeds" blocks (Ts_par.Heap.frees heap);
+  check "one Double_free per block" blocks (Ts_par.Heap.fault_count heap Ts_umem.Mem.Double_free);
+  check "no other fault" blocks (Ts_par.Heap.total_faults heap);
+  check "nothing left live" 0 (Ts_par.Heap.live_blocks heap);
+  Alcotest.(check bool) "every block freed" true (Array.for_all (Ts_par.Heap.is_freed heap) addrs)
+
+let test_native_steps_now () =
+  let module R = Ts_par.Runtime in
+  let ops = 20_000 in
+  let monotone = ref true and joined_gain = ref 0 and read_gain = ref 0 in
+  let (_ : R.result) =
+    R.run
+      ~config:{ R.default_config with pool = 2 }
+      (fun () ->
+        let w = Rt.malloc 1 in
+        let s0 = Rt.steps_now () in
+        let worker =
+          Rt.spawn (fun () ->
+              for _ = 1 to ops do
+                ignore (Rt.read w)
+              done)
+        in
+        let last = ref s0 in
+        while not (Rt.is_done worker) do
+          let s = Rt.steps_now () in
+          if s < !last then monotone := false;
+          last := s;
+          Thread.yield ()
+        done;
+        Rt.join worker;
+        joined_gain := Rt.steps_now () - s0)
+  in
+  let (_ : R.result) =
+    R.run
+      ~config:{ R.default_config with pool = 1 }
+      (fun () ->
+        let w = Rt.malloc 1 in
+        let s0 = Rt.steps_now () in
+        for _ = 1 to ops do
+          ignore (Rt.read w)
+        done;
+        read_gain := Rt.steps_now () - s0)
+  in
+  Alcotest.(check bool) "never decreases" true !monotone;
+  Alcotest.(check bool) "counts every op of the joined thread" true (!joined_gain >= ops);
+  check "one step per read in a single-thread run" ops !read_gain
+
+(* ------------------------------------------------------------------ *)
 (* Native-only: the degradation ladder under real-domain faults        *)
 (* ------------------------------------------------------------------ *)
 
@@ -774,6 +911,17 @@ let () =
             test_native_stress;
           Alcotest.test_case "multi-domain pool completes work" `Quick
             test_native_parallel_speedup_shape;
+        ] );
+      ( "native-words",
+        [
+          Alcotest.test_case "racing faa and cas increments are exact" `Quick
+            test_native_atomic_increments;
+          Alcotest.test_case "faa deltas match Atomic.fetch_and_add" `Quick
+            test_native_faa_deltas;
+          Alcotest.test_case "racing frees: one succeeds, one Double_free" `Quick
+            test_native_racing_frees;
+          Alcotest.test_case "steps_now is monotone and counts every op" `Quick
+            test_native_steps_now;
         ] );
       ( "native-ladder",
         [
