@@ -63,10 +63,10 @@ let make_backend backend pool =
 (* Scheme names resolve through the registry (ids and aliases alike);
    the per-scheme tuning flags ride along as registry params and are
    ignored by schemes they do not apply to. *)
-let scheme_conv ~buffer ~help_free ~delay name =
+let scheme_conv ~buffer ~delay name =
   match Registry.canonical name with
   | Error e -> Error (`Msg e)
-  | Ok id -> Ok (Registry.spec ~buffer ~help_free ~delay id)
+  | Ok id -> Ok (Registry.spec ~buffer ~delay id)
 
 (* A fraction of operations, so it must lie in [0, 1]. *)
 let ratio_conv =
@@ -144,9 +144,6 @@ let run_cmd =
   let buffer =
     Arg.(value & opt int 32 & info [ "buffer" ] ~doc:"ThreadScan per-thread delete buffer.")
   in
-  let help_free =
-    Arg.(value & flag & info [ "help-free" ] ~doc:"Enable the help-free ThreadScan variant.")
-  in
   let delay =
     Arg.(value & opt int 600_000 & info [ "delay" ] ~doc:"Slow-epoch errant delay (cycles).")
   in
@@ -181,10 +178,10 @@ let run_cmd =
              going after this long is killed and reported as wedged with a post-mortem \
              (0 = off).  Required for chaos plans that starve plain epoch forever.")
   in
-  let action ds scheme_name threads cores horizon init range update buffer help_free
-      delay padding seed analyze chaos watchdog backend pool =
+  let action ds scheme_name threads cores horizon init range update buffer delay padding seed
+      analyze chaos watchdog backend pool =
     match
-      ( scheme_conv ~buffer ~help_free ~delay scheme_name,
+      ( scheme_conv ~buffer ~delay scheme_name,
         Ts_util.Fault_plan.parse chaos )
     with
     | Error (`Msg m), _ -> `Error (false, m)
@@ -256,7 +253,7 @@ let run_cmd =
     Term.(
       ret
         (const action $ ds $ scheme_name $ threads $ cores $ horizon $ init $ range $ update
-       $ buffer $ help_free $ delay $ padding $ seed
+       $ buffer $ delay $ padding $ seed
        $ analyze $ chaos $ watchdog $ backend_arg $ pool_arg))
 
 (* ------------------------------- sweep ---------------------------------- *)

@@ -105,9 +105,6 @@ let range_arg = Arg.(value & opt int 32 & info [ "key-range" ] ~doc:"Key range."
 let buffer_arg =
   Arg.(value & opt int 8 & info [ "buffer" ] ~doc:"ThreadScan per-thread delete buffer.")
 
-let help_free_arg =
-  Arg.(value & flag & info [ "help-free" ] ~doc:"Check the help-free ThreadScan variant.")
-
 let inject_arg =
   Arg.(
     value
@@ -237,9 +234,8 @@ let sweep_cmd =
     Arg.(value & opt int 3 & info [ "pct-depth" ] ~doc:"PCT priority change points.")
   in
   let seed0 = Arg.(value & opt int 0 & info [ "seed0" ] ~doc:"First seed of the family.") in
-  let action ds_list schedules pct_depth seed0 scheme threads ops key_range buffer_size
-      help_free inject fault race bug fork prune fork_factor fork_stride fork_window
-      differential step_budget =
+  let action ds_list schedules pct_depth seed0 scheme threads ops key_range buffer_size inject
+      fault race bug fork prune fork_factor fork_stride fork_window differential step_budget =
     let analyze = race || bug <> None in
     (* A seeded bug lives in one specific structure; sweeping any other
        would "pass" without exercising it. *)
@@ -267,7 +263,6 @@ let sweep_cmd =
         ops;
         key_range;
         buffer_size;
-        help_free;
         inject;
         fault;
         analyze;
@@ -365,9 +360,9 @@ let sweep_cmd =
     Term.(
       ret
         (const action $ ds_list $ schedules $ pct_depth $ seed0 $ scheme_arg $ threads_arg
-       $ ops_arg $ range_arg $ buffer_arg $ help_free_arg $ inject_arg
-       $ fault_arg $ race_arg $ bug_arg $ fork_arg $ prune_arg $ fork_factor_arg $ fork_stride_arg
-       $ fork_window_arg $ differential_arg $ step_budget_arg))
+       $ ops_arg $ range_arg $ buffer_arg $ inject_arg $ fault_arg $ race_arg $ bug_arg $ fork_arg
+       $ prune_arg $ fork_factor_arg $ fork_stride_arg $ fork_window_arg $ differential_arg
+       $ step_budget_arg))
 
 (* -------------------------------- replay -------------------------------- *)
 
@@ -380,8 +375,7 @@ let replay_cmd =
       & info [ "policy" ] ~doc:"Schedule policy (timed|uniform|pct:<d>).")
   in
   let seed = Arg.(value & opt int 0 & info [ "seed" ] ~doc:"Schedule seed.") in
-  let action ds policy seed scheme threads ops key_range buffer_size help_free inject
-      fault race bug =
+  let action ds policy seed scheme threads ops key_range buffer_size inject fault race bug =
     let analyze = race || bug <> None in
     let ds = match bug with None -> ds | Some b -> Scenario.bug_ds b in
     let spec =
@@ -392,7 +386,6 @@ let replay_cmd =
         ops;
         key_range;
         buffer_size;
-        help_free;
         inject;
         fault;
         policy;
@@ -402,12 +395,11 @@ let replay_cmd =
       }
     in
     Fmt.pr
-      "replay: ds=%s%s threads=%d ops=%d key-range=%d buffer=%d%s inject=%s fault=%s \
-       policy=%s seed=%d%s%s@."
+      "replay: ds=%s%s threads=%d ops=%d key-range=%d buffer=%d inject=%s fault=%s policy=%s \
+       seed=%d%s%s@."
       (Scenario.ds_to_string ds)
       (if scheme = Scenario.default.Scenario.scheme then "" else " scheme=" ^ scheme)
       threads ops key_range buffer_size
-      (if help_free then " help-free" else "")
       (Scenario.inject_to_string inject)
       (Ts_util.Fault_plan.to_string fault)
       (Scenario.policy_to_string policy)
@@ -426,7 +418,7 @@ let replay_cmd =
     Term.(
       ret
         (const action $ ds $ policy $ seed $ scheme_arg $ threads_arg $ ops_arg $ range_arg $ buffer_arg
-       $ help_free_arg $ inject_arg $ fault_arg $ race_arg $ bug_arg))
+       $ inject_arg $ fault_arg $ race_arg $ bug_arg))
 
 let () =
   let doc = "systematic concurrency checker for the ThreadScan reproduction" in

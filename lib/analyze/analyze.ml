@@ -42,7 +42,9 @@
    published blocks; shadow-stack frames, registered private ranges and
    scheme-internal buffers are roots, not links — retiring a node the
    reclaimer can still see in a frame is ThreadScan's whole point).
-   Flagged: retire with live counted references (retire-before-unlink),
+   Flagged: retire with counted references that are later overwritten or
+   still stand at the end, rather than retired with their own block
+   (retire-before-unlink),
    retire of an already-retired or freed block (double-retire), and a
    word access inside a retired block by a thread the owning scheme does
    not protect (access-after-retire): under hazard pointers the accessor
@@ -97,6 +99,17 @@ end
 (* State                                                              *)
 (* ------------------------------------------------------------------ *)
 
+type lifecycle_kind = Retire_before_unlink | Double_retire | Access_after_retire
+
+type lifecycle = {
+  lc_kind : lifecycle_kind;
+  lc_scheme : string;
+  lc_tid : int;
+  lc_base : int;
+  lc_alloc : int;
+  lc_detail : string;
+}
+
 type lifecycle_state =
   | Alive
   | Retired of { r_scheme : string; r_tid : int; r_access : Smr.retired_access }
@@ -110,6 +123,7 @@ type alloc = {
   mutable al_refs : int;  (* counted incoming references *)
   mutable al_published : bool;
   mutable al_state : lifecycle_state;
+  mutable al_suspect : lifecycle option;  (* retired while still referenced *)
 }
 
 type word = {
@@ -146,17 +160,6 @@ type race = {
   rc_second : access;
 }
 
-type lifecycle_kind = Retire_before_unlink | Double_retire | Access_after_retire
-
-type lifecycle = {
-  lc_kind : lifecycle_kind;
-  lc_scheme : string;
-  lc_tid : int;
-  lc_base : int;
-  lc_alloc : int;
-  lc_detail : string;
-}
-
 type violation = Race of race | Lifecycle of lifecycle
 
 type t = {
@@ -174,6 +177,7 @@ type t = {
   raced : (int, unit) Hashtbl.t;  (* word addrs already reported *)
   flagged : (int, unit) Hashtbl.t;  (* alloc ids with access-after-retire *)
   mutable viols : violation list;  (* reversed *)
+  mutable suspects : alloc list;  (* reversed; see [note_retire] *)
   mutable n_viols : int;
   mutable dropped : int;
   max_reports : int;
@@ -196,6 +200,7 @@ let create ?(max_reports = 32) ?(notes = true) () =
     raced = Hashtbl.create 8;
     flagged = Hashtbl.create 8;
     viols = [];
+    suspects = [];
     n_viols = 0;
     dropped = 0;
     max_reports;
@@ -412,7 +417,12 @@ let drop_outgoing an a =
   for i = 0 to a.al_words - 1 do
     match Hashtbl.find_opt an.words (a.al_base + i) with
     | Some w ->
-        (match w.target with Some c when w.counted -> decref c | _ -> ());
+        (match w.target with
+        | Some c when w.counted ->
+            decref c;
+            (* its last referrer was itself unlinked: acquitted *)
+            if c.al_refs = 0 then c.al_suspect <- None
+        | _ -> ());
         w.target <- None;
         w.counted <- false
     | None -> ()
@@ -420,8 +430,15 @@ let drop_outgoing an a =
 
 let in_ranges ranges addr = List.exists (fun (b, n) -> addr >= b && addr < b + n) ranges
 
+(* A counted link to [c] is overwritten.  If [c] was retired while
+   referenced ([note_retire]), this link was still standing then. *)
+let drop_link an c =
+  decref c;
+  Option.iter (fun l -> add_violation an (Lifecycle l)) c.al_suspect;
+  c.al_suspect <- None
+
 let map_write an th w addr v =
-  (match w.target with Some c when w.counted -> decref c | _ -> ());
+  (match w.target with Some c when w.counted -> drop_link an c | _ -> ());
   w.target <- None;
   w.counted <- false;
   let base = Ptr.addr v in
@@ -550,10 +567,28 @@ let note_retire an ~scheme ~access p =
               | Freed ->
                   lifecycle_violation an th Double_retire ~scheme a "retire of a freed block"
               | Alive ->
-                  if a.al_refs > 0 then
-                    lifecycle_violation an th Retire_before_unlink ~scheme a
-                      (Fmt.str "%d live shared reference%s at retire" a.al_refs
-                         (if a.al_refs = 1 then "" else "s"));
+                  (* A referrer may itself be unlinked and await its own
+                     retire (a lazy-list node removed just before its
+                     successor), so the verdict waits: overwriting a
+                     remaining link convicts ([drop_link]), the retire of
+                     the last referrer acquits ([drop_outgoing]), and a
+                     link still standing at the end convicts
+                     ([violations]). *)
+                  if a.al_refs > 0 then begin
+                    a.al_suspect <-
+                      Some
+                        {
+                          lc_kind = Retire_before_unlink;
+                          lc_scheme = scheme;
+                          lc_tid = tid;
+                          lc_base = a.al_base;
+                          lc_alloc = a.al_id;
+                          lc_detail =
+                            Fmt.str "%d live shared reference%s at retire" a.al_refs
+                              (if a.al_refs = 1 then "" else "s");
+                        };
+                    an.suspects <- a :: an.suspects
+                  end;
                   a.al_state <- Retired { r_scheme = scheme; r_tid = tid; r_access = access };
                   drop_outgoing an a))
 
@@ -656,6 +691,7 @@ let wrap an (o : Ts_rt.ops) : Ts_rt.ops =
             al_refs = 0;
             al_published = false;
             al_state = Alive;
+            al_suspect = None;
           }
         in
         an.next_alloc <- an.next_alloc + 1;
@@ -896,7 +932,11 @@ let attach ?max_reports ?notes () =
 
 let detach _an = Ts_rt.set_decorator None
 
-let violations an = List.rev an.viols
+let violations an =
+  let standing =
+    List.filter_map (fun a -> if a.al_refs > 0 then a.al_suspect else None) an.suspects
+  in
+  List.rev_append an.viols (List.rev_map (fun l -> Lifecycle l) standing)
 
 let races an =
   List.filter_map (function Race r -> Some r | Lifecycle _ -> None) (violations an)

@@ -7,24 +7,12 @@ module Smr = Ts_smr.Smr
    its in-flight pointer with it (the reference exists only in its dead
    hands), so a run with [k] crashed threads may legitimately end with up
    to [k] nodes never freed — a bounded leak, never a use-after-free. *)
-let check ?(max_leak = 0) ?ts ~(counters : Smr.counters) ~alloc ~baseline_live ~final_list () =
+let check ?(max_leak = 0) ~(counters : Smr.counters) ~alloc ~baseline_live ~final_list () =
   let v = ref [] in
   let add what detail = v := Report.Oracle { what; detail } :: !v in
   let retired = counters.Smr.retired and freed = counters.Smr.freed in
   if freed > retired then add "freed exceeds retired" (Fmt.str "retired=%d freed=%d" retired freed);
-  (* The help-free conservation law is ThreadScan bookkeeping; for every
-     other scheme outstanding falls back to the shared counters (which is
-     what [Threadscan.outstanding] computes anyway). *)
-  (match ts with
-  | None -> ()
-  | Some ts ->
-      let helped = Threadscan.helped_frees ts and burden = Threadscan.reclaimer_frees ts in
-      if helped + burden <> freed then
-        add "free accounting mismatch"
-          (Fmt.str "helped=%d + reclaimer=%d <> freed=%d" helped burden freed));
-  let outstanding =
-    match ts with Some ts -> Threadscan.outstanding ts | None -> retired - freed
-  in
+  let outstanding = retired - freed in
   if outstanding > max_leak then
     add "retired nodes never freed"
       (Fmt.str "outstanding=%d after flush (crash-leak budget %d)" outstanding max_leak);

@@ -4,8 +4,6 @@
     removed, [flush] driven to completion):
 
     - [freed <= retired] — nothing is freed that was never retired;
-    - [helped_frees + reclaimer_frees = freed] — every free is accounted
-      to exactly one freeing side (the §7 help-free conservation law);
     - [outstanding = 0] — every unreachable retired node was eventually
       freed (the set is empty, so all retired nodes are unreachable);
     - the set really is empty;
@@ -19,17 +17,14 @@
 
 val check :
   ?max_leak:int ->
-  ?ts:Threadscan.t ->
   counters:Ts_smr.Smr.counters ->
   alloc:Ts_umem.Alloc.t ->
   baseline_live:int ->
   final_list:(int * int) list ->
   unit ->
   Report.violation list
-(** Empty list = all invariants hold.  [ts] enables the ThreadScan-only
-    invariants (help-free conservation, scheme-side outstanding count);
-    without it, outstanding is [retired - freed] from the shared
-    counters.  [max_leak] (default 0) relaxes the
+(** Empty list = all invariants hold.  Outstanding is [retired - freed]
+    from the shared counters.  [max_leak] (default 0) relaxes the
     [outstanding] and live-heap checks by that many nodes: a thread crashed
     mid-[retire] takes its in-flight pointer with it, so runs that kill [k]
     threads budget a bounded leak of [k] — any excess (or any use-after-free,

@@ -20,7 +20,6 @@ type spec = {
   ops : int;
   key_range : int;
   buffer_size : int;
-  help_free : bool;
   inject : Threadscan.inject;
   fault : Fault_plan.t;
   policy : policy;
@@ -37,7 +36,6 @@ let default =
     ops = 40;
     key_range = 32;
     buffer_size = 8;
-    help_free = false;
     inject = Threadscan.No_fault;
     fault = [];
     policy = Uniform;
@@ -138,11 +136,10 @@ let check_fault (plan : Fault_plan.t) =
 let replay_command spec =
   Fmt.str
     "dune exec bin/tscheck.exe -- replay --ds %s%s --threads %d --ops %d --key-range %d \
-     --buffer %d%s --inject %s --fault %s --policy %s --seed %d%s%s"
+     --buffer %d --inject %s --fault %s --policy %s --seed %d%s%s"
     (ds_to_string spec.ds)
     (if spec.scheme = default.scheme then "" else " --scheme " ^ spec.scheme)
     spec.threads spec.ops spec.key_range spec.buffer_size
-    (if spec.help_free then " --help-free" else "")
     (inject_to_string spec.inject) (Fault_plan.to_string spec.fault) (policy_to_string spec.policy)
     spec.seed
     (if spec.analyze then " --race" else "")
@@ -459,9 +456,7 @@ let run ?configure ?trace spec =
                      });
            }
          in
-         let rspec =
-           Registry.spec ~buffer:spec.buffer_size ~help_free:spec.help_free spec.scheme
-         in
+         let rspec = Registry.spec ~buffer:spec.buffer_size spec.scheme in
          let built = Registry.build env rspec in
          (match built.Registry.ts with
          | Some ts ->
@@ -522,8 +517,8 @@ let run ?configure ?trace spec =
          in
          oracle_violations :=
            !oracle_violations
-           @ Oracle.check ~max_leak ?ts:built.Registry.ts ~counters:smr.Smr.counters
-               ~alloc:(Runtime.alloc rt) ~baseline_live:baseline ~final_list ()));
+           @ Oracle.check ~max_leak ~counters:smr.Smr.counters ~alloc:(Runtime.alloc rt)
+               ~baseline_live:baseline ~final_list ()));
   let crash =
     try
       ignore (Runtime.start rt);

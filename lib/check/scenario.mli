@@ -59,13 +59,12 @@ type spec = {
       (** reclamation scheme under check, by canonical
           {!Ts_scheme.Registry} id.  Any registered scheme runs the full
           detection stack; the ThreadScan-only layers (protocol
-          injections, phase attribution, help-free conservation) engage
+          injections, phase attribution) engage
           exactly when the built scheme exposes a ThreadScan instance. *)
   threads : int;  (** worker threads (main is extra) *)
   ops : int;  (** operations per worker *)
   key_range : int;
   buffer_size : int;  (** ThreadScan per-thread delete buffer *)
-  help_free : bool;
   inject : Threadscan.inject;  (** deliberate bug, for checker validation *)
   fault : Ts_util.Fault_plan.t;
       (** injected environment fault the protocol must survive, within
@@ -88,8 +87,8 @@ type spec = {
 }
 
 val default : spec
-(** list over threadscan, 3 threads, 40 ops, keys 0..31, buffer 8, no help-free,
-    no injection, uniform policy, seed 0, no analysis, no seeded bug. *)
+(** list over threadscan, 3 threads, 40 ops, keys 0..31, buffer 8, no
+    injection, uniform policy, seed 0, no analysis, no seeded bug. *)
 
 val ds_to_string : ds_kind -> string
 

@@ -1,7 +1,6 @@
 type t = {
   max_threads : int;
   buffer_size : int;
-  help_free : bool;
   ack_budget : int;
   suspect_phases : int;
   takeover_steps : int;
@@ -12,14 +11,11 @@ let default =
   {
     max_threads = 64;
     buffer_size = 64;
-    help_free = false;
     ack_budget = 5_000_000;
     suspect_phases = 3;
     takeover_steps = 1_000_000;
     overflow_after = 64;
   }
-
-let paper = { default with max_threads = 256; buffer_size = 1024 }
 
 let validate t =
   if t.max_threads < 1 then invalid_arg "Threadscan config: max_threads < 1";

@@ -8,10 +8,6 @@ type t = {
           per thread (4096 in the tuned oversubscribed hash-table run); the
           scaled-down simulation defaults to 64 so reclamation phases happen
           within short horizons. *)
-  help_free : bool;
-      (** §7 future-work variant: scanning threads free a share of the
-          previous phase's garbage in their next TS-Scan, unloading the
-          reclaimer. *)
   ack_budget : int;
       (** Virtual cycles the reclaimer waits for scanner acknowledgments
           before declaring the phase blind and marking non-ackers suspect
@@ -35,13 +31,10 @@ type t = {
 }
 
 val default : t
-(** [max_threads = 64], [buffer_size = 64], [help_free = false], and
-    robustness defaults generous enough that healthy runs never trigger
-    them: [ack_budget = 5_000_000] cycles, [suspect_phases = 3],
+(** [max_threads = 64], [buffer_size = 64], and robustness defaults
+    generous enough that healthy runs never trigger them:
+    [ack_budget = 5_000_000] cycles, [suspect_phases = 3],
     [takeover_steps = 1_000_000], [overflow_after = 64]. *)
-
-val paper : t
-(** The paper's configuration: buffer of 1024 pointers, 256 threads. *)
 
 val validate : t -> unit
 (** @raise Invalid_argument on nonsensical values. *)

@@ -28,9 +28,6 @@ type t = {
   phase_addr : int; (* current phase id, written by the reclaimer *)
   acks_base : int; (* acks_base + tid: last phase acknowledged *)
   registered_base : int; (* registered_base + tid: participation flag *)
-  work_idx : int; (* help-free: next unclaimed index *)
-  work_count : int; (* help-free: number of queued frees *)
-  work_base : int; (* help-free: queued pointers *)
   (* Degradation-ladder state, owned by whoever holds the phase lock. *)
   suspect_since : int array; (* phase at which tid went suspect; -1 clear *)
   suspect_ack : int array; (* ack value at suspicion, to detect recovery *)
@@ -44,10 +41,8 @@ type t = {
   mutable carried : int;
   mutable scan_words : int;
   mutable scan_hits : int;
-  mutable helped : int;
   mutable full_waits : int;
   phase_latencies : Ts_util.Vec.t; (* cycles spent inside each do_phase *)
-  mutable free_burden : int; (* nodes freed inside collect, by the reclaimer *)
   mutable ack_timeouts : int; (* phases whose ack wait exhausted the budget *)
   mutable carried_blind : int; (* entries carried because a phase was blind *)
   mutable suspected_total : int;
@@ -123,34 +118,6 @@ let check_takeover t owner_seen beat_seen seen_at =
 (* TS-Scan: the signal-handler side (Algorithm 1, lines 18-26)         *)
 (* ------------------------------------------------------------------ *)
 
-(* Help-free variant (§7): grab a size-proportional slice of the previous
-   phase's garbage and free it on behalf of the reclaimer.  Every free is
-   preceded by a CAS claiming the queue slot: a helper that stalled
-   mid-slice and wakes after the queue was recycled finds its claims
-   failing instead of double-freeing, and the reclaimer can likewise sweep
-   up a dead helper's unclaimed slots. *)
-let help_free t =
-  let cnt = Runtime.read t.work_count in
-  if cnt > 0 then begin
-    let c = counters t in
-    let chunk = max 1 (cnt / t.cfg.max_threads) in
-    let start = Runtime.faa t.work_idx chunk in
-    let freed = ref 0 in
-    for i = start to min (start + chunk) cnt - 1 do
-      let p = Runtime.read (t.work_base + i) in
-      if p <> 0 && Runtime.cas (t.work_base + i) p 0 then begin
-        (* tslint: allow sigsafe -- both backends deliver signals at safepoint polls, never preempting an allocator call; helping runs between polls, as the paper's helpers run outside the handler *)
-        Runtime.free (Ptr.addr p);
-        Smr.add_freed c 1;
-        incr freed
-      end
-    done;
-    (* [t] is shared by every scanner: one write per slice, not per free.
-       [add_freed] stays per free so a helper killed mid-slice still
-       shows the leak oracle every free it made. *)
-    t.helped <- t.helped + !freed
-  end
-
 (* The bounds are read once per range: they only change under a new count,
    and a scan that raced a publish is not counted for the new phase anyway.
    The [lo, hi] check keeps the common case — a word pointing at no retired
@@ -173,7 +140,6 @@ let scan_range t (base, len) =
   t.scan_hits <- t.scan_hits + !hits
 
 let ts_scan t =
-  if t.cfg.help_free then help_free t;
   (* Read the phase *before* scanning: if the reclaimer gave up waiting and
      published a new phase while we scan, we must not claim to have covered
      a master buffer we may never have seen. *)
@@ -194,25 +160,6 @@ let ts_scan t =
 (* ------------------------------------------------------------------ *)
 
 let registered t u = Runtime.read (t.registered_base + u) <> 0
-
-let drain_work_leftovers t =
-  (* Claim-and-free every slot not already claimed by a helper; slots a live
-     helper claimed are already 0, slots a dead helper never reached are
-     swept up here.  Must run before the queue is recycled. *)
-  let cnt = Runtime.read t.work_count in
-  if cnt > 0 then begin
-    let c = counters t in
-    for i = 0 to cnt - 1 do
-      let p = Runtime.read (t.work_base + i) in
-      if p <> 0 && Runtime.cas (t.work_base + i) p 0 then begin
-        Runtime.free (Ptr.addr p);
-        Smr.add_freed c 1;
-        t.free_burden <- t.free_burden + 1
-      end
-    done;
-    Runtime.write t.work_count 0;
-    Runtime.write t.work_idx 0
-  end
 
 (* Stage 1, collect: adopt the retirements parked on the overflow list,
    aggregate every thread's delete buffer into the master buffer (on top of
@@ -404,8 +351,8 @@ let ladder t phase ~timed_out ~departed =
     done;
   !blind
 
-(* Stage 4, sweep: free (or, with [help_free], queue for the helpers) every
-   unmarked entry and carry the marked ones over. *)
+(* Stage 4, sweep: free every unmarked entry and carry the marked ones
+   over. *)
 let sweep t phase ~blind ~my_gen =
   if blind then begin
     (* Rung 1: free nothing; carry the entire master buffer over.  This
@@ -424,24 +371,11 @@ let sweep t phase ~blind ~my_gen =
   end
   else begin
     let ignore_marks = t.inject = Skip_carryover in
-    if t.cfg.help_free then begin
-      drain_work_leftovers t;
-      let queued = ref 0 in
-      t.carried <-
-        Master_buffer.sweep ~ignore_marks t.master (fun p ->
-            Runtime.write (t.work_base + !queued) p;
-            incr queued);
-      Runtime.write t.work_idx 0;
-      Runtime.write t.work_count !queued
-    end
-    else begin
-      let c = counters t in
-      t.carried <-
-        Master_buffer.sweep ~ignore_marks t.master (fun p ->
-            Runtime.free (Ptr.addr p);
-            Smr.add_freed c 1;
-            t.free_burden <- t.free_burden + 1)
-    end
+    let c = counters t in
+    t.carried <-
+      Master_buffer.sweep ~ignore_marks t.master (fun p ->
+          Runtime.free (Ptr.addr p);
+          Smr.add_freed c 1)
   end
 
 (* One reclamation phase.  Caller holds the phase lock. *)
@@ -566,7 +500,6 @@ let flush t () =
     Runtime.clear_regs ();
     let before = (counters t).freed in
     do_phase t;
-    drain_work_leftovers t;
     let buffered = Array.exists (fun b -> Delete_buffer.size b > 0) t.buffers in
     (* Keep going only while the last phase made progress: whatever remains
        is pinned by a conservatively-scanned stack. *)
@@ -592,9 +525,6 @@ let create ?(config = Config.default) () =
       phase_addr = Runtime.alloc_region 1;
       acks_base = Runtime.alloc_region config.max_threads;
       registered_base = Runtime.alloc_region config.max_threads;
-      work_idx = Runtime.alloc_region 1;
-      work_count = Runtime.alloc_region 1;
-      work_base = Runtime.alloc_region master_cap;
       suspect_since = Array.make config.max_threads (-1);
       suspect_ack = Array.make config.max_threads 0;
       suspect_silent = Array.make config.max_threads 0;
@@ -607,10 +537,8 @@ let create ?(config = Config.default) () =
       carried = 0;
       scan_words = 0;
       scan_hits = 0;
-      helped = 0;
       full_waits = 0;
       phase_latencies = Ts_util.Vec.create ();
-      free_burden = 0;
       ack_timeouts = 0;
       carried_blind = 0;
       suspected_total = 0;
@@ -634,9 +562,7 @@ let create ?(config = Config.default) () =
           ("carried", t.carried);
           ("scan-words", t.scan_words);
           ("scan-hits", t.scan_hits);
-          ("helped-frees", t.helped);
           ("full-waits", t.full_waits);
-          ("reclaimer-frees", t.free_burden);
           ("max-phase-latency", max_phase_latency t);
           ("avg-phase-latency", avg_phase_latency t);
           ("ack-timeouts", t.ack_timeouts);
@@ -675,15 +601,11 @@ let scan_words t = t.scan_words
 
 let scan_hits t = t.scan_hits
 
-let helped_frees t = t.helped
-
 let full_waits t = t.full_waits
 
 let outstanding t =
   let c = counters t in
   c.retired - c.freed
-
-let reclaimer_frees t = t.free_burden
 
 let ack_timeouts t = t.ack_timeouts
 

@@ -23,9 +23,7 @@
 
     The §4.3 extension ({!add_heap_block}/{!remove_heap_block}) registers
     per-thread heap blocks holding private references so TS-Scan covers
-    them.  The §7 future-work variant ([help_free]) makes scanning threads
-    free a slice of the previous phase's garbage inside their handler,
-    unloading the reclaimer. *)
+    them. *)
 
 module Config = Config
 module Delete_buffer = Delete_buffer
@@ -71,12 +69,6 @@ val scan_hits : t -> int
 (** Scan words that matched a master-buffer entry.  Added per range,
     with the same precision as {!scan_words}. *)
 
-val helped_frees : t -> int
-(** Nodes freed inside scanners' handlers ([help_free] variant).  Added
-    once per helped slice, with the same precision as {!scan_words}.  A
-    helper killed mid-slice loses its partial count; the SMR [freed]
-    counter, which the leak oracle reads, is still bumped per free. *)
-
 val full_waits : t -> int
 (** Times a thread found its buffer full while another reclaimer was
     active and had to wait (usually to discover its buffer drained). *)
@@ -89,12 +81,7 @@ val total_phase_cycles : t -> int
     reported as the [phase-cycles] scheme extra.  Per phase this is the §7
     responsiveness concern — the reclaimer is unavailable to its
     application for that long — reported as the [max-phase-latency] and
-    [avg-phase-latency] extras.  The [help_free] variant shortens phases
-    by moving the free() calls into the scanners' handlers. *)
-
-val reclaimer_frees : t -> int
-(** Nodes freed by the reclaimer inside collect phases (as opposed to by
-    helping scanners). *)
+    [avg-phase-latency] extras. *)
 
 (** {1 Degradation metrics (fault tolerance, see [docs/FAULTS.md])}
 

@@ -263,23 +263,6 @@ let ablate_slow_epoch ~backend scale =
   in
   run_sweep ~backend ~threads_list ~series
 
-let ablate_help_free ~backend scale =
-  let spec, ts_buffer = base_spec scale Workload.Hash_ds in
-  (* frequent phases, so the reclaimer-latency difference is observable *)
-  let ts_buffer = max 4 (ts_buffer / 4) in
-  let threads_list = fig3_threads scale in
-  let series =
-    [
-      ( "reclaimer-only",
-        { spec with Workload.scheme = Registry.spec ~buffer:ts_buffer "threadscan" }
-      );
-      ( "help-free",
-        { spec with Workload.scheme = Registry.spec ~buffer:ts_buffer ~help_free:true "threadscan" }
-      );
-    ]
-  in
-  run_sweep ~backend ~threads_list ~series
-
 let ablate_padding ~backend scale =
   let spec, ts_buffer = base_spec scale Workload.List_ds in
   let ts = Registry.spec ~buffer:ts_buffer "threadscan" in
@@ -417,17 +400,6 @@ let chaos_recovery ~backend scale =
 (* ------------------------------------------------------------------ *)
 (* Driver                                                              *)
 (* ------------------------------------------------------------------ *)
-
-let extras_summary points ~label ~key =
-  let total =
-    List.fold_left
-      (fun acc { cells; _ } ->
-        match List.assoc_opt label cells with
-        | Some r -> acc + (try List.assoc key r.Workload.extras with Not_found -> 0)
-        | None -> acc)
-      0 points
-  in
-  Fmt.pr "summary: series %s: total %s = %d@." label key total
 
 let memory_summary points =
   List.iter
@@ -724,26 +696,6 @@ let run_and_print ~title ?(backend = Workload.Backend_sim) ?(json = false) f sca
   if title = "chaos-recovery" then chaos_oracle points;
   ratio_summary points ~num:"threadscan" ~den:"hazard";
   ratio_summary points ~num:"threadscan" ~den:"leaky";
-  if title = "ablate-help-free" then begin
-    (* throughput barely moves; the point of the variant (§7) is reclaimer
-       responsiveness: the free burden moves off the reclaimer and phases
-       get shorter *)
-    List.iter
-      (fun label ->
-        extras_summary points ~label ~key:"helped-frees";
-        extras_summary points ~label ~key:"reclaimer-frees")
-      [ "reclaimer-only"; "help-free" ];
-    match List.rev points with
-    | last :: _ ->
-        List.iter
-          (fun (label, r) ->
-            let get k = try List.assoc k r.Workload.extras with Not_found -> 0 in
-            Fmt.pr
-              "summary: %s at %d threads: avg phase latency %d cycles, max %d cycles@."
-              label last.threads (get "avg-phase-latency") (get "max-phase-latency"))
-          last.cells
-    | [] -> ()
-  end;
   if title = "ablate-padding" then
     (* padding trades memory for false-sharing avoidance; the simulator
        prices accesses uniformly, so the visible effect is the footprint *)
@@ -773,7 +725,6 @@ let names =
     ("fig5-hash", fig5);
     ("ablate-buffer", ablate_buffer);
     ("ablate-slow-epoch", ablate_slow_epoch);
-    ("ablate-help-free", ablate_help_free);
     ("ablate-padding", ablate_padding);
     ("ablate-structures", ablate_structures);
     ("ablate-crash", ablate_crash);

@@ -37,9 +37,6 @@ val ablate_buffer : backend:Workload.backend -> scale -> point list
 val ablate_slow_epoch : backend:Workload.backend -> scale -> point list
 (** §6 Slow Epoch sensitivity: errant-delay sweep on the list. *)
 
-val ablate_help_free : backend:Workload.backend -> scale -> point list
-(** §7 future work: reclaimer-only frees vs scanner-helped frees. *)
-
 val ablate_padding : backend:Workload.backend -> scale -> point list
 (** Design note: effect of the paper's 172-byte node padding on the list. *)
 

@@ -17,7 +17,6 @@ type chaos_profile = Self_healing | Crash_healing | Quiescence_bound | Unchecked
 
 type params = {
   buffer : int option;
-  help_free : bool;
   delay : int option;
   patience : int option;
   batch : int option;
@@ -26,7 +25,6 @@ type params = {
 let default_params =
   {
     buffer = None;
-    help_free = false;
     delay = None;
     patience = None;
     batch = None;
@@ -80,7 +78,6 @@ let build_threadscan env p =
       Threadscan.Config.default with
       max_threads = env.max_threads;
       buffer_size = Option.value p.buffer ~default:64;
-      help_free = p.help_free;
     }
   in
   let config =
@@ -132,7 +129,7 @@ let all =
       caps = { reclaims with ts_protocol = true; pins_frames = true };
       chaos = Self_healing;
       recovery_extras = [ "reaps"; "takeovers"; "proxy-scans"; "recoveries" ];
-      tunables = [ "buffer"; "help-free" ];
+      tunables = [ "buffer" ];
       crash_leak_per_victim = (fun _ -> 1);
       build = build_threadscan;
     };
@@ -266,7 +263,7 @@ let descriptor (s : spec) = get s.id
 let canonical name =
   match find name with Some d -> Ok d.id | None -> Error (unknown name)
 
-let spec ?buffer ?(help_free = false) ?delay ?patience ?batch name =
+let spec ?buffer ?delay ?patience ?batch name =
   let d = get name in
   (* Drop tuning the scheme does not use: CLIs pass their flag defaults
      for every scheme, and an irrelevant parameter must not leak into
@@ -277,7 +274,6 @@ let spec ?buffer ?(help_free = false) ?delay ?patience ?batch name =
     params =
       {
         buffer = keep "buffer" buffer;
-        help_free = help_free && List.mem "help-free" d.tunables;
         delay = keep "delay" delay;
         patience = keep "patience" patience;
         batch = keep "batch" batch;
@@ -289,14 +285,8 @@ let label (s : spec) = s.id
 let params_assoc s =
   let p = s.params in
   List.filter_map
-    (fun x -> x)
-    [
-      Option.map (fun v -> ("buffer", v)) p.buffer;
-      (if p.help_free then Some ("help-free", 1) else None);
-      Option.map (fun v -> ("delay", v)) p.delay;
-      Option.map (fun v -> ("patience", v)) p.patience;
-      Option.map (fun v -> ("batch", v)) p.batch;
-    ]
+    (fun (k, v) -> Option.map (fun v -> (k, v)) v)
+    [ ("buffer", p.buffer); ("delay", p.delay); ("patience", p.patience); ("batch", p.batch) ]
 
 let describe s =
   match params_assoc s with

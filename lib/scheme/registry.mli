@@ -54,7 +54,6 @@ type chaos_profile = Self_healing | Crash_healing | Quiescence_bound | Unchecked
     ignored by schemes that do not use them. *)
 type params = {
   buffer : int option;  (** ThreadScan per-thread buffer (default 64) *)
-  help_free : bool;  (** ThreadScan: peers help the free phase *)
   delay : int option;  (** slow-epoch: straggler delay in steps *)
   patience : int option;  (** patient-epoch: bounded quiescence wait *)
   batch : int option;  (** epoch family / debra / hyaline batch *)
@@ -138,7 +137,6 @@ val names_doc : unit -> string
 
 val spec :
   ?buffer:int ->
-  ?help_free:bool ->
   ?delay:int ->
   ?patience:int ->
   ?batch:int ->
@@ -153,7 +151,7 @@ val label : spec -> string
 
 val params_assoc : spec -> (string * int) list
 (** The tuning parameters that are actually set, as a flat assoc for
-    JSON emission ([help-free] encodes as [1]). *)
+    JSON emission. *)
 
 val describe : spec -> string
 (** [label] plus any set parameters, for verbose human output. *)

@@ -19,6 +19,7 @@
 module Rt = Ts_rt
 module Frame = Ts_rt.Frame
 module Smr = Ts_smr.Smr
+module Ptr = Ts_umem.Ptr
 module Analyze = Ts_analyze.Analyze
 module Scenario = Ts_check.Scenario
 module Report = Ts_check.Report
@@ -167,6 +168,65 @@ let test_skip_fence () =
     free_races
 
 (* ------------------------------------------------------------------ *)
+(* The retire-before-unlink verdict waits for the references          *)
+(* ------------------------------------------------------------------ *)
+
+(* A node unlinked but not yet retired still links to its successor, so
+   a successor unlinked and retired before it has a counted reference at
+   its retire (a lazy-list remove racing the remove of its predecessor).
+   The referrer's own retire acquits; a link overwritten after the
+   retire, or still standing at the end, convicts. *)
+let test_retire_verdict () =
+  let kinds body =
+    let an = Analyze.attach ~notes:false () in
+    let (_ : int) =
+      Fun.protect
+        ~finally:(fun () -> Analyze.detach an)
+        (fun () ->
+          sim_runner.exec (fun () ->
+              let smr = Analyze.wrap_smr an (Ts_reclaim.Leaky.create ()) in
+              let head = Rt.alloc_region 1 in
+              let node next =
+                let p = Ptr.of_addr (Rt.malloc 2) in
+                Rt.write (Ptr.addr p + 1) next;
+                p
+              in
+              body smr head node))
+    in
+    List.map
+      (fun (l : Analyze.lifecycle) -> Analyze.kind_to_string l.lc_kind)
+      (Analyze.lifecycle_violations an)
+  in
+  let unlinked_referrer =
+    kinds (fun smr head node ->
+        let y = node (node Ptr.null) in
+        let x = node y in
+        Rt.write head x;
+        Rt.write head y (* x unlinked, still linking to y *);
+        Rt.write head (Rt.read (Ptr.addr y + 1)) (* y unlinked *);
+        smr.Smr.retire y;
+        smr.Smr.retire x)
+  in
+  Alcotest.(check (list string)) "referrer retired too: acquitted" [] unlinked_referrer;
+  let unlinked_late =
+    kinds (fun smr head node ->
+        let y = node Ptr.null in
+        Rt.write head y;
+        smr.Smr.retire y;
+        Rt.write head Ptr.null)
+  in
+  Alcotest.(check (list string)) "unlinked after retire: convicted" [ "retire-before-unlink" ]
+    unlinked_late;
+  let never_unlinked =
+    kinds (fun smr head node ->
+        let y = node Ptr.null in
+        Rt.write head y;
+        smr.Smr.retire y)
+  in
+  Alcotest.(check (list string)) "still linked at the end: convicted" [ "retire-before-unlink" ]
+    never_unlinked
+
+(* ------------------------------------------------------------------ *)
 (* scan_words is one read per word to the analyzer                    *)
 (* ------------------------------------------------------------------ *)
 
@@ -289,6 +349,9 @@ let () =
           Alcotest.test_case "retire-early: lifecycle automaton" `Quick test_retire_early;
           Alcotest.test_case "skip-fence: free-vs-access race" `Quick test_skip_fence;
         ] );
+      ( "lifecycle",
+        [ Alcotest.test_case "retire verdict waits for the references" `Quick test_retire_verdict ]
+      );
       ("scan-words", per_backend "free racing a scan is reported" test_scan_words_race);
       ( "determinism",
         [ Alcotest.test_case "same seed, same report" `Quick test_deterministic_report ] );

@@ -5,7 +5,6 @@
      which collect phases trigger (full/empty wrap of the SRSW ring);
    - the §4.3 heap-block extension (registered blocks pin, deregistered
      blocks release);
-   - the §7 help-free conservation law across a seed family;
    - the PCT priority scheduler (determinism, both orders reachable,
      liveness of yielding spin loops, change-point trace events);
    - the linearizability checker on hand-crafted histories;
@@ -43,8 +42,8 @@ let contains hay needle =
 
 let cfg = Runtime.default_config
 
-let small_ts ?(help_free = false) ?(buffer_size = 8) ?(max_threads = 16) () =
-  Threadscan.create ~config:{ Config.default with max_threads; buffer_size; help_free } ()
+let small_ts ?(buffer_size = 8) ?(max_threads = 16) () =
+  Threadscan.create ~config:{ Config.default with max_threads; buffer_size } ()
 
 let alloc_node () = Ptr.of_addr (Runtime.malloc 3)
 
@@ -203,66 +202,6 @@ let test_heap_block_cross_thread () =
          Runtime.join w;
          smr.Smr.thread_exit ();
          smr.Smr.flush ()))
-
-(* ----------------------- help-free conservation (§7) ---------------------- *)
-
-let churn_helpfree seed =
-  (* Lemma-1 churn under the help-free variant; returns the accounting
-     quadruple after flush.  Strict memory + propagated failures mean any
-     double free or UAF aborts the test. *)
-  let out = ref (0, 0, 0, 0) in
-  ignore
-    (Runtime.run
-       ~config:{ cfg with seed; sched = Runtime.Uniform }
-       (fun () ->
-         let ts = small_ts ~help_free:true ~buffer_size:8 ~max_threads:8 () in
-         let smr = Threadscan.smr ts in
-         smr.Smr.thread_init ();
-         let slots = Runtime.alloc_region 3 in
-         let noise = Runtime.alloc_region 1 in
-         let worker i () =
-           smr.Smr.thread_init ();
-           Frame.with_frame 1 (fun fr ->
-               for _ = 1 to 30 do
-                 let q = Runtime.read (slots + Runtime.rand_below 3) in
-                 Frame.set fr 0 q;
-                 if not (Ptr.is_null q) then ignore (Runtime.read (Ptr.addr q));
-                 Frame.set fr 0 0;
-                 let p = alloc_node () in
-                 let old = Runtime.read (slots + i) in
-                 Runtime.write (slots + i) p;
-                 if not (Ptr.is_null old) then smr.Smr.retire old
-               done);
-           smr.Smr.thread_exit ()
-         in
-         let ws = List.init 3 (fun i -> Runtime.spawn (worker i)) in
-         List.iter Runtime.join ws;
-         for i = 0 to 2 do
-           let old = Runtime.read (slots + i) in
-           Runtime.write (slots + i) 0;
-           if not (Ptr.is_null old) then smr.Smr.retire old
-         done;
-         wash_regs noise;
-         smr.Smr.thread_exit ();
-         smr.Smr.flush ();
-         out :=
-           ( smr.Smr.counters.retired,
-             smr.Smr.counters.freed,
-             Threadscan.helped_frees ts,
-             Threadscan.reclaimer_frees ts )));
-  !out
-
-let test_helpfree_conservation () =
-  (* Across 64 seeds: every retired node is freed exactly once, and every
-     free is accounted to either a helping scanner or the reclaimer. *)
-  let total_helped = ref 0 in
-  for seed = 0 to 63 do
-    let retired, freed, helped, burden = churn_helpfree seed in
-    check (Fmt.str "seed %d: all retired freed" seed) retired freed;
-    check (Fmt.str "seed %d: helped + reclaimer = freed" seed) freed (helped + burden);
-    total_helped := !total_helped + helped
-  done;
-  check_bool "scanners actually helped somewhere" true (!total_helped > 0)
 
 (* ------------------------------ PCT scheduler ----------------------------- *)
 
@@ -668,80 +607,15 @@ let test_crash_leak_budget_enforced () =
   check "no violations within the budget" 0 (List.length o.Scenario.violations);
   check_bool "phases still completed" true (o.Scenario.phases >= 1)
 
-(* --------------------- help-free under the checker ----------------------- *)
-
-(* The §7 help-free variant: scanners free a slice of the previous phase's
-   garbage, each slot claimed by CAS, and the reclaimer sweeps up what a
-   dead helper never reached.  Helpers crashing or freezing mid-slice and a
-   reclaimer dying mid-phase must all stay invisible to every oracle. *)
-let help_free_base = { Scenario.default with Scenario.help_free = true }
-
-let test_help_free_sweep_clean () =
-  List.iter
-    (fun ds ->
-      let s =
-        Explore.sweep
-          (Explore.sweep_specs ~base:{ help_free_base with Scenario.ds } ~schedules:6 ~seed0:0
-             ~pct_depth:3)
-      in
-      check (Fmt.str "help-free %s: no violations" (Scenario.ds_to_string ds)) 0
-        (List.length s.Explore.failures);
-      check (Fmt.str "help-free %s: all schedules ran" (Scenario.ds_to_string ds)) 6
-        s.Explore.runs)
-    [ Scenario.List_ds; Scenario.Hash_ds; Scenario.Skip_ds; Scenario.Churn ]
-
-let test_help_free_crash_sweep_clean () =
-  (* The victim dies shortly after startup, so across the sweep it is
-     killed at every point of its handler — including between claiming a
-     queue slot and freeing it. *)
-  List.iter
-    (fun ds ->
-      let base =
-        {
-          help_free_base with
-          Scenario.ds;
-          fault = plan "crash:1@10";
-        }
-      in
-      let s = Explore.sweep (Explore.sweep_specs ~base ~schedules:6 ~seed0:0 ~pct_depth:3) in
-      check (Fmt.str "help-free %s under crash: no violations" (Scenario.ds_to_string ds)) 0
-        (List.length s.Explore.failures))
-    [ Scenario.List_ds; Scenario.Churn ]
-
-let test_help_free_stall_sweep_clean () =
-  (* A helper frozen mid-slice wakes after the queue was recycled: its
-     claims must fail instead of double-freeing. *)
+let test_reclaimer_crash_takeover () =
+  (* The reclaimer dies mid-phase holding the phase lock; the heartbeat
+     takeover must finish reclamation soundly within the one-node leak
+     budget. *)
   let base =
-    {
-      help_free_base with
-      Scenario.ds = Scenario.Churn;
-      fault = plan "stall:1@10:60000";
-    }
+    { Scenario.default with Scenario.ds = Scenario.Churn; inject = Threadscan.Crash_mid_phase }
   in
   let s = Explore.sweep (Explore.sweep_specs ~base ~schedules:6 ~seed0:0 ~pct_depth:3) in
-  check "help-free churn under stall: no violations" 0 (List.length s.Explore.failures)
-
-let test_help_free_reclaimer_crash_takeover () =
-  (* The reclaimer dies mid-phase with helpers still holding the previous
-     phase's queue; the heartbeat takeover must drain it soundly within
-     the one-node leak budget. *)
-  let base =
-    { help_free_base with Scenario.ds = Scenario.Churn; inject = Threadscan.Crash_mid_phase }
-  in
-  let s = Explore.sweep (Explore.sweep_specs ~base ~schedules:6 ~seed0:0 ~pct_depth:3) in
-  check "help-free survives reclaimer crash mid-phase" 0 (List.length s.Explore.failures)
-
-let test_help_free_still_catches_seeded_bug () =
-  (* The checker stays sharp with helpers freeing: a skipped carry-over
-     must surface exactly as it does without them, and the failing spec
-     must replay with its flags intact. *)
-  let base =
-    { help_free_base with Scenario.ds = Scenario.Churn; inject = Threadscan.Skip_carryover }
-  in
-  let s = Explore.sweep (Explore.sweep_specs ~base ~schedules:4 ~seed0:0 ~pct_depth:3) in
-  check_bool "seeded bug caught with help-free on" true (s.Explore.failures <> []);
-  let cmd = Scenario.replay_command (List.hd s.Explore.failures).Scenario.spec in
-  check_bool "replay command carries help-free" true (contains cmd "--help-free")
+  check "survives reclaimer crash mid-phase" 0 (List.length s.Explore.failures)
 
 (* ------------------- forked exploration vs replay-from-seed --------------- *)
 
@@ -953,9 +827,6 @@ let () =
             test_heap_block_pins_and_releases;
           Alcotest.test_case "cross-thread block scan" `Quick test_heap_block_cross_thread;
         ] );
-      ( "help-free conservation (7)",
-        [ Alcotest.test_case "helped + reclaimer = freed, 64 seeds" `Quick test_helpfree_conservation ]
-      );
       ( "pct scheduler",
         [
           Alcotest.test_case "reaches both orders" `Quick test_pct_reaches_both_orders;
@@ -995,16 +866,8 @@ let () =
           Alcotest.test_case "crash-leak budget enforced" `Quick test_crash_leak_budget_enforced;
           Alcotest.test_case "stale recovery blinds the phase (regression)" `Quick
             test_stale_recovery_blinds_phase;
-        ] );
-      ( "help-free",
-        [
-          Alcotest.test_case "clean sweeps stay clean" `Quick test_help_free_sweep_clean;
-          Alcotest.test_case "crash plans stay clean" `Quick test_help_free_crash_sweep_clean;
-          Alcotest.test_case "stall plans stay clean" `Quick test_help_free_stall_sweep_clean;
           Alcotest.test_case "reclaimer crash mid-phase survives" `Quick
-            test_help_free_reclaimer_crash_takeover;
-          Alcotest.test_case "seeded bug still caught" `Quick
-            test_help_free_still_catches_seeded_bug;
+            test_reclaimer_crash_takeover;
         ] );
       ( "forked exploration",
         [

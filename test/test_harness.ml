@@ -50,7 +50,7 @@ let test_all_schemes_clean () =
     [
       Registry.spec "leaky";
       Registry.spec ~buffer:16 "threadscan";
-      Registry.spec ~buffer:16 ~help_free:true "threadscan";
+      Registry.spec ~batch:8 "epoch";
       Registry.spec "hazard";
       Registry.spec "epoch";
       Registry.spec ~delay:30_000 "slow-epoch";
@@ -129,7 +129,7 @@ let test_names_cover_every_figure () =
       Alcotest.(check bool) (expected ^ " present") true (List.mem expected names))
     [
       "fig3-list"; "fig3-hash"; "fig3-skip"; "fig4-list"; "fig4-hash"; "fig4-skip";
-      "ablate-buffer"; "ablate-slow-epoch"; "ablate-help-free"; "ablate-padding";
+      "ablate-buffer"; "ablate-slow-epoch"; "ablate-padding";
     ]
 
 let test_scale_parsing () =
@@ -171,8 +171,8 @@ let test_scheme_names () =
   Alcotest.(check string) "alias resolves" "threadscan" (Registry.label (Registry.spec "ts"));
   Alcotest.(check bool) "params ride separately" true
     (Registry.params_assoc (Registry.spec ~buffer:8 "threadscan") = [ ("buffer", 8) ]);
-  Alcotest.(check string) "describe" "threadscan buffer=8 help-free=1"
-    (Registry.describe (Registry.spec ~buffer:8 ~help_free:true "threadscan"));
+  Alcotest.(check string) "describe" "slow-epoch delay=30000 batch=4"
+    (Registry.describe (Registry.spec ~delay:30_000 ~batch:4 "slow-epoch"));
   Alcotest.(check string) "slow" "slow-epoch" (Registry.label (Registry.spec ~delay:1 "slow-epoch"));
   Alcotest.(check bool) "unknown rejected" true (Result.is_error (Registry.canonical "banana"))
 

@@ -12,8 +12,8 @@ let check = Alcotest.(check int)
 
 let cfg = Runtime.default_config
 
-let small_ts ?(help_free = false) ?(buffer_size = 8) ?(max_threads = 16) () =
-  Threadscan.create ~config:{ Config.default with max_threads; buffer_size; help_free } ()
+let small_ts ?(buffer_size = 8) ?(max_threads = 16) () =
+  Threadscan.create ~config:{ Config.default with max_threads; buffer_size } ()
 
 (* ---------------------------- delete buffer ----------------------------- *)
 
@@ -479,53 +479,6 @@ let test_heap_block_without_registration_uaf () =
    with Runtime.Thread_failure (_, Mem.Fault (Mem.Uaf_read, _)) -> saw_uaf := true);
   Alcotest.(check bool) "unregistered heap ref is unsafe" true !saw_uaf
 
-(* ------------------------------ help-free ------------------------------- *)
-
-let test_help_free_distributes_work () =
-  ignore
-    (Runtime.run ~config:cfg (fun () ->
-         let ts = small_ts ~help_free:true ~buffer_size:8 () in
-         let smr = Threadscan.smr ts in
-         let stop = Runtime.alloc_region 1 in
-         let helpers =
-           List.init 4 (fun _ ->
-               Runtime.spawn (fun () ->
-                   smr.Smr.thread_init ();
-                   while Runtime.read stop = 0 do
-                     Runtime.yield ()
-                   done;
-                   smr.Smr.thread_exit ()))
-         in
-         smr.Smr.thread_init ();
-         for _ = 1 to 200 do
-           smr.Smr.retire (alloc_node ())
-         done;
-         Runtime.write stop 1;
-         List.iter Runtime.join helpers;
-         smr.Smr.thread_exit ();
-         smr.Smr.flush ();
-         check "all reclaimed" 0 (Threadscan.outstanding ts);
-         Alcotest.(check bool) "scanners freed part of the garbage" true
-           (Threadscan.helped_frees ts > 0)));
-  ()
-
-let test_help_free_accounting_exact () =
-  let r = Runtime.create cfg in
-  ignore
-    (Runtime.add_thread r (fun () ->
-         let ts = small_ts ~help_free:true ~buffer_size:8 () in
-         let smr = Threadscan.smr ts in
-         smr.Smr.thread_init ();
-         for _ = 1 to 123 do
-           smr.Smr.retire (alloc_node ())
-         done;
-         smr.Smr.thread_exit ();
-         smr.Smr.flush ();
-         check "retired" 123 smr.Smr.counters.retired;
-         check "freed" 123 smr.Smr.counters.freed));
-  ignore (Runtime.start r);
-  check "allocator empty" 0 (Alloc.live_blocks (Runtime.alloc r))
-
 let test_released_node_freed_without_flush () =
   (* a carried node must be reclaimed by a later ordinary phase once the
      holder lets go — flush is only for end-of-run stragglers *)
@@ -722,8 +675,7 @@ let ladder_ts ?(ack_budget = 2_000) ?(suspect_phases = 2) ?(takeover_steps = 0)
   Threadscan.create
     ~config:
       {
-        Config.default with
-        max_threads = 16;
+        Config.max_threads = 16;
         buffer_size;
         ack_budget;
         suspect_phases;
@@ -1085,11 +1037,6 @@ let () =
           Alcotest.test_case "registered block pins" `Quick test_heap_block_extension_pins;
           Alcotest.test_case "unregistered block is unsafe" `Quick
             test_heap_block_without_registration_uaf;
-        ] );
-      ( "help-free",
-        [
-          Alcotest.test_case "work distributed" `Quick test_help_free_distributes_work;
-          Alcotest.test_case "accounting exact" `Quick test_help_free_accounting_exact;
         ] );
       ( "protocol",
         [
