@@ -266,6 +266,14 @@ let json_arg =
     value & flag
     & info [ "json" ] ~doc:"Also write the sweep as $(b,BENCH_<experiment>.json).")
 
+(* A failed oracle is a verdict, not a crash: its lines are already
+   printed, so exit 1. *)
+let verdict = function
+  | [] -> ()
+  | vs ->
+      Fmt.epr "tsbench: %d oracle violation(s)@." (List.length vs);
+      exit 1
+
 let sweep_cmd =
   let exp_name =
     Arg.(required & pos 0 (some string) None & info [] ~docv:"EXPERIMENT" ~doc:"Experiment name.")
@@ -278,7 +286,10 @@ let sweep_cmd =
             Fmt.str "unknown experiment %S; one of: %s" name
               (String.concat ", " (List.map fst Experiment.names)) )
     | Some f ->
-        Experiment.run_and_print ~title:name ~backend:(make_backend backend pool) ~json f scale;
+        let violations =
+          Experiment.run_and_print ~title:name ~backend:(make_backend backend pool) ~json f scale
+        in
+        verdict violations;
         `Ok ()
   in
   Cmd.v
@@ -289,14 +300,17 @@ let sweep_cmd =
 let all_cmd =
   let action scale backend pool json =
     let backend = make_backend backend pool in
-    List.iter
-      (fun (name, f) ->
-        (* chaos-recovery injects faults into real domains: silently
-           meaningless on the simulator, so `all` only runs it natively *)
-        if name = "chaos-recovery" && backend = Workload.Backend_sim then
-          Fmt.pr "@.== chaos-recovery == skipped (native backend only)@."
-        else Experiment.run_and_print ~title:name ~backend ~json f scale)
-      Experiment.names
+    verdict
+      (List.concat_map
+         (fun (name, f) ->
+           (* chaos-recovery injects faults into real domains: silently
+              meaningless on the simulator, so `all` only runs it natively *)
+           if name = "chaos-recovery" && backend = Workload.Backend_sim then begin
+             Fmt.pr "@.== chaos-recovery == skipped (native backend only)@.";
+             []
+           end
+           else Experiment.run_and_print ~title:name ~backend ~json f scale)
+         Experiment.names)
   in
   Cmd.v
     (Cmd.info "all" ~doc:"Run every experiment at the given scale.")

@@ -168,35 +168,6 @@ let remove_at ~(smr : Smr.t) ?(retire_early = false) ~head key =
       in
       loop ())
 
-let pop_min_at ~(smr : Smr.t) ~head =
-  Frame.with_frame frame_slots (fun fr ->
-      let rec loop () =
-        let cur = Ptr.unmark (Runtime.read head) in
-        ignore (smr.protect ~slot:1 cur);
-        if Runtime.read head <> cur then loop ()
-        else if Ptr.is_null cur then None
-        else begin
-          Frame.set fr fr_cur cur;
-          let next_t = Runtime.read (next_cell cur) in
-          if Ptr.is_marked next_t then begin
-            (* someone else popped it but has not unlinked yet: help *)
-            if Runtime.cas head cur (Ptr.unmark next_t) then smr.retire cur;
-            loop ()
-          end
-          else begin
-            let key = Runtime.read (Ptr.addr cur + off_key) in
-            let value = Runtime.read (Ptr.addr cur + off_value) in
-            if Runtime.cas (next_cell cur) next_t (Ptr.mark next_t) then begin
-              if Runtime.cas head cur (Ptr.unmark next_t) then smr.retire cur
-              else ignore (find ~smr ~head key fr);
-              Some (key, value)
-            end
-            else loop ()
-          end
-        end
-      in
-      loop ())
-
 let contains_at ~(smr : Smr.t) ~head key =
   Frame.with_frame frame_slots (fun fr ->
       let found, _, _ = find ~smr ~head key fr in

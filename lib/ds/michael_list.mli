@@ -42,11 +42,6 @@ val remove_at : smr:Ts_smr.Smr.t -> ?retire_early:bool -> head:int -> int -> boo
 
 val contains_at : smr:Ts_smr.Smr.t -> head:int -> int -> bool
 
-val pop_min_at : smr:Ts_smr.Smr.t -> head:int -> (int * int) option
-(** Atomically removes and returns the smallest-keyed node — the
-    Lotan-Shavit deleteMin pattern ({!Priority_queue} builds on it).
-    [None] when the list is empty. *)
-
 val to_list_at : head:int -> (int * int) list
 
 val check_at : head:int -> unit

@@ -82,12 +82,13 @@ val run_and_print :
   ?json:bool ->
   (backend:Workload.backend -> scale -> point list) ->
   scale ->
-  unit
+  string list
 (** Runs the experiment on [backend] (default sim), prints the tables and
     the per-figure summaries, and with [~json:true] also writes
-    [BENCH_<title>.json].  After the JSON is written, it prints one line
-    per {!sweep_violations} message and raises [Failure] if there are
-    any; on success it prints nothing more. *)
+    [BENCH_<title>.json].  After the JSON is written, it checks the
+    oracles — {!sweep_violations}, plus the recovery invariants for
+    [chaos-recovery] — prints one [oracle violation:] line per failure
+    and returns the failures (empty when every oracle held). *)
 
 val names : (string * (backend:Workload.backend -> scale -> point list)) list
 (** All experiments by bench-target name (fig3-list, …, fig5-hash,

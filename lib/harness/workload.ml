@@ -189,8 +189,11 @@ let body spec counts retired freed extras ~chaos ~smr_cell () =
       Runtime.write done_addr 1;
       Runtime.join m
 
-let finish spec counts ~retired ~freed ~extras ~elapsed ~peak_live_blocks
-    ~peak_live_words ~signals_delivered ~ctx_switches ~faults ~wedged ~post_mortem ~chaos =
+(* The allocator's magazine statistics are appended to the scheme extras
+   so they reach tables and JSON through the one existing channel.  Hit
+   rate is left to consumers: hits / (hits + misses). *)
+let finish spec counts ~retired ~freed ~extras ~elapsed ~(alloc : Alloc.stats)
+    ~signals_delivered ~ctx_switches ~faults ~wedged ~post_mortem ~chaos =
   let ops = Array.fold_left (fun acc c -> acc + !c) 0 counts in
   if faults > 0 then failwith "workload produced memory faults";
   {
@@ -201,27 +204,23 @@ let finish spec counts ~retired ~freed ~extras ~elapsed ~peak_live_blocks
     retired = !retired;
     freed = !freed;
     outstanding = !retired - !freed;
-    peak_live_blocks;
-    peak_live_words;
+    peak_live_blocks = alloc.peak_live_blocks;
+    peak_live_words = alloc.peak_live_words;
     signals_delivered;
     ctx_switches;
     faults;
-    extras = !extras;
+    extras =
+      !extras
+      @ [
+          ("mag-hits", alloc.cache_hits);
+          ("mag-misses", alloc.cache_misses);
+          ("mag-refills", alloc.central_refills);
+          ("mag-flushes", alloc.cache_flushes);
+        ];
     wedged;
     post_mortem;
     chaos;
   }
-
-(* Allocator magazine statistics, appended to the scheme extras so they
-   reach tables and JSON through the one existing channel.  Hit rate is
-   left to consumers: hits / (hits + misses). *)
-let alloc_extras ~hits ~misses ~refills ~flushes =
-  [
-    ("mag-hits", hits);
-    ("mag-misses", misses);
-    ("mag-refills", refills);
-    ("mag-flushes", flushes);
-  ]
 
 let make_chaos (spec : spec) ~native =
   if spec.chaos = [] then None
@@ -255,14 +254,8 @@ let run_sim (spec : spec) =
   let smr_cell = ref None in
   ignore (Sim.add_thread rt (body spec counts retired freed extras ~chaos ~smr_cell));
   let res = Sim.start rt in
-  let a = Sim.alloc rt in
-  extras :=
-    !extras
-    @ alloc_extras ~hits:(Alloc.cache_hits a) ~misses:(Alloc.cache_misses a)
-        ~refills:(Alloc.central_refills a) ~flushes:(Alloc.cache_flushes a);
   finish spec counts ~retired ~freed ~extras ~elapsed:res.Sim.elapsed
-    ~peak_live_blocks:(Alloc.peak_live_blocks (Sim.alloc rt))
-    ~peak_live_words:(Alloc.peak_live_words (Sim.alloc rt))
+    ~alloc:(Alloc.stats (Sim.alloc rt))
     ~signals_delivered:res.Sim.run_stats.signals_delivered
     ~ctx_switches:res.Sim.run_stats.ctx_switches
     ~faults:(Mem.total_faults (Sim.mem rt))
@@ -305,16 +298,8 @@ let run_native (spec : spec) ~pool =
     | None -> ()
   end;
   let heap = res.Ts_par.Runtime.heap in
-  extras :=
-    !extras
-    @ alloc_extras
-        ~hits:(Ts_par.Heap.cache_hits heap)
-        ~misses:(Ts_par.Heap.cache_misses heap)
-        ~refills:(Ts_par.Heap.central_refills heap)
-        ~flushes:(Ts_par.Heap.cache_flushes heap);
   finish spec counts ~retired ~freed ~extras ~elapsed:res.Ts_par.Runtime.elapsed
-    ~peak_live_blocks:(Ts_par.Heap.peak_live_blocks heap)
-    ~peak_live_words:(Ts_par.Heap.peak_live_words heap)
+    ~alloc:(Ts_par.Heap.stats heap)
     ~signals_delivered:res.Ts_par.Runtime.run_stats.signals_delivered ~ctx_switches:0
     ~faults:(Ts_par.Heap.total_faults heap)
     ~wedged:res.Ts_par.Runtime.wedged ~post_mortem:res.Ts_par.Runtime.post_mortem

@@ -45,8 +45,8 @@ let hot_types =
       "ctx",
       [ "pending"; "kill"; "finished"; "stall_req"; "stalled_flag"; "stall_release" ] );
     ( "heap.ml",
-      "t",
-      (* the magazine stats ride the malloc/free hot path too *)
+      "counters",
+      (* the allocator's counter cells ride the malloc/free hot path too *)
       [
         "mallocs";
         "frees";

@@ -6,30 +6,23 @@
     save areas take plain loads and stores.  A shadow byte per word
     tracks unallocated/live/freed state so use-after-free, double-free
     and wild accesses are detected with the same
-    {!Ts_umem.Mem.fault_kind} vocabulary as the simulator's heap. *)
+    {!Ts_umem.Mem.fault_kind} vocabulary as the simulator's heap.
+
+    Blocks come from {!Ts_umem.Alloc.Make} over this store — the
+    simulator's allocator, with a [Mutex] for its central lock and padded
+    [Atomic] cells for its counters. *)
 
 type t
 
-val create :
-  ?strict:bool ->
-  ?capacity:int ->
-  ?cache_cap:int ->
-  ?batch:int ->
-  max_threads:int ->
-  unit ->
-  t
+val create : ?strict:bool -> ?capacity:int -> max_threads:int -> unit -> t
 (** [strict] (default [true]) raises {!Ts_umem.Mem.Fault} on the first
     fault; non-strict records the fault, returns poison on bad reads and
-    drops bad writes. [capacity] is in words and fixed at creation.
-
-    Small blocks go through per-thread magazines: fixed-capacity
-    per-size-class caches ([cache_cap], default 64) refilled and flushed
-    against the central free lists in batches of [batch] (default 32), so
-    the central lock is taken once per batch instead of once per call. *)
+    drops bad writes.  [capacity] is in words and fixed at creation; past
+    it, {!malloc} and {!alloc_region} fault [Out_of_memory] once and
+    return the null address [0]. *)
 
 (** {1 Faults} *)
 
-val set_fault_hook : t -> (Ts_umem.Mem.fault_kind -> int -> unit) -> unit
 val fault_count : t -> Ts_umem.Mem.fault_kind -> int
 val total_faults : t -> int
 val pp_faults : Format.formatter -> t -> unit
@@ -42,8 +35,6 @@ val read : t -> int -> int
 val write : t -> int -> int -> unit
 val cas : t -> int -> int -> int -> bool
 val faa : t -> int -> int -> int
-
-val is_live : t -> int -> bool
 val is_freed : t -> int -> bool
 
 (** {1 Owner-private words}
@@ -57,36 +48,19 @@ val words : t -> int array
 (** The word store itself, for the runtime's unchecked plain loads and
     stores to owner-private words.  Index [a] is heap address [a]. *)
 
-(** {1 Allocation} *)
+(** {1 Allocation}
+
+    As {!Ts_umem.Alloc.S}. *)
 
 val alloc_region : t -> int -> int
-(** Permanent region (stacks, register files, data-structure anchors);
-    never freed, never poisoned. *)
-
 val malloc : t -> tid:int -> int -> int
 val free : t -> tid:int -> int -> unit
+val is_block : t -> int -> bool
+val block_size : t -> int -> int
 
 (** {1 Accounting} *)
 
-val size : t -> int
-val capacity : t -> int
-val strict : t -> bool
-val mallocs : t -> int
-val frees : t -> int
-val live_blocks : t -> int
-val live_words : t -> int
-val peak_live_blocks : t -> int
-val peak_live_words : t -> int
-
+val stats : t -> Ts_umem.Alloc.stats
 val cache_hits : t -> int
-(** Small allocations served from the caller's magazine, lock-free. *)
-
 val cache_misses : t -> int
-(** Small allocations that took the central lock.  Hit rate is
-    [hits / (hits + misses)]. *)
-
-val central_refills : t -> int
-(** Batches of fresh blocks carved into a central free list. *)
-
-val cache_flushes : t -> int
-(** Magazine overflows flushed to central, one batch per lock take. *)
+val peak_live_words : t -> int

@@ -47,17 +47,8 @@ let fault_index = function
   | Out_of_memory -> 6
   | Canary_overwrite -> 7
 
-let all_faults =
-  [
-    Uaf_read;
-    Uaf_write;
-    Wild_read;
-    Wild_write;
-    Double_free;
-    Bad_free;
-    Out_of_memory;
-    Canary_overwrite;
-  ]
+let fault_kinds =
+  [ Uaf_read; Uaf_write; Wild_read; Wild_write; Double_free; Bad_free; Out_of_memory; Canary_overwrite ]
 
 let create ?(strict = true) ?(capacity_limit = 1 lsl 26) () =
   let cap = 1 lsl 12 in
@@ -67,7 +58,7 @@ let create ?(strict = true) ?(capacity_limit = 1 lsl 26) () =
     hwm = 1 (* address 0 is the null address *);
     capacity_limit;
     strict;
-    faults = Array.make 8 0;
+    faults = Array.make (List.length fault_kinds) 0;
     on_fault = (fun _ _ -> ());
   }
 
@@ -88,23 +79,27 @@ let grow_to t needed =
     cap := !cap * 2
   done;
   let cap = min !cap t.capacity_limit in
-  if cap < needed then record_fault t Out_of_memory needed
-  else begin
-    let words = Array.make cap 0 in
-    Array.blit t.words 0 words 0 t.hwm;
-    let shadow = Bytes.make cap st_unalloc in
-    Bytes.blit t.shadow 0 shadow 0 t.hwm;
-    t.words <- words;
-    t.shadow <- shadow
-  end
+  let words = Array.make cap 0 in
+  Array.blit t.words 0 words 0 t.hwm;
+  let shadow = Bytes.make cap st_unalloc in
+  Bytes.blit t.shadow 0 shadow 0 t.hwm;
+  t.words <- words;
+  t.shadow <- shadow
 
+(* Past the limit: one fault, then (non-strict) the null address, whose
+   every access faults in turn. *)
 let reserve t n =
   assert (n > 0);
-  if t.hwm + n > t.capacity_limit then record_fault t Out_of_memory t.hwm;
-  if t.hwm + n > Array.length t.words then grow_to t (t.hwm + n);
-  let base = t.hwm in
-  t.hwm <- t.hwm + n;
-  base
+  if t.hwm + n > t.capacity_limit then begin
+    record_fault t Out_of_memory t.hwm;
+    0
+  end
+  else begin
+    if t.hwm + n > Array.length t.words then grow_to t (t.hwm + n);
+    let base = t.hwm in
+    t.hwm <- t.hwm + n;
+    base
+  end
 
 let in_range t addr = addr >= 1 && addr < t.hwm
 
@@ -120,32 +115,22 @@ let mark_freed t base n =
   Bytes.fill t.shadow base n st_freed;
   Array.fill t.words base n poison
 
-let is_live t addr = in_range t addr && state t addr = st_live
+let[@inline] is_live t addr = in_range t addr && state t addr = st_live
 
 let is_freed t addr = in_range t addr && state t addr = st_freed
 
+let bad_access t addr ~uaf ~wild = record_fault t (if is_freed t addr then uaf else wild) addr
+
 let read t addr =
-  if not (in_range t addr) then begin
-    record_fault t Wild_read addr;
+  if is_live t addr then Array.unsafe_get t.words addr
+  else begin
+    bad_access t addr ~uaf:Uaf_read ~wild:Wild_read;
     poison
   end
-  else
-    match state t addr with
-    | c when c = st_live -> Array.unsafe_get t.words addr
-    | c when c = st_freed ->
-        record_fault t Uaf_read addr;
-        poison
-    | _ ->
-        record_fault t Wild_read addr;
-        poison
 
 let write t addr v =
-  if not (in_range t addr) then record_fault t Wild_write addr
-  else
-    match state t addr with
-    | c when c = st_live -> Array.unsafe_set t.words addr v
-    | c when c = st_freed -> record_fault t Uaf_write addr
-    | _ -> record_fault t Wild_write addr
+  if is_live t addr then Array.unsafe_set t.words addr v
+  else bad_access t addr ~uaf:Uaf_write ~wild:Wild_write
 
 let raw_read t addr = if in_range t addr then Array.unsafe_get t.words addr else poison
 
@@ -155,14 +140,7 @@ let fault_count t kind = t.faults.(fault_index kind)
 
 let total_faults t = Array.fold_left ( + ) 0 t.faults
 
-let pp_faults ppf t =
-  let any = ref false in
-  List.iter
-    (fun k ->
-      let n = fault_count t k in
-      if n > 0 then begin
-        any := true;
-        Fmt.pf ppf "%s: %d@ " (fault_to_string k) n
-      end)
-    all_faults;
-  if not !any then Fmt.pf ppf "no faults"
+let pp_fault_counts ppf count =
+  match List.filter (fun k -> count k > 0) fault_kinds with
+  | [] -> Fmt.pf ppf "no faults"
+  | ks -> List.iter (fun k -> Fmt.pf ppf "%s: %d@ " (fault_to_string k) (count k)) ks

@@ -30,6 +30,13 @@ exception Fault of fault_kind * int
 
 val fault_to_string : fault_kind -> string
 
+val fault_kinds : fault_kind list
+(** Every kind, in {!fault_index} order. *)
+
+val fault_index : fault_kind -> int
+(** A dense index in [\[0, List.length fault_kinds)], for per-kind
+    counter arrays. *)
+
 val poison : int
 (** Pattern written into every word of a freed block. *)
 
@@ -47,7 +54,8 @@ val size : t -> int
 val reserve : t -> int -> int
 (** [reserve t n] extends the store by [n] fresh words and returns the base
     address of the new range.  The words start in the unallocated state.
-    @raise Fault [Out_of_memory] when the limit would be exceeded. *)
+    Past the capacity limit it records one [Out_of_memory] fault (raising
+    {!Fault} when strict) and returns the null address [0]. *)
 
 (** {1 Allocation state} *)
 
@@ -91,4 +99,6 @@ val set_fault_hook : t -> (fault_kind -> int -> unit) -> unit
     raise — the heap sanitizer uses it to capture the offending thread and
     reclamation phase while the simulator state is still intact. *)
 
-val pp_faults : Format.formatter -> t -> unit
+val pp_fault_counts : Format.formatter -> (fault_kind -> int) -> unit
+(** The non-zero counts of a per-kind counter (e.g. {!fault_count}), or
+    "no faults". *)

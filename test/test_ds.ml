@@ -31,12 +31,12 @@ let scheme_of ~slots ~max_threads = function
   | "epoch" -> Epoch.create ~batch:32 ~max_threads ()
   | s -> invalid_arg s
 
-let ds_of ~smr = function
-  | "list" -> Michael_list.create ~smr ()
-  | "hash" -> Hash_table.create ~smr ~buckets:16 ()
-  | "skip" -> Skiplist.create ~smr ~max_height:sl_height ()
-  | "lazy" -> Lazy_list.create ~smr ()
-  | "split" -> Split_hash.set (Split_hash.create ~smr ~max_buckets:64 ())
+let ds_of ?padding ~smr = function
+  | "list" -> Michael_list.create ~smr ?padding ()
+  | "hash" -> Hash_table.create ~smr ?padding ~buckets:16 ()
+  | "skip" -> Skiplist.create ~smr ~max_height:sl_height ?padding ()
+  | "lazy" -> Lazy_list.create ~smr ?padding ()
+  | "split" -> Split_hash.set (Split_hash.create ~smr ?padding ~max_buckets:64 ())
   | s -> invalid_arg s
 
 let slots_for = function
@@ -110,7 +110,7 @@ let sequential_model ds_name =
    removes, contents are sorted and structurally valid, and — for the
    reclaiming schemes — the allocator holds exactly the blocks the
    structure still references after flush. *)
-let churn ~ds_name ~scheme_name ~threads ~ops ~seed () =
+let churn ?padding ~ds_name ~scheme_name ~threads ~ops ~seed () =
   let r = Runtime.create { cfg with cores = 4; seed } in
   let baseline = ref 0 in
   ignore
@@ -118,7 +118,7 @@ let churn ~ds_name ~scheme_name ~threads ~ops ~seed () =
          let smr = scheme_of ~slots:(slots_for ds_name) ~max_threads:(threads + 2) scheme_name in
          smr.Smr.thread_init ();
          baseline := Alloc.live_blocks (Runtime.alloc r);
-         let ds = ds_of ~smr ds_name in
+         let ds = ds_of ?padding ~smr ds_name in
          let sentinel_blocks = Alloc.live_blocks (Runtime.alloc r) - !baseline in
          let inserts = Array.make threads 0 in
          let removes = Array.make threads 0 in
@@ -267,6 +267,17 @@ let test_readers_vs_removers ds_name scheme_name () =
          ds.Set_intf.check ();
          check "drained" 0 (Set_intf.size ds)))
 
+(* Nodes padded past the largest size class are large blocks: they skip
+   the magazines and cycle through the allocator's exact-size free lists,
+   which the churn's exact leak accounting then covers. *)
+let oversize_cases =
+  List.map
+    (fun ds ->
+      Alcotest.test_case (Fmt.str "churn %s + threadscan" ds) `Quick
+        (churn ~padding:Ts_umem.Size_class.max_small ~ds_name:ds ~scheme_name:"threadscan"
+           ~threads:4 ~ops:60 ~seed:7))
+    [ "list"; "hash"; "skip"; "lazy" ]
+
 (* ------------------------- structure specifics -------------------------- *)
 
 let test_list_padding () =
@@ -358,99 +369,6 @@ let test_split_hash_key_bounds () =
            (Invalid_argument "Split_hash: key out of range") (fun () ->
              ignore (ds.Set_intf.insert (Split_hash.max_key + 1) 1))))
 
-module Priority_queue = Ts_ds.Priority_queue
-
-let test_pq_sequential_order () =
-  ignore
-    (Runtime.run ~config:cfg (fun () ->
-         let smr = Leaky.create () in
-         smr.Smr.thread_init ();
-         let pq = Priority_queue.create ~smr () in
-         List.iter
-           (fun p -> ignore (Priority_queue.insert pq ~priority:p ~value:(p * 2)))
-           [ 7; 3; 9; 1; 5 ];
-         Alcotest.(check (option (pair int int))) "peek" (Some (1, 2)) (Priority_queue.peek_min pq);
-         let order = ref [] in
-         let rec drain () =
-           match Priority_queue.pop_min pq with
-           | Some (p, _) ->
-               order := p :: !order;
-               drain ()
-           | None -> ()
-         in
-         drain ();
-         Alcotest.(check (list int)) "ascending" [ 1; 3; 5; 7; 9 ] (List.rev !order);
-         Alcotest.(check bool) "empty" true (Priority_queue.is_empty pq)))
-
-let test_pq_duplicate_priority_rejected () =
-  ignore
-    (Runtime.run ~config:cfg (fun () ->
-         let smr = Leaky.create () in
-         smr.Smr.thread_init ();
-         let pq = Priority_queue.create ~smr () in
-         Alcotest.(check bool) "first" true (Priority_queue.insert pq ~priority:4 ~value:1);
-         Alcotest.(check bool) "dup" false (Priority_queue.insert pq ~priority:4 ~value:2)))
-
-let test_pq_concurrent_unique_pops () =
-  (* every inserted element is popped exactly once, and reclamation of the
-     popped nodes is exact *)
-  ignore
-    (Runtime.run ~config:{ cfg with cores = 4; seed = 21 } (fun () ->
-         let smr = scheme_of ~slots:3 ~max_threads:12 "threadscan" in
-         smr.Smr.thread_init ();
-         let pq = Priority_queue.create ~smr () in
-         let n = 300 in
-         for p = 0 to n - 1 do
-           ignore (Priority_queue.insert pq ~priority:p ~value:p)
-         done;
-         let popped = Runtime.alloc_region 1 in
-         let seen = Runtime.alloc_region n in
-         let ws =
-           List.init 6 (fun _ ->
-               Runtime.spawn (fun () ->
-                   smr.Smr.thread_init ();
-                   let continue_ = ref true in
-                   while !continue_ do
-                     match Priority_queue.pop_min pq with
-                     | Some (p, v) ->
-                         check "payload follows priority" p v;
-                         ignore (Runtime.faa (seen + p) 1);
-                         ignore (Runtime.faa popped 1)
-                     | None -> continue_ := false
-                   done;
-                   smr.Smr.thread_exit ()))
-         in
-         List.iter Runtime.join ws;
-         check "all popped" n (Runtime.read popped);
-         for p = 0 to n - 1 do
-           check "popped exactly once" 1 (Runtime.read (seen + p))
-         done;
-         smr.Smr.thread_exit ();
-         smr.Smr.flush ();
-         check "all reclaimed" 0 (smr.Smr.counters.retired - smr.Smr.counters.freed)))
-
-let prop_pq_matches_sorted_model =
-  QCheck.Test.make ~name:"priority queue drains in sorted order" ~count:50
-    QCheck.(list small_nat)
-    (fun priorities ->
-      let out = ref [] in
-      ignore
-        (Runtime.run ~config:cfg (fun () ->
-             let smr = Leaky.create () in
-             smr.Smr.thread_init ();
-             let pq = Priority_queue.create ~smr () in
-             List.iter (fun p -> ignore (Priority_queue.insert pq ~priority:p ~value:p)) priorities;
-             let rec drain () =
-               match Priority_queue.pop_min pq with
-               | Some (p, _) ->
-                   out := p :: !out;
-                   drain ()
-               | None -> ()
-             in
-             drain ()));
-      let expected = List.sort_uniq compare priorities in
-      List.rev !out = expected)
-
 let test_skiplist_sentinel_safety () =
   ignore
     (Runtime.run ~config:cfg (fun () ->
@@ -500,17 +418,11 @@ let () =
           Alcotest.test_case "skiplist levels" `Quick test_skiplist_levels;
           Alcotest.test_case "skiplist sentinels" `Quick test_skiplist_sentinel_safety;
         ] );
+      ("oversize-nodes", oversize_cases);
       ( "split-hash",
         [
           Alcotest.test_case "grows" `Quick test_split_hash_grows;
           Alcotest.test_case "dummies immortal" `Quick test_split_hash_dummies_immortal;
           Alcotest.test_case "key bounds" `Quick test_split_hash_key_bounds;
-        ] );
-      ( "priority-queue",
-        [
-          Alcotest.test_case "sequential order" `Quick test_pq_sequential_order;
-          Alcotest.test_case "duplicate priority" `Quick test_pq_duplicate_priority_rejected;
-          Alcotest.test_case "concurrent unique pops" `Quick test_pq_concurrent_unique_pops;
-          qt prop_pq_matches_sorted_model;
         ] );
     ]

@@ -156,10 +156,18 @@ let test_sweep_oracle () =
           point.Experiment.cells;
     }
   in
-  Alcotest.(check (list string))
-    "one leaking threadscan cell"
+  let expected =
     [ Fmt.str "%d threads, threadscan: outstanding = 1 after flush" point.Experiment.threads ]
-    (Experiment.sweep_violations [ leaking ])
+  in
+  Alcotest.(check (list string))
+    "one leaking threadscan cell" expected
+    (Experiment.sweep_violations [ leaking ]);
+  (* A sweep hands its violations back as a verdict (tsbench exits 1 on
+     it) instead of raising. *)
+  Alcotest.(check (list string))
+    "run_and_print returns the violation" expected
+    (Experiment.run_and_print ~title:"synthetic-leak" (fun ~backend:_ _ -> [ leaking ])
+       Experiment.Quick)
 
 (* Canonical-name stability: the id a scheme prints is the same one the
    CLIs parse — no parameter suffixes leak into labels; tuning rides in a
