@@ -9,7 +9,6 @@
 
 module Scenario = Ts_check.Scenario
 module Explore = Ts_check.Explore
-module Fork = Ts_check.Fork
 module Report = Ts_check.Report
 module Registry = Ts_scheme.Registry
 open Cmdliner
@@ -70,23 +69,6 @@ let policy_conv =
   in
   Arg.conv (parse, fun ppf p -> Fmt.string ppf (Scenario.policy_to_string p))
 
-(* the [Fork.options] ranges [Fork.sweep] accepts *)
-let fork_factor_conv =
-  let parse s =
-    match int_of_string_opt s with
-    | Some n when n >= 1 -> Ok n
-    | _ -> Error (`Msg (Fmt.str "%S is not an integer >= 1" s))
-  in
-  Arg.conv (parse, Fmt.int)
-
-let fork_window_conv =
-  let parse s =
-    match float_of_string_opt s with
-    | Some w when w >= 0. && w < 1. -> Ok w
-    | _ -> Error (`Msg (Fmt.str "%S is not a fraction in [0, 1)" s))
-  in
-  Arg.conv (parse, Fmt.float)
-
 (* ------------------------------ shared args ----------------------------- *)
 
 let threads_arg = Arg.(value & opt int 3 & info [ "t"; "threads" ] ~doc:"Worker threads.")
@@ -141,62 +123,6 @@ let bug_arg =
            (elide-lock|retire-early|skip-fence) and check that the analyzer catches it.  \
            Forces the structure the bug lives in and implies --race.")
 
-(* ----------------------------- fork args -------------------------------- *)
-
-let fork_arg =
-  Arg.(
-    value & flag
-    & info [ "fork" ]
-        ~doc:
-          "Forked schedule-tree exploration: share schedule prefixes via process \
-           snapshots instead of replaying every schedule from its seed (docs/CHECKING.md).")
-
-let prune_arg =
-  Arg.(
-    value & flag
-    & info [ "prune" ]
-        ~doc:
-          "With --fork: sleep-set pruning — abandon forked alternatives whose first step \
-           commutes with every explored sibling's (footprint independence).")
-
-let fork_factor_arg =
-  Arg.(
-    value & opt fork_factor_conv 3
-    & info [ "fork-factor" ] ~doc:"With --fork: max alternatives forked per decision point.")
-
-let fork_stride_arg =
-  Arg.(
-    value & opt int 0
-    & info [ "fork-stride" ]
-        ~doc:"With --fork: minimum step spacing between chosen fork points (0 = 1).")
-
-let fork_window_arg =
-  Arg.(
-    value & opt fork_window_conv 0.5
-    & info [ "fork-window" ]
-        ~doc:
-          "With --fork: fraction of the trunk run below which no fork point is placed.  \
-           Fork points are spent at the deepest decision points first, so this only \
-           binds when the schedule quota is very large.")
-
-let differential_arg =
-  Arg.(
-    value & opt int 0
-    & info [ "differential" ]
-        ~doc:
-          "With --fork: replay this many forked leaves per trunk from their seed \
-           (preloaded choice log) and fail unless traces are byte-identical and outcomes \
-           equal — the replay-from-seed oracle.")
-
-let step_budget_arg =
-  Arg.(
-    value & opt int 0
-    & info [ "step-budget" ]
-        ~doc:
-          "Stop exploring once this many simulator steps ran (0 = unlimited).  Applies \
-           to both replay and forked sweeps, making their schedule throughput directly \
-           comparable.")
-
 (* -------------------------------- sweep --------------------------------- *)
 
 let pp_summary name (s : Explore.summary) =
@@ -206,26 +132,12 @@ let pp_summary name (s : Explore.summary) =
   if s.Explore.skipped_segments > 0 then
     Fmt.pr "        (%d linearizability segments skipped as too wide)@." s.Explore.skipped_segments
 
-let pp_fork_summary name (st : Fork.stats) =
-  Fmt.pr "  %-5s %4d schedules  %6d ops  %4d phases  %4d keys checked  %d violations@." name
-    st.Fork.explored st.Fork.events st.Fork.phases st.Fork.lin_keys st.Fork.failed;
-  if st.Fork.skipped_segments > 0 then
-    Fmt.pr "        (%d linearizability segments skipped as too wide)@." st.Fork.skipped_segments;
-  Fmt.pr "        fork: %d trunks  %d snapshots  %d schedules pruned@." st.Fork.trunks
-    st.Fork.forks st.Fork.pruned;
-  Fmt.pr "        fork: %d prefix steps shared  %d fresh  %d replay-equivalent  speedup %.1fx@."
-    st.Fork.shared_steps st.Fork.fresh_steps st.Fork.replay_steps (Fork.speedup st);
-  if st.Fork.diff_checked > 0 then
-    Fmt.pr "        differential: %d leaves replayed from seed  %d mismatches@."
-      st.Fork.diff_checked st.Fork.diff_mismatches;
-  if st.Fork.errors > 0 then Fmt.pr "        fork: %d children died without reporting@." st.Fork.errors
-
 let sweep_cmd =
   let ds_list =
     Arg.(
       value
       & opt (list ds_conv) [ Scenario.List_ds; Scenario.Hash_ds; Scenario.Skip_ds; Scenario.Churn ]
-      & info [ "ds" ] ~doc:"Structures to sweep (comma-separated: list,hash,skip,churn).")
+      & info [ "ds" ] ~doc:"Structures to sweep (comma-separated: list,hash,skip,lazy,churn).")
   in
   let schedules =
     Arg.(value & opt int 60 & info [ "schedules" ] ~doc:"Schedules per structure.")
@@ -235,7 +147,7 @@ let sweep_cmd =
   in
   let seed0 = Arg.(value & opt int 0 & info [ "seed0" ] ~doc:"First seed of the family.") in
   let action ds_list schedules pct_depth seed0 scheme threads ops key_range buffer_size inject
-      fault race bug fork prune fork_factor fork_stride fork_window differential step_budget =
+      fault race bug =
     let analyze = race || bug <> None in
     (* A seeded bug lives in one specific structure; sweeping any other
        would "pass" without exercising it. *)
@@ -274,13 +186,6 @@ let sweep_cmd =
       (seed0 + schedules - 1)
       pct_depth;
     if scheme <> Scenario.default.Scenario.scheme then Fmt.pr "scheme: %s@." scheme;
-    if fork then
-      Fmt.pr "fork: factor=%d stride=%s window=%.2f prune=%s differential=%d@." fork_factor
-        (if fork_stride = 0 then "auto" else string_of_int fork_stride)
-        fork_window
-        (if prune then "on" else "off")
-        differential;
-    if step_budget > 0 then Fmt.pr "step budget: %d per structure@." step_budget;
     if inject <> Threadscan.No_fault then
       Fmt.pr "injected bug: %s@." (Scenario.inject_to_string inject);
     if fault <> [] then Fmt.pr "injected fault: %s@." (Ts_util.Fault_plan.to_string fault);
@@ -290,61 +195,22 @@ let sweep_cmd =
                   (Scenario.ds_to_string (Scenario.bug_ds b))
     | None -> ());
     let first_failure = ref None in
-    let total_runs = ref 0 and total_violations = ref 0 and total_mismatches = ref 0 in
-    (* fork-mode failures carry the recorded choice log alongside the
-       outcome: a forked schedule is not reproducible from its spec alone *)
-    let first_forked_failure = ref None in
+    let total_runs = ref 0 and total_violations = ref 0 in
     List.iter
       (fun ds ->
         let base = { base with Scenario.ds } in
-        if fork then begin
-          let opts =
-            {
-              Fork.fork_factor;
-              stride = fork_stride;
-              window = fork_window;
-              prune;
-              differential;
-              step_budget;
-            }
-          in
-          let st = Fork.sweep ~opts ~base ~schedules ~seed0 ~pct_depth () in
-          total_runs := !total_runs + st.Fork.explored;
-          total_violations := !total_violations + st.Fork.failed;
-          total_mismatches := !total_mismatches + st.Fork.diff_mismatches;
-          pp_fork_summary (Scenario.ds_to_string ds) st;
-          match st.Fork.failures with
-          | f :: _ when !first_forked_failure = None -> first_forked_failure := Some f
-          | _ -> ()
-        end
-        else begin
-          let specs = Explore.sweep_specs ~base ~schedules ~seed0 ~pct_depth in
-          let s = Explore.sweep ~step_budget specs in
-          total_runs := !total_runs + s.Explore.runs;
-          total_violations := !total_violations + List.length s.Explore.failures;
-          pp_summary (Scenario.ds_to_string ds) s;
-          match s.Explore.failures with
-          | o :: _ when !first_failure = None -> first_failure := Some o
-          | _ -> ()
-        end)
+        let s = Explore.sweep (Explore.sweep_specs ~base ~schedules ~seed0 ~pct_depth) in
+        total_runs := !total_runs + s.Explore.runs;
+        total_violations := !total_violations + List.length s.Explore.failures;
+        pp_summary (Scenario.ds_to_string ds) s;
+        match s.Explore.failures with
+        | o :: _ when !first_failure = None -> first_failure := Some o
+        | _ -> ())
       ds_list;
     Fmt.pr "total: %d schedules, %d with violations@." !total_runs !total_violations;
-    if !total_mismatches > 0 then begin
-      Fmt.pr "differential FAILED: %d forked schedules diverged from replay-from-seed@."
-        !total_mismatches;
-      exit 2
-    end;
-    match (!first_failure, !first_forked_failure) with
-    | None, None -> `Ok ()
-    | None, Some (o, log) ->
-        Fmt.pr "@.first failing schedule (%s, forked from seed %d):@."
-          (Scenario.ds_to_string o.Scenario.spec.Scenario.ds)
-          o.Scenario.spec.Scenario.seed;
-        List.iter (fun v -> Fmt.pr "  %a@." Report.pp v) o.Scenario.violations;
-        Fmt.pr "recorded schedule: %d choices (replayable via the preloaded choice log)@."
-          (Array.length log);
-        exit 1
-    | Some o, _ ->
+    match !first_failure with
+    | None -> `Ok ()
+    | Some o ->
         Fmt.pr "@.first failing schedule (%s, seed %d):@."
           (Scenario.ds_to_string o.Scenario.spec.Scenario.ds)
           o.Scenario.spec.Scenario.seed;
@@ -360,9 +226,7 @@ let sweep_cmd =
     Term.(
       ret
         (const action $ ds_list $ schedules $ pct_depth $ seed0 $ scheme_arg $ threads_arg
-       $ ops_arg $ range_arg $ buffer_arg $ inject_arg $ fault_arg $ race_arg $ bug_arg $ fork_arg
-       $ prune_arg $ fork_factor_arg $ fork_stride_arg $ fork_window_arg $ differential_arg
-       $ step_budget_arg))
+       $ ops_arg $ range_arg $ buffer_arg $ inject_arg $ fault_arg $ race_arg $ bug_arg))
 
 (* -------------------------------- replay -------------------------------- *)
 

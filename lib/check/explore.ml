@@ -8,7 +8,7 @@ type summary = {
   failures : Scenario.outcome list;
 }
 
-let sweep ?(progress = fun _ -> ()) ?(step_budget = 0) specs =
+let sweep ?(progress = fun _ -> ()) specs =
   let runs = ref 0
   and ev = ref 0
   and ph = ref 0
@@ -16,21 +16,18 @@ let sweep ?(progress = fun _ -> ()) ?(step_budget = 0) specs =
   and keys = ref 0
   and sk = ref 0
   and failures = ref [] in
-  (try
-     List.iter
-       (fun spec ->
-         if step_budget > 0 && !st >= step_budget then raise Exit;
-         let o = Scenario.run spec in
-         incr runs;
-         ev := !ev + o.Scenario.events;
-         ph := !ph + o.Scenario.phases;
-         st := !st + o.Scenario.steps;
-         keys := !keys + o.Scenario.lin_keys;
-         sk := !sk + o.Scenario.skipped_segments;
-         if Scenario.failed o then failures := o :: !failures;
-         progress !runs)
-       specs
-   with Exit -> ());
+  List.iter
+    (fun spec ->
+      let o = Scenario.run spec in
+      incr runs;
+      ev := !ev + o.Scenario.events;
+      ph := !ph + o.Scenario.phases;
+      st := !st + o.Scenario.steps;
+      keys := !keys + o.Scenario.lin_keys;
+      sk := !sk + o.Scenario.skipped_segments;
+      if Scenario.failed o then failures := o :: !failures;
+      progress !runs)
+    specs;
   {
     runs = !runs;
     total_events = !ev;

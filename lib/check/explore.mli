@@ -18,12 +18,9 @@ type summary = {
   failures : Scenario.outcome list;  (** failing outcomes, in sweep order *)
 }
 
-val sweep : ?progress:(int -> unit) -> ?step_budget:int -> Scenario.spec list -> summary
+val sweep : ?progress:(int -> unit) -> Scenario.spec list -> summary
 (** Run every spec; [progress] is called with the number of completed
-    runs after each one.  A positive [step_budget] stops the sweep
-    before the first run that would start beyond the budget — the
-    replay-from-seed side of the fork-vs-replay throughput comparison
-    (see {!Fork}). *)
+    runs after each one. *)
 
 val sweep_specs :
   base:Scenario.spec -> schedules:int -> seed0:int -> pct_depth:int -> Scenario.spec list

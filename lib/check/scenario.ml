@@ -328,7 +328,7 @@ let run_churn rt spec (smr : Smr.t) ~pinned =
   done;
   (baseline, [])
 
-let run ?configure ?trace spec =
+let run spec =
   Result.iter_error invalid_arg (check_fault spec.fault);
   let d = Registry.get spec.scheme in
   (* Capability guards, before any runtime exists.  The protocol
@@ -371,18 +371,13 @@ let run ?configure ?trace spec =
   in
   (* TSCHECK_TRACE=1 streams the scheduler/protocol trace of every run to
      stderr — the fastest way from a failing replay command to a timeline
-     (the degradation-ladder notes land here too).  A [trace] callback
-     (the fork explorer's differential digest) composes with it. *)
+     (the degradation-ladder notes land here too). *)
   let config =
-    let sinks =
-      (match Sys.getenv_opt "TSCHECK_TRACE" with
-      | Some _ -> [ (fun e -> Fmt.epr "%a@." Ts_sim.Trace.pp e) ] (* tslint: allow facade -- TSCHECK_TRACE debug sink pretty-prints trace entries *)
-      | None -> [])
-      @ (match trace with Some f -> [ f ] | None -> [])
-    in
-    match sinks with
-    | [] -> config
-    | fs -> { config with Runtime.trace = Some (fun e -> List.iter (fun f -> f e) fs) }
+    match Sys.getenv_opt "TSCHECK_TRACE" with
+    | Some _ ->
+        (* tslint: allow facade -- TSCHECK_TRACE debug sink pretty-prints trace entries *)
+        { config with Runtime.trace = Some (fun e -> Fmt.epr "%a@." Ts_sim.Trace.pp e) }
+    | None -> config
   in
   (* The analyzer is an ops decorator: attach it before the runtime
      installs its backend so every op of the run is observed.  It must be
@@ -395,9 +390,6 @@ let run ?configure ?trace spec =
     match analyzer with Some an -> Ts_analyze.Analyze.wrap_smr an smr | None -> smr
   in
   let rt = Runtime.create config in
-  (* the fork explorer's entry point: install a scheduler hook or preload a
-     recorded schedule before the run starts *)
-  Option.iter (fun f -> f rt) configure;
   let phase_of = ref (fun () -> -1) in
   let san = Sanitize.install rt ~phase_of:(fun () -> !phase_of ()) in
   let events = ref [] in

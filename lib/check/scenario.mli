@@ -132,21 +132,11 @@ type outcome = {
 
 val failed : outcome -> bool
 
-val run :
-  ?configure:(Ts_sim.Runtime.t -> unit) -> (* tslint: allow facade -- callers tune the simulator under test *)
-  ?trace:(Ts_sim.Trace.entry -> unit) -> (* tslint: allow facade -- trace sink receives simulator entries *)
-  spec ->
-  outcome
+val run : spec -> outcome
 (** Deterministic: same spec, same outcome.
 
     @raise Invalid_argument when [spec.fault] is outside {!check_fault},
     or when the scheme's registry capabilities rule the spec out: a
     protocol injection on a scheme without the ThreadScan collect
     protocol, or a neutralizing scheme paired with a lock-based
-    structure ([Lazy_ds], [Skip_ds]).
-
-    [configure] runs right after the runtime is created and before any
-    thread executes — the place to install a {!Ts_sim.Runtime.set_scheduler_hook}
-    or {!Ts_sim.Runtime.preload_choices} for guided/forked exploration.
-    [trace] receives every trace entry (composes with [TSCHECK_TRACE]);
-    use it to digest the schedule for differential checking. *)
+    structure ([Lazy_ds], [Skip_ds]). *)

@@ -84,7 +84,12 @@ let walk t key fr =
       (!pred, !curr)
     with
     | r -> r
-    | exception Restart -> attempt ()
+    | exception Restart ->
+        (* yield before retrying: under priority scheduling a walker that
+           spins on a marked node would otherwise starve the remover that
+           still has to unlink it *)
+        Runtime.yield ();
+        attempt ()
   in
   attempt ()
 

@@ -105,7 +105,11 @@ let find t key fr =
       !lfound
     with
     | r -> r
-    | exception Restart -> attempt ()
+    | exception Restart ->
+        (* every retry yields: under priority scheduling a retry that does
+           not would starve the remover or lock holder it waits on *)
+        Runtime.yield ();
+        attempt ()
   in
   attempt ()
 
@@ -164,7 +168,9 @@ let add t key value =
         end
         else
           match lock_and_validate t fr ~top ~check_succ_unmarked:true with
-          | Error () -> loop ()
+          | Error () ->
+              Runtime.yield ();
+              loop ()
           | Ok locked ->
               let node = new_node t ~key ~value ~top in
               Frame.set fr (fr_extra t) node;
@@ -215,7 +221,9 @@ let remove t key =
       and unlink () =
         let victim = Frame.get fr (fr_extra t) in
         match lock_and_validate t fr ~top:!top ~check_succ_unmarked:false with
-        | Error () -> loop ()
+        | Error () ->
+            Runtime.yield ();
+            loop ()
         | Ok locked ->
             (* validate that every pred still points at the victim *)
             let still_linked = ref true in
@@ -224,6 +232,7 @@ let remove t key =
             done;
             if not !still_linked then begin
               unlock_all locked;
+              Runtime.yield ();
               loop ()
             end
             else begin

@@ -2,7 +2,6 @@ module Mem = Ts_umem.Mem
 module Alloc = Ts_umem.Alloc
 module Ptr = Ts_umem.Ptr
 module Splitmix = Ts_util.Splitmix
-module Vec = Ts_util.Vec
 
 type tid = int
 
@@ -104,38 +103,6 @@ type result = {
   abandoned : tid list;
 }
 
-(* What one scheduler step touched, for partial-order (sleep-set) pruning.
-   [Pure] steps only read/write the stepping thread's own private state and
-   commute with every other thread's step; [Shared] steps touch one shared
-   word; anything whose interaction we cannot bound precisely (allocator
-   traffic, spawns, signals, fault injection, cross-thread queries) is
-   [Global] and conflicts with everything — the safe direction: an
-   over-approximate footprint only loses pruning, never soundness. *)
-type footprint = Pure | Shared of { addr : int; write : bool } | Global
-
-let conflicts a b =
-  match (a, b) with
-  | Pure, _ | _, Pure -> false
-  | Global, _ | _, Global -> true
-  | Shared { addr = a1; write = w1 }, Shared { addr = a2; write = w2 } ->
-      a1 = a2 && (w1 || w2)
-
-(* Footprints are kept packed in one int, so classifying a step allocates
-   nothing: tag in the low two bits (0 = pure, 1 = global, 2 = shared read,
-   3 = shared write), shared address above.  Only the footprint accessors
-   decode. *)
-let fp_pure = 0
-
-let fp_global = 1
-
-let[@inline] fp_shared addr ~write = (addr lsl 2) lor 2 lor Bool.to_int write
-
-let decode_fp v =
-  match v land 3 with
-  | 0 -> Pure
-  | 1 -> Global
-  | t -> Shared { addr = v lsr 2; write = t = 3 }
-
 type status = Ready | Done
 
 (* What a thread runs when it is next stepped, in one block per
@@ -211,14 +178,6 @@ type t = {
   mutable sched_steps : int; (* steps counted for PCT change points *)
   mutable current : int; (* tid being stepped, -1 outside [step] *)
   mutable stalled : thread list; (* descheduled by fault injection *)
-  (* ---- guided scheduling and replay ---- *)
-  mutable hook : (t -> int array -> int) option; (* decision-point callback *)
-  mutable guided : bool; (* record every choice; policy never draws [rng] *)
-  choice_log : Vec.t; (* tid stepped at each step index (guided runs) *)
-  fp_log : Vec.t; (* encoded footprint of each step (guided runs) *)
-  mutable replay_limit : int; (* force choices from the log below this step *)
-  mutable step_fp : int; (* what the last step touched, packed *)
-  mutable last_pick_policy : bool; (* the pending pick came from the policy *)
   mutable op_result : int; (* the handled effect's result, see [make_handler] *)
 }
 
@@ -631,27 +590,6 @@ let blocked_summary rt =
   done;
   Fmt.str "%d threads alive but none runnable: %s" rt.live (String.concat "; " !blocked)
 
-(* Footprint of one effect, before it runs.  Everything not explicitly
-   classified (allocation, spawn, signal, join, fault injection,
-   cross-thread queries, and the fiber-completion step which performs no
-   effect at all) defaults to [Global]: forgetting a case costs pruning,
-   never soundness. *)
-let[@inline] mem_fp th addr ~write = if is_private th addr then fp_pure else fp_shared addr ~write
-
-let[@inline] fp_of_eff : type a. thread -> a Effect.t -> int =
- fun th eff ->
-  match eff with
-  | E_read addr -> mem_fp th addr ~write:false
-  | E_write (addr, _) -> mem_fp th addr ~write:true
-  | E_cas (addr, _, _) -> mem_fp th addr ~write:true
-  | E_faa (addr, _) -> mem_fp th addr ~write:true
-  | E_fence | E_yield | E_advance _ | E_now | E_self | E_rand _ | E_set_handler _
-  | E_sig_depth | E_neutralize _ | E_cancel_neutralize | E_push_frame _ | E_pop_frame _
-  | E_stack_range | E_reg_range | E_save_regs | E_saved_reg_range | E_clear_regs
-  | E_add_range _ | E_remove_range _ | E_ranges | E_steps | E_wait_note _ | E_note _ ->
-      fp_pure
-  | _ -> fp_global
-
 (* A pending neutralization (armed by a signal handler via [E_neutralize])
    fires at the victim's next abortable effect — shared-memory accesses,
    malloc, fence, yield.  Frees and frame pops are deliberately
@@ -706,10 +644,8 @@ let rec make_handler : t -> thread -> (unit, unit) Effect.Deep.handler =
     exnc = (fun e -> thread_fail rt th e);
     effc =
       (fun (type a) (eff : a Effect.t) : ((a, unit) continuation -> unit) option ->
-        rt.step_fp <- fp_of_eff th eff;
         match th.abort_pending with
         | Some e when th.sig_depth = 0 && abortable eff ->
-            rt.step_fp <- fp_pure;
             th.abort_pending <- None;
             Some (fun k -> th.resume <- Abort (k, e))
         | _ -> (
@@ -1004,13 +940,7 @@ let[@inline] pinned_owner rt =
     let th = rt.threads.(!crit_tid) in
     if th.status <> Done && th.on_core && runnable th then Some th else None
 
-let runnable_tids rt =
-  let a = Array.sub rt.heap_tid 0 rt.nactive in
-  Array.sort compare a;
-  a
-
 let[@inline] policy_pick rt =
-  rt.last_pick_policy <- true;
   match rt.cfg.sched with
   | Timed -> rt.threads.(rt.heap_tid.(0))
   | Uniform ->
@@ -1036,64 +966,9 @@ let[@inline] policy_pick rt =
       | _ -> ());
       best
 
-(* Forced replay takes absolute precedence over pins, hook and policy: the
-   log was recorded at these exact decision points, so re-applying it
-   reproduces the run bit for bit.  Each log entry carries a "policy pick"
-   bit; when set, the policy's side effects at that decision (the uniform
-   scheduler's rng draw, PCT's change-point bookkeeping and demotion) are
-   replicated so the rng stream and the trace stay byte-identical. *)
-let[@inline] forced_pick rt =
-  if rt.sim_stats.steps >= rt.replay_limit then None
-  else begin
-    if rt.sim_stats.steps >= Vec.length rt.choice_log then
-      raise (Sim_error "replay: choice log exhausted before its limit");
-    let v = Vec.get rt.choice_log rt.sim_stats.steps in
-    let tid = v lsr 1 in
-    let th = get_thread rt tid in
-    if th.status = Done || (not th.on_core) || not (runnable th) then
-      raise (Sim_error "replay: forced thread is not runnable");
-    rt.last_pick_policy <- v land 1 = 1;
-    if rt.last_pick_policy then begin
-      match rt.cfg.sched with
-      | Timed -> ()
-      | Uniform -> ignore (Splitmix.below rt.rng rt.nactive : int)
-      | Pct _ -> (
-          rt.sched_steps <- rt.sched_steps + 1;
-          match rt.pct_points with
-          | cp :: rest when rt.sched_steps >= cp ->
-              rt.pct_points <- rest;
-              demote rt th;
-              emit rt th (Trace.Priority_changed { tid = th.tid; prio = th.prio })
-          | _ -> ())
-    end;
-    Some th
-  end
-
-(* The hook sees the sorted runnable tids and either forces one or returns
-   a negative value to defer to the configured policy; deferring everywhere
-   makes a hook-guided run identical to the plain run. *)
-let hook_pick rt h =
-  let tid = h rt (runnable_tids rt) in
-  if tid < 0 then policy_pick rt
-  else begin
-    let th = get_thread rt tid in
-    if th.status = Done || (not th.on_core) || not (runnable th) then
-      raise (Sim_error "scheduler hook chose a non-runnable thread");
-    th
-  end
-
 let[@inline] pick_next rt =
   if rt.nactive = 0 then raise (Sim_error "no runnable thread at a decision point");
-  rt.last_pick_policy <- false;
-  match forced_pick rt with
-  | Some th -> th
-  | None -> (
-      match pinned_owner rt with
-      | Some th -> th
-      | None -> (
-          match rt.hook with
-          | Some h when rt.nactive > 1 -> hook_pick rt h
-          | Some _ | None -> policy_pick rt))
+  match pinned_owner rt with Some th -> th | None -> policy_pick rt
 
 let deschedule rt th =
   remove_active rt th;
@@ -1132,18 +1007,10 @@ let[@inline] post_step rt th =
 let[@inline] step rt th =
   rt.current <- th.tid;
   cur_tid := th.tid;
-  (* guided runs log the choice at its step index (low bit: whether the
-     policy made it, see [forced_pick]); during forced replay the log
-     already holds this prefix, so nothing is re-pushed *)
-  if rt.guided && Vec.length rt.choice_log = rt.sim_stats.steps then
-    Vec.push rt.choice_log ((th.tid lsl 1) lor Bool.to_int rt.last_pick_policy);
   deliver_signal rt th;
   if th.clock > rt.now then rt.now <- th.clock;
   rt.sim_stats.steps <- rt.sim_stats.steps + 1;
   if rt.sim_stats.steps > rt.cfg.max_steps then raise Step_limit_exceeded;
-  (* a completion step performs no effect, so the handler never classifies
-     it; thread exit wakes joiners, hence the Global default *)
-  rt.step_fp <- fp_global;
   (match th.resume with
   | Idle -> raise (Sim_error "scheduled a thread with nothing to run")
   | Fiber f ->
@@ -1168,11 +1035,6 @@ let[@inline] step rt th =
         charge th rt.cfg.cost.yield;
         th.wants_yield <- true
       end);
-  (* the footprint is only known once the step ran: the suspension effect
-     classified itself into [step_fp].  Same replay-idempotence guard as
-     the choice log above (steps was already incremented). *)
-  if rt.guided && Vec.length rt.fp_log = rt.sim_stats.steps - 1 then
-    Vec.push rt.fp_log rt.step_fp;
   post_step rt th
 
 (* ------------------------------------------------------------------ *)
@@ -1220,13 +1082,6 @@ let create cfg =
     sched_steps = 0;
     current = -1;
     stalled = [];
-    hook = None;
-    guided = false;
-    choice_log = Vec.create ();
-    fp_log = Vec.create ();
-    replay_limit = 0;
-    step_fp = fp_global;
-    last_pick_policy = false;
     op_result = 0;
   }
 
@@ -1257,10 +1112,8 @@ let collect_failures rt =
 
 (* ---- the scheduler loop ----
 
-   Structured around canonical decision points: [advance_phase] (wake
-   stalled threads, refill cores) runs before *every* pick, so the state a
-   scheduler hook observes at step [i] is the same whether the prefix ran
-   under the hook or was forced from a preloaded choice log. *)
+   [advance_phase] (wake stalled threads, refill cores) runs before
+   *every* pick. *)
 
 let[@inline] advance_phase rt =
   wake_stalled rt;
@@ -1321,35 +1174,6 @@ let run ?(config = default_config) main =
   let rt = create config in
   ignore (add_thread rt main);
   start rt
-
-(* ------------------------------------------------------------------ *)
-(* Guided scheduling                                                   *)
-(* ------------------------------------------------------------------ *)
-
-let set_scheduler_hook rt h =
-  rt.hook <- h;
-  match h with
-  | Some _ ->
-      if rt.started && Vec.length rt.choice_log <> rt.sim_stats.steps then
-        raise (Sim_error "Runtime.set_scheduler_hook: run no longer replayable");
-      rt.guided <- true
-  | None -> ()
-
-let preload_choices rt log =
-  if rt.started then invalid_arg "Runtime.preload_choices: run already started";
-  Vec.clear rt.choice_log;
-  Vec.append_array rt.choice_log log;
-  rt.guided <- true;
-  rt.replay_limit <- Array.length log
-
-let choices rt = Vec.to_array rt.choice_log
-
-let choice_tid c = c lsr 1
-
-let step_count rt = rt.sim_stats.steps
-
-let step_footprint rt i =
-  if i < 0 || i >= Vec.length rt.fp_log then None else Some (decode_fp (Vec.get rt.fp_log i))
 
 (* Effect-performing wrappers *)
 

@@ -21,8 +21,8 @@
 
     A run is a pure function of its configuration (including [seed]): no
     wall clock, no global randomness.  It executes once, by {!start}, to
-    completion; the one way to reproduce a run, or a prefix of it, is to
-    replay its choice log ({!preload_choices}). *)
+    completion; the way to reproduce a run is to run the same
+    configuration again. *)
 
 type tid = int
 
@@ -143,57 +143,6 @@ val thread_count : t -> int
 val running_tid : t -> int option
 (** The thread currently being stepped; [None] outside a step.  Lets
     fault hooks installed on {!mem} attribute a fault to a thread. *)
-
-(** {1 Step footprints}
-
-    What each step of a guided run touched — the commutativity
-    information partial-order pruning needs. *)
-
-type footprint =
-  | Pure  (** only the stepping thread's private state; commutes with everything *)
-  | Shared of { addr : int; write : bool }  (** one shared heap word *)
-  | Global  (** conservative: assume interaction with every other thread *)
-
-val conflicts : footprint -> footprint -> bool
-(** Whether two adjacent steps by different threads may fail to commute.
-    Over-approximate: [Global] conflicts with everything but [Pure]. *)
-
-val step_footprint : t -> int -> footprint option
-(** [step_footprint rt i] — footprint of step [i] of a guided run
-    ([None] if the run is not guided or step [i] has not executed).
-    This is the happens-before data sleep-set pruning consumes. *)
-
-(** {1 Guided scheduling}
-
-    The exploration interface: a hook decides which runnable thread steps
-    at every decision point, every decision is recorded, and a recorded
-    schedule can be replayed exactly — the checker's replay-from-seed
-    oracle. *)
-
-val set_scheduler_hook : t -> (t -> int array -> int) option -> unit
-(** [set_scheduler_hook rt (Some h)] calls [h rt candidates] at every
-    decision point with two or more runnable threads ([candidates] is the
-    sorted tid array).  [h] returns the tid to step, or a negative value
-    to defer to the configured {!sched} policy — so a hook that always
-    defers observes the run without changing it.  Installing a hook makes
-    the run {e guided}: every choice is logged (see {!choices}).  Not
-    called while a critical-section pin or forced replay decides. *)
-
-val preload_choices : t -> int array -> unit
-(** Before the first step: force the scheduler to follow a log previously
-    obtained from {!choices} — exact replay of a guided run, including
-    the policy's rng draws.  @raise Sim_error if the log names a thread
-    that is not runnable (the log belongs to a different workload). *)
-
-val choices : t -> int array
-(** The choice log of a guided run so far (opaque encoding; feed back via
-    {!preload_choices}, inspect with {!choice_tid}). *)
-
-val choice_tid : int -> tid
-(** The thread id a choice-log entry stepped. *)
-
-val step_count : t -> int
-(** Scheduler steps executed so far. *)
 
 (** {1 Operations (only valid inside a running thread)} *)
 

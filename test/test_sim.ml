@@ -970,51 +970,6 @@ let test_drop_signals () =
   check "drop counted" 1 r.Runtime.run_stats.signals_dropped;
   check "both sends counted" 2 r.Runtime.run_stats.signals_sent
 
-(* -------------------------------- replay -------------------------------- *)
-
-(* Every thread draws from its own rng stream, split from the scheduler's
-   at spawn: a replay that shifted the scheduler's stream would move the
-   draws, and with them the clocks the trace and the result report. *)
-let replay_workload () =
-  let shared = Runtime.alloc_region 4 in
-  let ts =
-    List.init 3 (fun i ->
-        Runtime.spawn (fun () ->
-            let f = Runtime.push_frame 2 in
-            for k = 1 to 12 do
-              ignore (Runtime.faa shared 1);
-              let v = Runtime.read (shared + 1) in
-              Runtime.write (f + (k land 1)) (v + k + i);
-              if k mod 3 = 0 then ignore (Runtime.cas (shared + 1) v (v + 1));
-              if k mod 5 = 0 then Runtime.yield ();
-              if k mod 7 = 0 then ignore (Runtime.malloc (1 + (k mod 4)));
-              Runtime.advance (1 + Runtime.rand_below 40)
-            done;
-            Runtime.pop_frame f))
-  in
-  List.iter Runtime.join ts
-
-let preload_replay =
-  QCheck.Test.make ~name:"preload_choices replays a guided run byte-for-byte" ~count:20
-    QCheck.small_nat
-    (fun seed ->
-      let run prepare =
-        let buf = Buffer.create 256 in
-        let record e = Buffer.add_string buf (Fmt.str "%a@." Ts_sim.Trace.pp e) in
-        let rt =
-          Runtime.create { cfg with seed = seed + 1; sched = Runtime.Uniform; trace = Some record }
-        in
-        prepare rt;
-        ignore (Runtime.add_thread rt replay_workload);
-        let r = Runtime.start rt in
-        (Digest.string (Buffer.contents buf), Runtime.choices rt, r.Runtime.elapsed, r.run_stats)
-      in
-      let t1, log, e1, s1 =
-        run (fun rt -> Runtime.set_scheduler_hook rt (Some (fun _ _ -> -1)))
-      in
-      let t2, log2, e2, s2 = run (fun rt -> Runtime.preload_choices rt log) in
-      String.equal t1 t2 && log = log2 && e1 = e2 && s1 = s2)
-
 (* Another thread crashing or stalling in the middle of a step removes it
    from the active heap while the stepped thread's clock has already moved
    on.  Every thread is aligned on one clock, so the removal's sift meets
@@ -1057,8 +1012,8 @@ let test_mid_step_removal_schedule () =
 (* Minor-heap words allocated per scheduler step.  The count is exact for
    a given build, so these bounds (about 10 % above the measured 8.1 and
    5.5) catch any per-step allocation that creeps back in: a closure and
-   an option per resumption, a boxed footprint per shared access or a
-   boxed rng state per draw cost 44 and 166 words on these two runs. *)
+   an option per resumption or a boxed rng state per draw cost 44 and 166
+   words on these two runs. *)
 let words_per_step config main =
   let w0 = Gc.minor_words () in
   let r = Runtime.run ~config main in
@@ -1188,7 +1143,6 @@ let () =
           QCheck_alcotest.to_alcotest litmus_message_passing;
           QCheck_alcotest.to_alcotest litmus_coherence;
         ] );
-      ("replay", [ QCheck_alcotest.to_alcotest preload_replay ]);
       ( "misc",
         [
           Alcotest.test_case "clear_regs" `Quick test_clear_regs;
