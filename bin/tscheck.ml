@@ -194,7 +194,7 @@ let sweep_cmd =
     | Some b -> Fmt.pr "seeded bug: %s (ds forced to %s)@." (Scenario.bug_to_string b)
                   (Scenario.ds_to_string (Scenario.bug_ds b))
     | None -> ());
-    let first_failure = ref None in
+    let failures = ref [] in
     let total_runs = ref 0 and total_violations = ref 0 in
     List.iter
       (fun ds ->
@@ -203,14 +203,12 @@ let sweep_cmd =
         total_runs := !total_runs + s.Explore.runs;
         total_violations := !total_violations + List.length s.Explore.failures;
         pp_summary (Scenario.ds_to_string ds) s;
-        match s.Explore.failures with
-        | o :: _ when !first_failure = None -> first_failure := Some o
-        | _ -> ())
+        failures := List.rev_append s.Explore.failures !failures)
       ds_list;
     Fmt.pr "total: %d schedules, %d with violations@." !total_runs !total_violations;
-    match !first_failure with
-    | None -> `Ok ()
-    | Some o ->
+    match List.rev !failures with
+    | [] -> `Ok ()
+    | o :: others ->
         Fmt.pr "@.first failing schedule (%s, seed %d):@."
           (Scenario.ds_to_string o.Scenario.spec.Scenario.ds)
           o.Scenario.spec.Scenario.seed;
@@ -219,6 +217,13 @@ let sweep_cmd =
         Fmt.pr "shrunk to threads=%d ops=%d key-range=%d seed=%d@." shrunk.Scenario.threads
           shrunk.Scenario.ops shrunk.Scenario.key_range shrunk.Scenario.seed;
         Fmt.pr "replay: %s@." (Scenario.replay_command shrunk);
+        (* Shrinking costs many runs; the other failures get their
+           seed's replay line as found. *)
+        if others <> [] then Fmt.pr "@.other failing schedules (unshrunk):@.";
+        List.iter
+          (fun (o : Scenario.outcome) ->
+            Fmt.pr "replay: %s@." (Scenario.replay_command o.Scenario.spec))
+          others;
         exit 1
   in
   Cmd.v

@@ -99,8 +99,8 @@ let () =
          Fmt.pr "pushes:              %d@." (6 * 150);
          Fmt.pr "pops (racing):       %d@." (Runtime.read popped);
          Fmt.pr "pops (final drain):  %d@." drained;
-         Fmt.pr "retired = freed:     %d = %d@." smr.Smr.counters.retired smr.Smr.counters.freed;
+         Fmt.pr "retired = freed:     %d = %d@." (Smr.retired smr) (Smr.freed smr);
          Fmt.pr "reclamation phases:  %d@." (Threadscan.phases ts);
          assert (6 * 150 = Runtime.read popped + drained);
-         assert (smr.Smr.counters.retired = smr.Smr.counters.freed);
+         assert (Smr.retired smr = Smr.freed smr);
          Fmt.pr "@.a brand-new lock-free stack got safe reclamation from three integration points.@."))

@@ -77,5 +77,5 @@ let () =
          Fmt.pr "segfaults (unmapped):   %d@." (Runtime.read segv);
          Fmt.pr "areas remapped:         %d@." (Runtime.read remaps);
          Fmt.pr "VMA descriptors retired=%d freed=%d — no refcounts in the fault path@."
-           smr.Smr.counters.retired smr.Smr.counters.freed;
-         assert (smr.Smr.counters.retired = smr.Smr.counters.freed)))
+           (Smr.retired smr) (Smr.freed smr);
+         assert (Smr.retired smr = Smr.freed smr)))

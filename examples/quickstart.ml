@@ -52,11 +52,11 @@ let () =
 
          (* 5. Inspect. *)
          Fmt.pr "final set size:        %d@." (Set_intf.size set);
-         Fmt.pr "nodes retired:         %d@." smr.Smr.counters.retired;
-         Fmt.pr "nodes freed:           %d@." smr.Smr.counters.freed;
+         Fmt.pr "nodes retired:         %d@." (Smr.retired smr);
+         Fmt.pr "nodes freed:           %d@." (Smr.freed smr);
          Fmt.pr "reclamation phases:    %d@." (Threadscan.phases ts);
          Fmt.pr "signals sent:          %d@." (Threadscan.signals_sent ts);
          Fmt.pr "stack words scanned:   %d@." (Threadscan.scan_words ts);
          Fmt.pr "virtual time elapsed:  %d cycles@." (Runtime.now ());
-         assert (smr.Smr.counters.retired = smr.Smr.counters.freed);
+         assert (Smr.retired smr = Smr.freed smr);
          Fmt.pr "@.every retired node was reclaimed — no leaks, no dangling reads.@."))

@@ -1,16 +1,16 @@
 module Alloc = Ts_umem.Alloc
 module Smr = Ts_smr.Smr
 
-(* Post-run SMR invariants.  All reads are control-plane (OCaml-side
+(* Post-run SMR invariants.  All reads are control-plane (the scheme's
    counters and allocator metadata); the run is over, nothing races.
    [max_leak] is the crash-leak budget: a thread killed mid-[retire] takes
    its in-flight pointer with it (the reference exists only in its dead
    hands), so a run with [k] crashed threads may legitimately end with up
    to [k] nodes never freed — a bounded leak, never a use-after-free. *)
-let check ?(max_leak = 0) ~(counters : Smr.counters) ~alloc ~baseline_live ~final_list () =
+let check ?(max_leak = 0) ~(smr : Smr.t) ~alloc ~baseline_live ~final_list () =
   let v = ref [] in
   let add what detail = v := Report.Oracle { what; detail } :: !v in
-  let retired = counters.Smr.retired and freed = counters.Smr.freed in
+  let retired = Smr.retired smr and freed = Smr.freed smr in
   if freed > retired then add "freed exceeds retired" (Fmt.str "retired=%d freed=%d" retired freed);
   let outstanding = retired - freed in
   if outstanding > max_leak then

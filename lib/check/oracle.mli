@@ -17,14 +17,14 @@
 
 val check :
   ?max_leak:int ->
-  counters:Ts_smr.Smr.counters ->
+  smr:Ts_smr.Smr.t ->
   alloc:Ts_umem.Alloc.t ->
   baseline_live:int ->
   final_list:(int * int) list ->
   unit ->
   Report.violation list
-(** Empty list = all invariants hold.  Outstanding is [retired - freed]
-    from the shared counters.  [max_leak] (default 0) relaxes the
+(** Empty list = all invariants hold.  Outstanding is
+    {!Ts_smr.Smr.outstanding}.  [max_leak] (default 0) relaxes the
     [outstanding] and live-heap checks by that many nodes: a thread crashed
     mid-[retire] takes its in-flight pointer with it, so runs that kill [k]
     threads budget a bounded leak of [k] — any excess (or any use-after-free,

@@ -497,7 +497,7 @@ let run spec =
          phases :=
            (match built.Registry.ts with
            | Some ts -> Threadscan.phases ts
-           | None -> smr.Smr.counters.Smr.cleanups);
+           | None -> Smr.cleanups smr);
          let max_leak =
            (* the scheme's per-corpse budget (in-flight retires, stranded
               protection slots, a lost batch ...) per crashed thread *)
@@ -509,7 +509,7 @@ let run spec =
          in
          oracle_violations :=
            !oracle_violations
-           @ Oracle.check ~max_leak ~counters:smr.Smr.counters ~alloc:(Runtime.alloc rt)
+           @ Oracle.check ~max_leak ~smr ~alloc:(Runtime.alloc rt)
                ~baseline_live:baseline ~final_list ()));
   let crash =
     try

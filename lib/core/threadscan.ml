@@ -34,7 +34,6 @@ type t = {
   suspect_silent : int array; (* consecutive silent phases while suspect *)
   reaped : bool array;
   mutable overflow : int list; (* backpressure: parked retirements *)
-  mutable smr_counters : Smr.counters option;
   mutable smr_self : Smr.t option;
   mutable phases : int;
   mutable signals : int;
@@ -56,7 +55,8 @@ type t = {
   mutable inject : inject; (* deliberate protocol bug, for checker validation *)
 }
 
-let counters t = Option.get t.smr_counters
+let smr t = Option.get t.smr_self
+let counters t = (smr t).Smr.counters
 
 (* ------------------------------------------------------------------ *)
 (* Phase lock: a raw owner word so waiters can identify (and, past the
@@ -423,17 +423,16 @@ let avg_phase_latency t =
   let n = Ts_util.Vec.length t.phase_latencies in
   if n = 0 then 0 else total_phase_cycles t / n
 
-let retire t (c : Smr.counters) p =
-  Smr.add_retired c 1;
-  let tid = Runtime.self () in
-  let masked = Ptr.mask p in
+(* A full buffer: reclaim, wait for the reclaimer, or park, then try the
+   buffer again; the same effects in the same order as retrying the push
+   first, so only this path builds the backoff and the takeover refs. *)
+let retire_full t tid masked =
   let b = Backoff.create () in
   let rounds = ref 0 in
   let owner_seen = ref 0 and beat_seen = ref 0 and seen_at = ref 0 in
   let done_ = ref false in
   while not !done_ do
-    if Delete_buffer.push t.buffers.(tid) masked then done_ := true
-    else if try_acquire t then begin
+    if try_acquire t then begin
       (* Full buffer: become the reclaimer. *)
       run_phase_locked t;
       Backoff.reset b;
@@ -459,8 +458,15 @@ let retire t (c : Smr.counters) p =
       t.full_waits <- t.full_waits + 1;
       Backoff.once b;
       incr rounds
-    end
+    end;
+    if not !done_ then done_ := Delete_buffer.push t.buffers.(tid) masked
   done
+
+let retire t (c : Smr.counters) p =
+  Smr.add_retired c 1;
+  let tid = Runtime.self () in
+  let masked = Ptr.mask p in
+  if not (Delete_buffer.push t.buffers.(tid) masked) then retire_full t tid masked
 
 let thread_init t () =
   let tid = Runtime.self () in
@@ -498,13 +504,13 @@ let flush t () =
     (* Drop conservative pins left in our own register file by the previous
        iteration's sweep (the caller holds no node references here). *)
     Runtime.clear_regs ();
-    let before = (counters t).freed in
+    let before = Smr.freed (smr t) in
     do_phase t;
     let buffered = Array.exists (fun b -> Delete_buffer.size b > 0) t.buffers in
     (* Keep going only while the last phase made progress: whatever remains
        is pinned by a conservatively-scanned stack. *)
     continue_ :=
-      (buffered || t.carried > 0 || t.overflow <> []) && (counters t).freed > before
+      (buffered || t.carried > 0 || t.overflow <> []) && Smr.freed (smr t) > before
   done;
   release t
 
@@ -530,7 +536,6 @@ let create ?(config = Config.default) () =
       suspect_silent = Array.make config.max_threads 0;
       reaped = Array.make config.max_threads false;
       overflow = [];
-      smr_counters = None;
       smr_self = None;
       phases = 0;
       signals = 0;
@@ -579,11 +584,8 @@ let create ?(config = Config.default) () =
         ])
       ~retire:(retire t) ()
   in
-  t.smr_counters <- Some smr.Smr.counters;
   t.smr_self <- Some smr;
   t
-
-let smr t = Option.get t.smr_self
 
 let config t = t.cfg
 
@@ -603,9 +605,7 @@ let scan_hits t = t.scan_hits
 
 let full_waits t = t.full_waits
 
-let outstanding t =
-  let c = counters t in
-  c.retired - c.freed
+let outstanding t = Smr.outstanding (smr t)
 
 let ack_timeouts t = t.ack_timeouts
 

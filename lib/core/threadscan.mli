@@ -74,7 +74,7 @@ val full_waits : t -> int
     active and had to wait (usually to discover its buffer drained). *)
 
 val outstanding : t -> int
-(** Nodes retired but not yet freed. *)
+(** Nodes retired but not yet freed: {!Ts_smr.Smr.outstanding} of {!smr}. *)
 
 val total_phase_cycles : t -> int
 (** Total cycles the reclaiming threads spent inside collect phases,

@@ -103,8 +103,6 @@ let extra (smr : Smr.t) key =
 let ladder_count t smr =
   List.fold_left (fun acc key -> acc + extra smr key) 0 t.recovery_extras
 
-let outstanding (smr : Smr.t) = smr.Smr.counters.retired - smr.Smr.counters.freed
-
 (* First clause fire = the fault the recovery metrics are measured
    against.  [Unstall] is the remedy, not the fault, and does not
    stamp. *)
@@ -113,7 +111,7 @@ let note_fired t smr (c : Fault_plan.clause) =
       t.clauses_fired <- t.clauses_fired + 1;
       if t.fault_at < 0 && c.event <> Fault_plan.Unstall then begin
         t.fault_at <- elapsed t;
-        t.baseline <- outstanding smr;
+        t.baseline <- Smr.outstanding smr;
         t.peak <- t.baseline;
         t.base_ladder <- ladder_count t smr;
         t.base_signals <- extra smr "signals";
@@ -164,7 +162,7 @@ let fire_monitor t smr =
 let sample t smr =
   Runtime.critical (fun () ->
       if t.fault_at >= 0 then begin
-        let out = outstanding smr in
+        let out = Smr.outstanding smr in
         if out > t.peak then t.peak <- out;
         t.last_signals <- extra smr "signals";
         if t.takeover_after < 0 && ladder_count t smr > t.base_ladder then

@@ -12,7 +12,9 @@
       clauses a victim cannot deliver to itself — wall-clock ([V\@Kms])
       triggers and [release] clauses — and samples recovery metrics
       (outstanding memory vs. the pre-fault baseline, degradation-ladder
-      activity, signal storms) on every tick.
+      activity, signal storms) on every tick.  Outstanding memory is
+      {!Ts_smr.Smr.outstanding}; sampled on native while workers run, it
+      may miss retires and frees still in flight.
 
     All time accounting is in nanoseconds on the native backend and in
     virtual cycles on the sim (the monitor's own clock). *)

@@ -180,8 +180,8 @@ let body spec counts retired freed extras ~chaos ~smr_cell () =
   List.iter Runtime.join ws;
   smr.Smr.thread_exit ();
   smr.Smr.flush ();
-  retired := smr.Smr.counters.retired;
-  freed := smr.Smr.counters.freed;
+  retired := Smr.retired smr;
+  freed := Smr.freed smr;
   extras := smr.Smr.extras ();
   match mon with
   | None -> ()
@@ -292,8 +292,8 @@ let run_native (spec : spec) ~pool =
   if res.Ts_par.Runtime.wedged then begin
     match !smr_cell with
     | Some smr ->
-        retired := smr.Smr.counters.retired;
-        freed := smr.Smr.counters.freed;
+        retired := Smr.retired smr;
+        freed := Smr.freed smr;
         extras := smr.Smr.extras ()
     | None -> ()
   end;

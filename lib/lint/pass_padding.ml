@@ -29,14 +29,18 @@ open Parsetree
 let pass_id = "padded"
 
 (* Directories (relative to a scanned root) under audit: the native
-   backend, the reclamation schemes, the ThreadScan core and the SMR
-   counter plumbing every scheme shares. *)
-let audited_dirs = [ "core"; "reclaim"; "par"; "smr" ]
+   backend, the reclamation schemes, the ThreadScan core, the SMR
+   counter plumbing every scheme shares, the allocator and the striped
+   counter. *)
+let audited_dirs = [ "core"; "reclaim"; "par"; "smr"; "umem"; "util" ]
 
 (* Known-hot types: (file basename, type name, hot fields).  An empty
    field list means the whole record must be constructed under
    [Padded.copy] (its fields are immediates mutated in place); a
-   non-empty list names pointer fields whose cells must each be padded. *)
+   non-empty list names pointer fields whose cells must each be padded.
+   A field named ["f[]"] holds an array of cells: it must be built as
+   [Array.init n (fun _ -> <a Padded application>)], one padded cell
+   per element. *)
 let hot_types =
   [
     (* par backend: every op bumps these; neighbours must not share lines *)
@@ -44,26 +48,19 @@ let hot_types =
     ( "runtime.ml",
       "ctx",
       [ "pending"; "kill"; "finished"; "stall_req"; "stalled_flag"; "stall_release" ] );
-    ( "heap.ml",
-      "counters",
-      (* the allocator's counter cells ride the malloc/free hot path too *)
-      [
-        "mallocs";
-        "frees";
-        "live";
-        "live_w";
-        "peak_live";
-        "peak_w";
-        "hits";
-        "misses";
-        "refills";
-        "flushes";
-      ] );
-    (* SMR counters: bumped under critical by every thread on every
-       retire/free — the record itself must sit on its own line *)
+    (* the allocator's shared cells ride the malloc/free hot path too *)
+    ("heap.ml", "counters", [ "live"; "live_w"; "peak_live"; "peak_w" ]);
+    (* a thread's magazines and event counts: its owner writes them on
+       every malloc and free *)
+    ("alloc.ml", "row", []);
+    (* a striped counter's cells: every domain bumps its own *)
+    ("striped.ml", "t", [ "cells[]" ]);
+    (* SMR counters: the snapshot is rewritten by whichever thread runs a
+       cleanup — the record itself must sit on its own line *)
     ("smr.ml", "counters", []);
-    (* regression fixture *)
+    (* regression fixtures *)
     ("fixture_padded.ml", "hot", [ "sig_word"; "ack_word" ]);
+    ("fixture_padded.ml", "stripes", [ "cells[]" ]);
   ]
 
 let padded_heads = [ "copy"; "atomic" ]
@@ -78,6 +75,16 @@ let is_padded_app aliases e =
       | [ fn; m ] -> List.mem fn padded_heads && List.mem m aliases
       | _ -> false)
   | _ -> false
+
+(* [Array.init n (fun _ -> <padded application>)]: one padded cell per
+   element. *)
+let is_padded_array aliases e =
+  match e.pexp_desc with
+  | Pexp_apply (f, [ _; (Asttypes.Nolabel, { pexp_desc = Pexp_fun (_, _, _, body); _ }) ]) ->
+      Ast_util.callee_path f = [ "Array"; "init" ] && is_padded_app aliases body
+  | _ -> false
+
+let field_name f = if Filename.check_suffix f "[]" then Filename.chop_suffix f "[]" else f
 
 let is_atomic_make e =
   match e.pexp_desc with
@@ -120,10 +127,10 @@ let scan ctx str =
       | Some labels ->
           List.iter
             (fun f ->
-              if not (List.mem f labels) then
+              if not (List.mem (field_name f) labels) then
                 acc :=
                   Pass.warn ~pass:pass_id ctx Location.none
-                    "stale padded whitelist entry: type %S has no field %S" tname f
+                    "stale padded whitelist entry: type %S has no field %S" tname (field_name f)
                   :: !acc)
             fields)
     my_hot;
@@ -172,6 +179,14 @@ let scan ctx str =
               List.iter
                 (fun (l, v) ->
                   match label_last l with
+                  | Some name when List.mem (name ^ "[]") hot_fields ->
+                      if not (is_padded_array aliases v) then
+                        acc :=
+                          Pass.err ~pass:pass_id ctx v.pexp_loc
+                            "hot array %s.%s is not built one padded cell per element — \
+                             use Array.init with Ts_util.Padded"
+                            tname name
+                          :: !acc
                   | Some name when List.mem name hot_fields ->
                       if not (is_padded_app aliases v) then
                         acc :=
@@ -203,7 +218,7 @@ let applies ctx = Pass.in_dir ctx audited_dirs || Pass.is_fixture ctx
 let pass =
   {
     Pass.id = pass_id;
-    doc = "cross-thread-hot record fields in core/reclaim/par/smr must be Ts_util.Padded";
+    doc = "cross-thread-hot record fields in core/reclaim/par/smr/umem/util must be Ts_util.Padded";
     impl = Some (fun ctx str -> if applies ctx then scan ctx str else []);
     intf = None;
   }

@@ -11,7 +11,9 @@
      thread's stack, register ring and save areas) take the runtime's
      plain stores to [words]; {!Runtime} documents why every other
      reader is ordered after them.
-   - The central lock is a [Mutex]; the counters are padded atomics.
+   - The central lock is a [Mutex]; the live counts and their peaks are
+     padded atomics (the event counts are the allocator's per-thread
+     rows).
    - Shadow checks are exact in steady state but best-effort at the
      instant of a concurrent transition (the shadow byte is read
      unlocked next to the word access): on a buggy run a fault may be
@@ -47,19 +49,13 @@ external word_faa : int array -> (int[@untagged]) -> (int[@untagged]) -> int
   = "ts_par_word_fetch_add_byte" "ts_par_word_fetch_add"
 [@@noalloc]
 
-(* The allocator's counters: every thread bumps them on every malloc and
-   free, so each cell owns its cache line. *)
+(* The allocator's shared cells: every thread bumps them on every malloc
+   and free, so each cell owns its cache line. *)
 type 'cell counters = 'cell Alloc.counters = {
-  mallocs : 'cell;
-  frees : 'cell;
   live : 'cell;
   live_w : 'cell;
   peak_live : 'cell;
   peak_w : 'cell;
-  hits : 'cell;
-  misses : 'cell;
-  refills : 'cell;
-  flushes : 'cell;
 }
 
 module Store = struct
@@ -125,22 +121,16 @@ module Store = struct
 
   let counters () =
     {
-      mallocs = Ts_util.Padded.copy (Atomic.make 0);
-      frees = Ts_util.Padded.copy (Atomic.make 0);
       live = Ts_util.Padded.copy (Atomic.make 0);
       live_w = Ts_util.Padded.copy (Atomic.make 0);
       peak_live = Ts_util.Padded.copy (Atomic.make 0);
       peak_w = Ts_util.Padded.copy (Atomic.make 0);
-      hits = Ts_util.Padded.copy (Atomic.make 0);
-      misses = Ts_util.Padded.copy (Atomic.make 0);
-      refills = Ts_util.Padded.copy (Atomic.make 0);
-      flushes = Ts_util.Padded.copy (Atomic.make 0);
     }
 
   let add c d = Atomic.fetch_and_add c d + d
   let get = Atomic.get
 
-  let rec raise_to c v =
+  let rec raise_to c (v : int) =
     let p = Atomic.get c in
     if v > p && not (Atomic.compare_and_set c p v) then raise_to c v
 end

@@ -10,7 +10,7 @@
 
     Blocks come from {!Ts_umem.Alloc.Make} over this store — the
     simulator's allocator, with a [Mutex] for its central lock and padded
-    [Atomic] cells for its counters. *)
+    [Atomic] cells for its live counts and their peaks. *)
 
 type t
 

@@ -183,7 +183,7 @@ let create ?(batch = 64) ~max_threads () =
        than letting freed outrun retired *)
     Smr.add_retired c 1;
     Vec.push st.pending.(tid) (Ptr.mask p);
-    let outstanding = c.Smr.retired - c.Smr.freed in
+    let outstanding = Smr.outstanding (Option.get !smr) in
     if outstanding > st.unreclaimed_peak then st.unreclaimed_peak <- outstanding;
     if Vec.length st.pending.(tid) >= st.batch then begin
       Smr.add_cleanups c 1;

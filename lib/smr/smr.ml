@@ -1,4 +1,13 @@
-type counters = { mutable retired : int; mutable freed : int; mutable cleanups : int }
+module Striped = Ts_util.Striped
+
+type counters = {
+  mutable retired : int;
+  mutable freed : int;
+  mutable cleanups : int;
+  retired_by : Striped.t;
+  freed_by : Striped.t;
+  cleanups_by : Striped.t;
+}
 
 (* Raised inside a data-structure operation whose thread was neutralized
    by a scheme's signal handler (DEBRA+): the handler unpinned the
@@ -35,23 +44,49 @@ type t = {
 
 let nop () = ()
 
-(* Counter bumps go through [Ts_rt.critical]: on the sim backend that is
-   a direct call (one fiber runs at a time), on the native backend it is
-   a mutex, so concurrent retire/free paths on real domains cannot lose
-   increments — the leak oracle (outstanding = retired - freed) depends
-   on these being exact.  Reads stay plain field accesses: every
-   consumer reads after the worker joins (a happens-before edge). *)
+(* A bump is one atomic add on the calling domain's cell (no lock, no
+   backend op); a read sums the cells.  The three mutable fields are a
+   snapshot of the sums, rewritten at every [add_cleanups] and when
+   [flush] returns. *)
 
-let add_retired c n = Ts_rt.critical (fun () -> c.retired <- c.retired + n)
-let add_freed c n = Ts_rt.critical (fun () -> c.freed <- c.freed + n)
-let add_cleanups c n = Ts_rt.critical (fun () -> c.cleanups <- c.cleanups + n)
+let add_retired c n = Striped.add c.retired_by n
+let add_freed c n = Striped.add c.freed_by n
+
+let snapshot c =
+  (* freed first: every free follows its retire, so the snapshot never
+     shows more freed than retired *)
+  c.freed <- Striped.sum c.freed_by;
+  c.retired <- Striped.sum c.retired_by;
+  c.cleanups <- Striped.sum c.cleanups_by
+
+let add_cleanups c n =
+  Striped.add c.cleanups_by n;
+  snapshot c
+
+let retired t = Striped.sum t.counters.retired_by
+let freed t = Striped.sum t.counters.freed_by
+let cleanups t = Striped.sum t.counters.cleanups_by
+
+let outstanding t =
+  let freed = freed t in
+  retired t - freed
 
 let make ~name ?(thread_init = nop) ?(thread_exit = nop) ?(op_begin = nop) ?(op_end = nop)
     ?(protect = fun ~slot:_ p -> p) ?(release = fun ~slot:_ -> ()) ?(flush = nop)
     ?(extras = fun () -> []) ?(retired_access = Invisible) ~retire () =
-  (* retire/free paths on different threads bump these; give the record
-     its own cache lines so the bumps don't ping-pong *)
-  let counters = Ts_util.Padded.copy { retired = 0; freed = 0; cleanups = 0 } in
+  (* the snapshot is written by whichever thread runs a cleanup; keep it
+     off the lines of anything else *)
+  let counters =
+    Ts_util.Padded.copy
+      {
+        retired = 0;
+        freed = 0;
+        cleanups = 0;
+        retired_by = Striped.create ();
+        freed_by = Striped.create ();
+        cleanups_by = Striped.create ();
+      }
+  in
   {
     name;
     thread_init;
@@ -61,13 +96,15 @@ let make ~name ?(thread_init = nop) ?(thread_exit = nop) ?(op_begin = nop) ?(op_
     protect;
     release;
     retire = (fun p -> retire counters p);
-    flush;
+    flush =
+      (fun () ->
+        flush ();
+        snapshot counters);
     counters;
     extras;
     retired_access;
   }
 
 let pp ppf t =
-  Fmt.pf ppf "%s: retired=%d freed=%d cleanups=%d" t.name t.counters.retired t.counters.freed
-    t.counters.cleanups;
+  Fmt.pf ppf "%s: retired=%d freed=%d cleanups=%d" t.name (retired t) (freed t) (cleanups t);
   List.iter (fun (k, v) -> Fmt.pf ppf " %s=%d" k v) (t.extras ())

@@ -16,11 +16,20 @@
     All hooks implicitly act on the calling simulated thread
     ({!Ts_rt.self}). *)
 
-type counters = {
-  mutable retired : int;  (** nodes handed to [retire] *)
-  mutable freed : int;  (** nodes actually released to the allocator *)
-  mutable cleanups : int;  (** reclamation phases / scans executed *)
+type counters = private {
+  mutable retired : int;  (** snapshot: nodes handed to [retire] *)
+  mutable freed : int;  (** snapshot: nodes actually released to the allocator *)
+  mutable cleanups : int;  (** snapshot: reclamation phases / scans executed *)
+  retired_by : Ts_util.Striped.t;
+  freed_by : Ts_util.Striped.t;
+  cleanups_by : Ts_util.Striped.t;
 }
+(** The scheme's counters: three striped counts ({!Ts_util.Striped}),
+    bumped through {!add_retired}, {!add_freed} and {!add_cleanups}.
+    Read them with {!retired}, {!freed}, {!cleanups} and
+    {!outstanding}.  The three mutable fields are only a snapshot of
+    the sums, rewritten at every {!add_cleanups} and when [flush]
+    returns; between those points they lag. *)
 
 exception Neutralized
 (** Raised inside a data-structure operation whose thread was neutralized
@@ -91,15 +100,32 @@ val make :
 val pp : Format.formatter -> t -> unit
 (** One-line summary: name plus counters and extras. *)
 
-(** {1 Counter updates}
+(** {1 Counters}
 
-    Schemes must bump the shared counters through these helpers, never by
-    direct field assignment: the increments run inside {!Ts_rt.critical},
-    so on the native backend concurrent retire/free paths cannot lose
-    updates — the leak oracle ([outstanding = retired - freed]) depends on
-    the counts being exact.  Plain field {e reads} are fine wherever a
-    happens-before edge exists (after joining the workers). *)
+    A scheme bumps its counters through {!add_retired}, {!add_freed}
+    and {!add_cleanups}, never by field assignment.  A bump is one
+    atomic add on the calling domain's cell of a striped counter: it
+    takes no lock and is no backend operation, so on the simulator it is
+    not a scheduling point and on native domains concurrent retire and
+    free paths neither serialise nor lose updates.  A bump is no
+    happens-before edge either.
+
+    The accessors sum the cells.  They are exact once the bumping
+    threads are joined (a crashed thread's bumps count too), which is
+    when the leak oracle ([outstanding = retired - freed]) reads them.
+    Read mid-run from another domain, as the chaos monitor and tsperf's
+    garbage sampler do, a sum may miss bumps still in flight. *)
 
 val add_retired : counters -> int -> unit
 val add_freed : counters -> int -> unit
+
 val add_cleanups : counters -> int -> unit
+(** Also rewrites the snapshot fields of {!counters}. *)
+
+val retired : t -> int
+val freed : t -> int
+val cleanups : t -> int
+
+val outstanding : t -> int
+(** [retired - freed], reading [freed] first, so a mid-run read never
+    comes out negative. *)

@@ -20,10 +20,22 @@ let batch = 32
 module Make (S : STORE) = struct
   type store = S.t
 
+  (* A thread's magazines and its event counts, touched by that thread
+     only: counting an allocation is a plain add on the owner's row. *)
+  type row = {
+    mags : Vec.t array; (* per size class *)
+    mutable mallocs : int;
+    mutable frees : int;
+    mutable hits : int;
+    mutable misses : int;
+    mutable refills : int;
+    mutable flushes : int;
+  }
+
   type t = {
     store : S.t;
     central : Vec.t array; (* per size class, user base addresses; under the lock *)
-    caches : Vec.t array option array; (* caches.(tid).(class), touched by tid only *)
+    rows : row option array; (* by tid *)
     large_free : (int, Vec.t) Hashtbl.t; (* exact size -> free list; under the lock *)
     sanitize : bool;
     generations : (int, int) Hashtbl.t; (* user base -> allocation generation *)
@@ -34,14 +46,12 @@ module Make (S : STORE) = struct
     {
       store;
       central = Array.init Size_class.count (fun _ -> Vec.create ());
-      caches = Array.make max_threads None;
+      rows = Array.make max_threads None;
       large_free = Hashtbl.create 16;
       sanitize;
       generations = Hashtbl.create 64;
       c = S.counters ();
     }
-
-  let count cell = ignore (S.add cell 1 : int)
 
   (* [f] under the central lock.  Only [reserve] can raise in there (a
      strict store's out-of-memory fault); the lock must not stay held. *)
@@ -65,7 +75,7 @@ module Make (S : STORE) = struct
 
   (* Under the lock.  Stops at the first failed carve, so an exhausted
      store counts one fault. *)
-  let refill_central t cls =
+  let refill_central t row cls =
     let block_w = Size_class.size cls and central = t.central.(cls) in
     let rec go n =
       if n > 0 then begin
@@ -77,14 +87,14 @@ module Make (S : STORE) = struct
       end
     in
     go batch;
-    count t.c.refills
+    row.refills <- row.refills + 1
 
   (* Under the lock.  Moves up to half a batch into the caller's magazine
      so its next allocations stay off the lock, and keeps one block for
      the caller (0 if the store is exhausted). *)
-  let take_central t cls cache =
+  let take_central t row cls cache =
     let central = t.central.(cls) in
-    if Vec.is_empty central then refill_central t cls;
+    if Vec.is_empty central then refill_central t row cls;
     for _ = 1 to min (batch / 2) (Vec.length central - 1) do
       Vec.push cache (Vec.pop central)
     done;
@@ -99,28 +109,40 @@ module Make (S : STORE) = struct
       Hashtbl.replace t.generations addr (gen + 1)
     end
 
-  let cache_row t tid =
-    match t.caches.(tid) with
+  let row t tid =
+    match t.rows.(tid) with
     | Some row -> row
     | None ->
-        let row = Array.init Size_class.count (fun _ -> Vec.create ~capacity:4 ()) in
-        t.caches.(tid) <- Some row;
+        let row =
+          Ts_util.Padded.copy
+            {
+              mags = Array.init Size_class.count (fun _ -> Vec.create ~capacity:4 ());
+              mallocs = 0;
+              frees = 0;
+              hits = 0;
+              misses = 0;
+              refills = 0;
+              flushes = 0;
+            }
+        in
+        t.rows.(tid) <- Some row;
         row
 
   let malloc t ~tid n =
     if n < 1 then invalid_arg "Alloc.malloc: size must be >= 1";
     let small = Size_class.is_small n in
+    let row = row t tid in
     let addr =
       if small then begin
         let cls = Size_class.of_size n in
-        let cache = (cache_row t tid).(cls) in
+        let cache = row.mags.(cls) in
         if not (Vec.is_empty cache) then begin
-          count t.c.hits;
+          row.hits <- row.hits + 1;
           Vec.pop cache
         end
         else begin
-          count t.c.misses;
-          locked t (fun () -> take_central t cls cache)
+          row.misses <- row.misses + 1;
+          locked t (fun () -> take_central t row cls cache)
         end
       end
       else
@@ -132,7 +154,7 @@ module Make (S : STORE) = struct
     if addr > 0 then begin
       let block_w = if small then Size_class.size (Size_class.of_size n) else n in
       activate t addr block_w;
-      count t.c.mallocs;
+      row.mallocs <- row.mallocs + 1;
       S.raise_to t.c.peak_live (S.add t.c.live 1);
       S.raise_to t.c.peak_w (S.add t.c.live_w block_w)
     end;
@@ -150,11 +172,11 @@ module Make (S : STORE) = struct
      class sizes) or to the large free list.  An overflowing magazine
      moves a whole batch to central under one lock acquisition, not one
      address per free. *)
-  let release t ~tid addr block_w =
+  let release t row addr block_w =
     if Size_class.is_small block_w && Size_class.size (Size_class.of_size block_w) = block_w
     then begin
       let cls = Size_class.of_size block_w in
-      let cache = (cache_row t tid).(cls) in
+      let cache = row.mags.(cls) in
       Vec.push cache addr;
       if Vec.length cache > cache_cap then begin
         locked t (fun () ->
@@ -162,7 +184,7 @@ module Make (S : STORE) = struct
             for _ = 1 to batch do
               Vec.push central (Vec.pop cache)
             done);
-        count t.c.flushes
+        row.flushes <- row.flushes + 1
       end
     end
     else
@@ -184,10 +206,11 @@ module Make (S : STORE) = struct
          of the same block exactly one wins, the other faults below. *)
       if S.raw_cas t.store (addr - 1) hdr (freed_magic lor block_w) then begin
         S.mark_freed t.store addr block_w;
-        count t.c.frees;
+        let row = row t tid in
+        row.frees <- row.frees + 1;
         ignore (S.add t.c.live (-1) : int);
         ignore (S.add t.c.live_w (-block_w) : int);
-        release t ~tid addr block_w
+        release t row addr block_w
       end
       else S.record_fault t.store Double_free addr
     end
@@ -206,23 +229,24 @@ module Make (S : STORE) = struct
   let live_blocks t = S.get t.c.live
 
   let stats t =
+    let sum f = Array.fold_left (fun acc r -> match r with Some r -> acc + f r | None -> acc) 0 t.rows in
     let g = S.get and c = t.c in
     {
-      total_mallocs = g c.mallocs;
-      total_frees = g c.frees;
+      total_mallocs = sum (fun r -> r.mallocs);
+      total_frees = sum (fun r -> r.frees);
       live_blocks = g c.live;
       live_words = g c.live_w;
       peak_live_blocks = g c.peak_live;
       peak_live_words = g c.peak_w;
-      cache_hits = g c.hits;
-      cache_misses = g c.misses;
-      central_refills = g c.refills;
-      cache_flushes = g c.flushes;
+      cache_hits = sum (fun r -> r.hits);
+      cache_misses = sum (fun r -> r.misses);
+      central_refills = sum (fun r -> r.refills);
+      cache_flushes = sum (fun r -> r.flushes);
     }
 end
 
 (* The simulator's instance: one fiber steps at a time, so the lock is a
-   no-op and the counters are plain ints. *)
+   no-op and the shared cells are plain ints. *)
 include Make (struct
   include Mem
 
@@ -238,24 +262,12 @@ include Make (struct
 
   type cell = int ref
 
-  let counters () =
-    {
-      mallocs = ref 0;
-      frees = ref 0;
-      live = ref 0;
-      live_w = ref 0;
-      peak_live = ref 0;
-      peak_w = ref 0;
-      hits = ref 0;
-      misses = ref 0;
-      refills = ref 0;
-      flushes = ref 0;
-    }
+  let counters () = { live = ref 0; live_w = ref 0; peak_live = ref 0; peak_w = ref 0 }
 
   let add c d =
     c := !c + d;
     !c
 
   let get c = !c
-  let raise_to c v = if v > !c then c := v
+  let raise_to c (v : int) = if v > !c then c := v
 end)

@@ -1,19 +1,10 @@
 (* The allocator's types and module types, written once: {!Alloc}'s
    implementation and interface both include this file. *)
 
-(** The allocator's counter cells, one per statistic of {!stats}. *)
-type 'cell counters = {
-  mallocs : 'cell;
-  frees : 'cell;
-  live : 'cell;
-  live_w : 'cell;
-  peak_live : 'cell;
-  peak_w : 'cell;
-  hits : 'cell;
-  misses : 'cell;
-  refills : 'cell;
-  flushes : 'cell;
-}
+(** The allocator's shared counter cells: the live counts and their
+    peaks.  The event counts of {!stats} live in each thread's magazine
+    row instead. *)
+type 'cell counters = { live : 'cell; live_w : 'cell; peak_live : 'cell; peak_w : 'cell }
 
 type stats = {
   total_mallocs : int;
@@ -108,5 +99,9 @@ module type S = sig
       tracked in sanitizer mode only. *)
 
   val live_blocks : t -> int
+
   val stats : t -> stats
+  (** The live counts and peaks are shared cells; the event counts are
+      summed over the per-thread rows, so they are exact once the
+      allocating threads are joined and may lag while they run. *)
 end

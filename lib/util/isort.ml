@@ -1,7 +1,12 @@
 (* Bottom-up heapsort on the prefix: in-place, no allocation, O(n log n)
-   worst case; recursion-free so it is safe to call from simulator fibers. *)
+   worst case; recursion-free so it is safe to call from simulator fibers.
 
-let sort_prefix a n =
+   Every array is annotated [int array]: without the annotation the
+   comparisons below are polymorphic and compile to C calls
+   ([caml_lessthan] and friends), which made the sort of one phase's
+   master buffer cost more than its signal handshake (docs/PERF.md). *)
+
+let sort_prefix (a : int array) n =
   if n > 1 then begin
     let swap i j =
       let t = a.(i) in
@@ -33,7 +38,7 @@ let sort_prefix a n =
     done
   end
 
-let binary_search a n key =
+let binary_search (a : int array) n (key : int) =
   let lo = ref 0 and hi = ref (n - 1) and found = ref (-1) in
   while !found < 0 && !lo <= !hi do
     let mid = !lo + ((!hi - !lo) / 2) in
@@ -44,7 +49,7 @@ let binary_search a n key =
   done;
   !found
 
-let dedup_sorted a n =
+let dedup_sorted (a : int array) n =
   if n <= 1 then n
   else begin
     let w = ref 1 in

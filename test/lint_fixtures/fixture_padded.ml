@@ -8,3 +8,9 @@ type cell = { value : int Atomic.t }
 let make_hot () = { sig_word = Atomic.make 0; ack_word = Ts_util.Padded.atomic 0; owner = 0 }
 
 let make_cell () = { value = Atomic.make 0 }
+
+type stripes = { cells : int Atomic.t array }
+
+let make_stripes () = { cells = Array.make 4 (Ts_util.Padded.atomic 0) }
+
+let make_good_stripes () = { cells = Array.init 4 (fun _ -> Ts_util.Padded.atomic 0) }

@@ -390,8 +390,8 @@ let run_scheme_workload r scheme ~threads ~ops =
         List.iter Rt.join ws;
         smr.Smr.thread_exit ();
         smr.Smr.flush ();
-        retired := smr.Smr.counters.Smr.retired;
-        freed := smr.Smr.counters.Smr.freed)
+        retired := Smr.retired smr;
+        freed := Smr.freed smr)
   in
   (faults, !retired, !freed)
 
@@ -485,8 +485,8 @@ let test_native_stress () =
         List.iter Rt.join ws;
         smr.Smr.thread_exit ();
         smr.Smr.flush ();
-        retired := smr.Smr.counters.Smr.retired;
-        freed := smr.Smr.counters.Smr.freed;
+        retired := Smr.retired smr;
+        freed := Smr.freed smr;
         phases := Threadscan.phases ts)
   in
   check "no UAF / double-free / wild access" 0 (Ts_par.Heap.total_faults res.R.heap);
@@ -580,6 +580,49 @@ let test_native_atomic_increments () =
   check "no faults" 0 (Ts_par.Heap.total_faults heap);
   check "faa +1 total is exact" (2 * n) (Ts_par.Heap.read heap !counters);
   check "cas increment total is exact" (2 * n) (Ts_par.Heap.read heap (!counters + 1))
+
+(* Smr counter bumps take no lock: two domains racing 100 k retire and
+   free bumps each must still count exactly.  Under a crash plan (its
+   trigger read as the victim's bump count) the killed worker's bumps up
+   to its death count too: they sit in its domain's cells. *)
+let native_smr_counts plan =
+  let n = 100_000 in
+  let smr = ref None in
+  let res =
+    native_race (fun () ->
+        let s = Smr.make ~name:"count" ~retire:(fun _ _ -> ()) () in
+        smr := Some s;
+        let c = s.Smr.counters in
+        fun () ->
+          let me = Rt.self () in
+          let death =
+            match Ts_util.Fault_plan.parse plan with
+            | Ok [ { victims; at = At k; event } ] -> if me <= victims then Some (k, event) else None
+            | Ok [] -> None
+            | _ -> failwith ("unexpected plan " ^ plan)
+          in
+          for i = 1 to n do
+            Smr.add_retired c 1;
+            Smr.add_freed c 1;
+            match death with
+            | Some (k, event) when i = k -> Ts_util.Fault_plan.inflict me event
+            | _ -> ()
+          done)
+  in
+  (res, Option.get !smr)
+
+let test_native_smr_counts_exact () =
+  let res, smr = native_smr_counts "none" in
+  check "no crash" 0 (List.length res.Ts_par.Runtime.crashed);
+  check "retired" 200_000 (Smr.retired smr);
+  check "freed" 200_000 (Smr.freed smr);
+  check "outstanding" 0 (Smr.outstanding smr)
+
+let test_native_smr_counts_crash () =
+  let res, smr = native_smr_counts "crash:1@50000" in
+  Alcotest.(check (list int)) "worker 1 was killed" [ 1 ] res.Ts_par.Runtime.crashed;
+  check "retired: the survivor's 100 k and the corpse's 50 k" 150_000 (Smr.retired smr);
+  check "freed: the same" 150_000 (Smr.freed smr)
 
 let test_native_faa_deltas () =
   let module R = Ts_par.Runtime in
@@ -721,7 +764,7 @@ let ladder_fixture ~nthreads ~config ~fault ~after body_extra =
         smr.Smr.flush ();
         out :=
           Some
-            ( smr.Smr.counters.Smr.retired - smr.Smr.counters.Smr.freed,
+            ( Smr.outstanding smr,
               body_extra ts ))
   in
   let module R = Ts_par.Runtime in
@@ -862,7 +905,7 @@ let test_native_ladder_heartbeat_takeover () =
         smr.Smr.thread_exit ();
         smr.Smr.flush ();
         takeovers := Threadscan.takeovers ts;
-        outstanding := smr.Smr.counters.Smr.retired - smr.Smr.counters.Smr.freed)
+        outstanding := Smr.outstanding smr)
   in
   Alcotest.(check bool) "run not wedged" false res.R.wedged;
   check "no UAF / double-free / wild access" 0 (Ts_par.Heap.total_faults res.R.heap);
@@ -923,6 +966,10 @@ let () =
             test_native_racing_frees;
           Alcotest.test_case "steps_now is monotone and counts every op" `Quick
             test_native_steps_now;
+          Alcotest.test_case "racing Smr counter bumps are exact" `Quick
+            test_native_smr_counts_exact;
+          Alcotest.test_case "a crashed worker's Smr bumps still count" `Quick
+            test_native_smr_counts_crash;
         ] );
       ( "native-ladder",
         [

@@ -120,7 +120,7 @@ let test_heap_block_pins_and_releases () =
          smr.Smr.retire (alloc_node ());
          (* phase 1: the 7 fillers freed, [p] marked via the block *)
          check "phase ran" 1 (Threadscan.phases ts);
-         check "fillers freed, p survived" 7 smr.Smr.counters.freed;
+         check "fillers freed, p survived" 7 (Smr.freed smr);
          check "p carried over" 1 (Threadscan.carried_last ts);
          (* deregister: the stashed reference no longer pins *)
          Threadscan.remove_heap_block ~start_addr:blk ~len:4;
@@ -132,7 +132,7 @@ let test_heap_block_pins_and_releases () =
          smr.Smr.retire (alloc_node ());
          check "second phase ran" 2 (Threadscan.phases ts);
          (* 7 + (carry p + 8 drained) = 16 *)
-         check "p reclaimed after removal" 16 smr.Smr.counters.freed;
+         check "p reclaimed after removal" 16 (Smr.freed smr);
          check "nothing carried" 0 (Threadscan.carried_last ts);
          Runtime.free blk;
          smr.Smr.thread_exit ();
@@ -184,7 +184,7 @@ let test_heap_block_cross_thread () =
          wash_regs noise;
          smr.Smr.retire (alloc_node ());
          check "phase ran" 1 (Threadscan.phases ts);
-         check "p pinned by the worker's block" 7 smr.Smr.counters.freed;
+         check "p pinned by the worker's block" 7 (Smr.freed smr);
          check "p carried over" 1 (Threadscan.carried_last ts);
          Runtime.write stage 1;
          while Runtime.read stage <> 2 do
@@ -196,7 +196,7 @@ let test_heap_block_cross_thread () =
          wash_regs noise;
          smr.Smr.retire (alloc_node ());
          check "second phase ran" 2 (Threadscan.phases ts);
-         check "p reclaimed once deregistered" 16 smr.Smr.counters.freed;
+         check "p reclaimed once deregistered" 16 (Smr.freed smr);
          Runtime.write stage 3;
          Runtime.join w;
          smr.Smr.thread_exit ();

@@ -174,8 +174,8 @@ let test_lemma3_collect_independent_of_stuck_thread () =
            smr.Smr.retire (alloc_node ())
          done;
          (* several full collect phases completed while the thread spun *)
-         Alcotest.(check bool) "phases completed" true (smr.Smr.counters.cleanups >= 3);
-         Alcotest.(check bool) "nodes were freed" true (smr.Smr.counters.freed >= 30);
+         Alcotest.(check bool) "phases completed" true (Smr.cleanups smr >= 3);
+         Alcotest.(check bool) "nodes were freed" true (Smr.freed smr >= 30);
          Runtime.write ts_phases_done 1;
          Runtime.join stuck;
          smr.Smr.thread_exit ();
@@ -226,7 +226,7 @@ let test_lemma4_eventual_reclamation () =
          done;
          (* the 17th retire fills the buffer and triggers the phase *)
          smr.Smr.retire (alloc_node ());
-         check "the phase freed every unreferenced node" 16 smr.Smr.counters.freed;
+         check "the phase freed every unreferenced node" 16 (Smr.freed smr);
          smr.Smr.thread_exit ();
          smr.Smr.flush ()))
 

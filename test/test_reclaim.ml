@@ -31,8 +31,8 @@ let test_leaky_never_frees () =
          done;
          smr.Smr.thread_exit ();
          smr.Smr.flush ();
-         check "retired" 100 smr.Smr.counters.retired;
-         check "freed nothing" 0 smr.Smr.counters.freed));
+         check "retired" 100 (Smr.retired smr);
+         check "freed nothing" 0 (Smr.freed smr)));
   ignore (Runtime.start r);
   check "all blocks leaked" 100 (Alloc.live_blocks (Runtime.alloc r))
 
@@ -58,7 +58,7 @@ let test_direct_free_frees_immediately () =
          for _ = 1 to 50 do
            smr.Smr.retire (alloc_node ())
          done;
-         check "all freed" 50 smr.Smr.counters.freed));
+         check "all freed" 50 (Smr.freed smr)));
   ignore (Runtime.start r);
   check "no blocks live" 0 (Alloc.live_blocks (Runtime.alloc r))
 
@@ -95,8 +95,8 @@ let test_hazard_unprotected_freed () =
          done;
          smr.Smr.thread_exit ();
          smr.Smr.flush ();
-         check "retired" 100 smr.Smr.counters.retired;
-         check "all freed" 100 smr.Smr.counters.freed));
+         check "retired" 100 (Smr.retired smr);
+         check "all freed" 100 (Smr.freed smr)));
   ignore (Runtime.start r);
   check "allocator empty" 0 (Alloc.live_blocks (Runtime.alloc r))
 
@@ -134,14 +134,14 @@ let test_hazard_protected_survives () =
          for _ = 1 to 60 do
            smr.Smr.retire (alloc_node ())
          done;
-         Alcotest.(check bool) "scans happened" true (smr.Smr.counters.cleanups >= 1);
+         Alcotest.(check bool) "scans happened" true (Smr.cleanups smr >= 1);
          Alcotest.(check bool) "protected node not freed" true
-           (smr.Smr.counters.freed < smr.Smr.counters.retired);
+           (Smr.freed smr < Smr.retired smr);
          Runtime.write release 1;
          Runtime.join holder;
          smr.Smr.thread_exit ();
          smr.Smr.flush ();
-         check "freed after release" 61 smr.Smr.counters.freed))
+         check "freed after release" 61 (Smr.freed smr)))
 
 let test_hazard_fences_paid () =
   (* protect = store + mfence: the per-step cost the paper measures. *)
@@ -177,7 +177,7 @@ let test_hazard_slot_rotation () =
          (* op_end clears every slot *)
          smr.Smr.thread_exit ();
          smr.Smr.flush ();
-         check "everything freed once unprotected" 42 smr.Smr.counters.freed))
+         check "everything freed once unprotected" 42 (Smr.freed smr)))
 
 let test_hazard_orphans_reclaimed () =
   (* a thread exits with a non-empty retire list; flush must pick it up *)
@@ -195,7 +195,7 @@ let test_hazard_orphans_reclaimed () =
          in
          Runtime.join w;
          smr.Smr.flush ();
-         check "orphans freed" 5 smr.Smr.counters.freed));
+         check "orphans freed" 5 (Smr.freed smr)));
   ignore (Runtime.start r);
   check "allocator empty" 0 (Alloc.live_blocks (Runtime.alloc r))
 
@@ -216,8 +216,8 @@ let test_epoch_quiescent_frees () =
          done;
          smr.Smr.thread_exit ();
          smr.Smr.flush ();
-         check "all freed" 100 smr.Smr.counters.freed;
-         Alcotest.(check bool) "several cleanups" true (smr.Smr.counters.cleanups >= 4)));
+         check "all freed" 100 (Smr.freed smr);
+         Alcotest.(check bool) "several cleanups" true (Smr.cleanups smr >= 4)));
   ignore (Runtime.start r);
   check "allocator empty" 0 (Alloc.live_blocks (Runtime.alloc r))
 
@@ -275,7 +275,7 @@ let test_epoch_waits_for_reader () =
          Runtime.join reclaimer;
          Alcotest.(check bool) "cleanup finished after reader's op" true
            (Runtime.read freed_at > Runtime.read reader_done_at);
-         check "eventually freed" 21 smr.Smr.counters.freed;
+         check "eventually freed" 21 (Smr.freed smr);
          smr.Smr.thread_exit ();
          smr.Smr.flush ()))
 
@@ -297,7 +297,7 @@ let test_epoch_no_mutual_stall () =
          Runtime.join a;
          Runtime.join b;
          smr.Smr.flush ();
-         check "all freed" 400 smr.Smr.counters.freed))
+         check "all freed" 400 (Smr.freed smr)))
 
 let test_slow_epoch_stalls_others () =
   (* The errant thread's in-operation delay holds up the other thread's
@@ -362,8 +362,8 @@ let test_stacktrack_unreferenced_freed () =
          done;
          smr.Smr.thread_exit ();
          smr.Smr.flush ();
-         check "all freed" 100 smr.Smr.counters.freed;
-         Alcotest.(check bool) "scans ran" true (smr.Smr.counters.cleanups >= 2)));
+         check "all freed" 100 (Smr.freed smr);
+         Alcotest.(check bool) "scans ran" true (Smr.cleanups smr >= 2)));
   ignore (Runtime.start r);
   check "allocator empty" 0 (Alloc.live_blocks (Runtime.alloc r))
 
@@ -404,12 +404,12 @@ let test_stacktrack_visible_ref_survives () =
            smr.Smr.op_end ()
          done;
          Alcotest.(check bool) "held back while visible" true
-           (smr.Smr.counters.freed < smr.Smr.counters.retired);
+           (Smr.freed smr < Smr.retired smr);
          Runtime.write release 1;
          Runtime.join holder;
          smr.Smr.thread_exit ();
          smr.Smr.flush ();
-         check "freed after op ended" 61 smr.Smr.counters.freed))
+         check "freed after op ended" 61 (Smr.freed smr)))
 
 let test_stacktrack_ring_reset_per_op () =
   (* references published in an earlier operation do not pin after op_end *)
@@ -430,7 +430,7 @@ let test_stacktrack_ring_reset_per_op () =
          smr.Smr.thread_exit ();
          smr.Smr.flush ();
          check "stale publication did not pin" 0
-           (smr.Smr.counters.retired - smr.Smr.counters.freed)))
+           (Smr.outstanding smr)))
 
 let test_stacktrack_cheaper_than_hazard () =
   (* the scheme's selling point: publication is two plain stores, no fence *)
@@ -465,8 +465,8 @@ let test_debra_quiescent_frees () =
          done;
          smr.Smr.thread_exit ();
          smr.Smr.flush ();
-         check "all freed" 100 smr.Smr.counters.freed;
-         Alcotest.(check bool) "several cleanups" true (smr.Smr.counters.cleanups >= 2)));
+         check "all freed" 100 (Smr.freed smr);
+         Alcotest.(check bool) "several cleanups" true (Smr.cleanups smr >= 2)));
   ignore (Runtime.start r);
   check "allocator empty" 0 (Alloc.live_blocks (Runtime.alloc r))
 
@@ -513,7 +513,7 @@ let test_debra_neutralizes_pinned_reader () =
          smr.Smr.thread_exit ();
          smr.Smr.flush ();
          check "nothing pinned afterwards" 0
-           (smr.Smr.counters.retired - smr.Smr.counters.freed)))
+           (Smr.outstanding smr)))
 
 let test_debra_no_mutual_stall () =
   ignore
@@ -538,8 +538,8 @@ let test_debra_no_mutual_stall () =
          Runtime.join b;
          smr.Smr.flush ();
          Alcotest.(check bool) "at least the clean retires freed" true
-           (smr.Smr.counters.freed >= 400);
-         check "conservation" smr.Smr.counters.retired smr.Smr.counters.freed))
+           (Smr.freed smr >= 400);
+         check "conservation" (Smr.retired smr) (Smr.freed smr)))
 
 (* ------------------------------- hyaline -------------------------------- *)
 
@@ -554,7 +554,7 @@ let test_hyaline_idle_batches_free_immediately () =
          for _ = 1 to 16 do
            smr.Smr.retire (alloc_node ())
          done;
-         check "all freed" 16 smr.Smr.counters.freed;
+         check "all freed" 16 (Smr.freed smr);
          check "both batches freed on the spot" 2
            (List.assoc "immediate-frees" (smr.Smr.extras ()))));
   ignore (Runtime.start r);
@@ -588,12 +588,12 @@ let test_hyaline_active_reader_pins_batches () =
          done;
          (* every batch was published while the holder was inside an
             operation: its reference pins them all *)
-         check "nothing freed while reader active" 0 smr.Smr.counters.freed;
+         check "nothing freed while reader active" 0 (Smr.freed smr);
          Runtime.write release 1;
          Runtime.join holder;
          (* the holder's leave walked the whole list and dropped the last
             reference on each batch *)
-         check "all batches freed by the leave" 40 smr.Smr.counters.freed;
+         check "all batches freed by the leave" 40 (Smr.freed smr);
          smr.Smr.thread_exit ();
          smr.Smr.flush ()))
 

@@ -144,8 +144,8 @@ let test_unreferenced_nodes_reclaimed () =
          done;
          smr.Smr.thread_exit ();
          smr.Smr.flush ();
-         freed := smr.Smr.counters.freed;
-         retired := smr.Smr.counters.retired;
+         freed := Smr.freed smr;
+         retired := Smr.retired smr;
          phases := Threadscan.phases ts));
   ignore (Runtime.start r);
   check "all retired" 50 !retired;
@@ -528,7 +528,7 @@ let test_racing_reclaimers_serialize () =
          List.iter Runtime.join ws;
          smr.Smr.thread_exit ();
          smr.Smr.flush ();
-         check "accounting exact despite racing reclaimers" 200 smr.Smr.counters.freed;
+         check "accounting exact despite racing reclaimers" 200 (Smr.freed smr);
          Alcotest.(check bool) "contention on the reclaimer lock observed" true
            (Threadscan.full_waits ts > 0)))
 
@@ -720,7 +720,7 @@ let test_stalled_thread_blinds_phase () =
          Alcotest.(check bool) "ack wait timed out" true (Threadscan.ack_timeouts ts >= 1);
          Alcotest.(check bool) "blind phase carried everything it aggregated" true
            (Threadscan.carried_blind ts >= 8);
-         check "nothing freed blind" 0 smr.Smr.counters.freed;
+         check "nothing freed blind" 0 (Smr.freed smr);
          check "held node untouched" 999 (Runtime.read (Ptr.addr p));
          (* wake it up: the pending signal delivers, it acks, and exits *)
          Runtime.advance 120_000;
@@ -775,7 +775,7 @@ let test_suspect_proxy_scanned_then_recovers () =
          done;
          Alcotest.(check bool) "proxy scans ran" true (Threadscan.proxy_scans ts >= 1);
          Alcotest.(check bool) "garbage freed despite the suspect" true
-           (smr.Smr.counters.freed > 0);
+           (Smr.freed smr > 0);
          check "proxied stack still pins the node" 424 (Runtime.read (Ptr.addr p));
          (* wake: the pending signal delivers and w acks again *)
          Runtime.advance 500_000;
@@ -832,8 +832,8 @@ let test_crashed_thread_reaped_buffer_freed () =
          Runtime.join w;
          smr.Smr.thread_exit ();
          smr.Smr.flush ();
-         retired := smr.Smr.counters.retired;
-         freed := smr.Smr.counters.freed;
+         retired := Smr.retired smr;
+         freed := Smr.freed smr;
          leftover := Threadscan.outstanding ts));
   ignore (Runtime.start r);
   check "reaped exactly once" 1 !reaps;

@@ -382,6 +382,39 @@ let prop_magazine_conservation (suffix, (make : make)) =
       && s.Alloc.total_mallocs = s.Alloc.total_frees
       && s.Alloc.cache_flushes > 0 (* the churn actually exercised the path *))
 
+(* The event counts live in per-thread rows and [stats] sums them: after
+   two domains churn the native heap, each as its own tid, the totals are
+   exactly what was issued.  The sizes cover several classes (magazine
+   hits, misses, refills, flushes) and one large block. *)
+let test_native_stats_two_domains () =
+  let h = Heap.create ~capacity:(1 lsl 20) ~max_threads:2 () in
+  let sizes = [| 2; 3; 5; 16; Size_class.max_small + 9 |] in
+  let rounds = 2_000 and per_round = 40 in
+  let churn tid () =
+    let small = ref 0 in
+    for r = 1 to rounds do
+      let blocks =
+        List.init per_round (fun i ->
+            let n = sizes.((r + i) mod Array.length sizes) in
+            if Size_class.is_small n then incr small;
+            Heap.malloc h ~tid n)
+      in
+      List.iter (Heap.free h ~tid) blocks
+    done;
+    !small
+  in
+  let d = Domain.spawn (churn 1) in
+  let small0 = churn 0 () in
+  let small1 = Domain.join d in
+  let s = Heap.stats h in
+  let issued = 2 * rounds * per_round in
+  check "mallocs" issued s.Alloc.total_mallocs;
+  check "frees" issued s.Alloc.total_frees;
+  check "live" 0 s.Alloc.live_blocks;
+  check "every small malloc a hit or a miss" (small0 + small1)
+    (s.Alloc.cache_hits + s.Alloc.cache_misses);
+  check "no faults" 0 (Heap.total_faults h)
+
 let () =
   let qt t = QCheck_alcotest.to_alcotest t in
   Alcotest.run "ts_umem"
@@ -434,4 +467,9 @@ let () =
             ])
           instances );
       ("magazines", List.map (fun i -> qt (prop_magazine_conservation i)) instances);
+      ( "stats",
+        [
+          Alcotest.test_case "two domains: totals are what was issued [native]" `Quick
+            test_native_stats_two_domains;
+        ] );
     ]

@@ -255,6 +255,45 @@ let prop_binary_search_sound =
       let i = Isort.binary_search a (Array.length a) probe in
       if List.mem probe l then i >= 0 && a.(i) = probe else i = -1)
 
+(* The values a master buffer really holds and the extremes a typed
+   comparison could get wrong: negatives, both ends of the int range,
+   repeats, and node pointers with tag bits set. *)
+let isort_value =
+  QCheck.Gen.(
+    frequency
+      [
+        (3, int);
+        (2, int_range (-50) 50);
+        (1, oneofl [ min_int; max_int; min_int + 1; max_int - 1; 0; -1 ]);
+        (3, map2 (fun a tag -> Ts_umem.Ptr.of_addr a lor tag) (int_range 1 200) (int_range 0 7));
+      ])
+
+let prop_isort_extremes =
+  QCheck.Test.make ~name:"Isort matches List.sort on extremes, repeats and tagged pointers"
+    ~count:500
+    QCheck.(
+      make
+        ~print:Print.(pair (list int) int)
+        Gen.(pair (list_size (int_range 0 120) isort_value) isort_value))
+    (fun (l, probe) ->
+      let a = Array.of_list (l @ [ 42; 42 ]) in
+      let n = List.length l in
+      Isort.sort_prefix a n;
+      let sorted = List.sort compare l in
+      let prefix = Array.to_list (Array.sub a 0 n) in
+      let found_all =
+        List.for_all (fun x -> let i = Isort.binary_search a n x in i >= 0 && a.(i) = x) l
+      in
+      let probe_ok =
+        let i = Isort.binary_search a n probe in
+        if List.mem probe l then i >= 0 && a.(i) = probe else i = -1
+      in
+      let m = Isort.dedup_sorted a n in
+      prefix = sorted
+      && a.(n) = 42 && a.(n + 1) = 42
+      && found_all && probe_ok
+      && Array.to_list (Array.sub a 0 m) = List.sort_uniq compare l)
+
 let prop_vec_model =
   QCheck.Test.make ~name:"Vec behaves like a list model" ~count:300
     QCheck.(list (pair bool small_nat))
@@ -406,6 +445,7 @@ let () =
           qt prop_sort_matches_stdlib;
           qt prop_binary_search_complete;
           qt prop_binary_search_sound;
+          qt prop_isort_extremes;
         ] );
       ( "padded",
         [
