@@ -1,7 +1,7 @@
 (* tsbench: command-line driver for the ThreadScan reproduction.
 
    - `tsbench run`     one fully parameterised workload, verbose result
-   - `tsbench sweep`   one named experiment (fig3-list .. ablate-padding)
+   - `tsbench sweep`   one named experiment (fig3-list .. chaos-recovery)
    - `tsbench all`     every experiment at a given scale
    - `tsbench list`    available experiment names                          *)
 

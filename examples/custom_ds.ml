@@ -4,7 +4,7 @@
    A Treiber stack, written from scratch against the SMR interface.  The
    integration checklist is short — this is the paper's ease-of-use claim:
 
-   1. keep private node pointers in shadow-stack frames (Ts_sim.Frame);
+   1. keep private node pointers in shadow-stack frames (Ts_rt.Frame);
    2. call [retire] on a node once it is unlinked;
    3. have each thread call [thread_init]/[thread_exit].
 
@@ -14,7 +14,7 @@
    schemes simply make it free.) *)
 
 module Runtime = Ts_sim.Runtime
-module Frame = Ts_sim.Frame
+module Frame = Ts_rt.Frame
 module Ptr = Ts_umem.Ptr
 module Smr = Ts_smr.Smr
 

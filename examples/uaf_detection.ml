@@ -10,7 +10,7 @@
    - threadscan:  free only after the scan proves nobody holds B           *)
 
 module Runtime = Ts_sim.Runtime
-module Frame = Ts_sim.Frame
+module Frame = Ts_rt.Frame
 module Ptr = Ts_umem.Ptr
 module Mem = Ts_umem.Mem
 module Alloc = Ts_umem.Alloc

@@ -24,9 +24,6 @@ type violation =
       (** An SMR lifecycle violation (retire-before-unlink, double-retire,
           access-after-retire), attributed to the owning scheme. *)
 
-val pp_event : Format.formatter -> Ts_ds.Set_intf.event -> unit
-(** ["[t0,t1] t<tid> op(key)=result"]. *)
-
 val pp : Format.formatter -> violation -> unit
 
 val to_string : violation -> string

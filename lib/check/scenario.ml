@@ -1,5 +1,5 @@
 module Runtime = Ts_sim.Runtime (* tslint: allow facade -- the checker owns the simulator it explores *)
-module Frame = Ts_sim.Frame (* tslint: allow facade -- frame inspection for the root-coverage oracle *)
+module Frame = Ts_rt.Frame
 module Alloc = Ts_umem.Alloc
 module Ptr = Ts_umem.Ptr
 module Smr = Ts_smr.Smr

@@ -601,8 +601,6 @@ let carried_last t = t.carried
 
 let scan_words t = t.scan_words
 
-let scan_hits t = t.scan_hits
-
 let full_waits t = t.full_waits
 
 let outstanding t = Smr.outstanding (smr t)

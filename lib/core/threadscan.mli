@@ -65,23 +65,12 @@ val scan_words : t -> int
     not per word: the field is shared by every scanner.  Exact on the
     simulator; on native, concurrent scanners can lose an update. *)
 
-val scan_hits : t -> int
-(** Scan words that matched a master-buffer entry.  Added per range,
-    with the same precision as {!scan_words}. *)
-
 val full_waits : t -> int
 (** Times a thread found its buffer full while another reclaimer was
     active and had to wait (usually to discover its buffer drained). *)
 
 val outstanding : t -> int
 (** Nodes retired but not yet freed: {!Ts_smr.Smr.outstanding} of {!smr}. *)
-
-val total_phase_cycles : t -> int
-(** Total cycles the reclaiming threads spent inside collect phases,
-    reported as the [phase-cycles] scheme extra.  Per phase this is the §7
-    responsiveness concern — the reclaimer is unavailable to its
-    application for that long — reported as the [max-phase-latency] and
-    [avg-phase-latency] extras. *)
 
 (** {1 Degradation metrics (fault tolerance, see [docs/FAULTS.md])}
 

@@ -112,32 +112,6 @@ let insert_at ~(smr : Smr.t) ~padding ~head key value =
       in
       loop ())
 
-let insert_node_at ~(smr : Smr.t) ~padding ~head key value =
-  Frame.with_frame frame_slots (fun fr ->
-      let rec loop () =
-        let found, prev_cell, cur = find ~smr ~head key fr in
-        if found then (cur, false)
-        else begin
-          let addr = Runtime.malloc (node_words ~padding) in
-          match
-            Runtime.write (addr + off_key) key;
-            Runtime.write (addr + off_value) value;
-            Runtime.write (addr + off_next) cur;
-            let node = Ptr.of_addr addr in
-            Frame.set fr fr_new node;
-            Runtime.cas prev_cell cur node
-          with
-          | true -> (Ptr.of_addr addr, true)
-          | false ->
-              Runtime.free addr;
-              loop ()
-          | exception e ->
-              Runtime.free addr;
-              raise e
-        end
-      in
-      loop ())
-
 let remove_at ~(smr : Smr.t) ?(retire_early = false) ~head key =
   Frame.with_frame frame_slots (fun fr ->
       let rec loop () =

@@ -31,13 +31,6 @@ val create : smr:Ts_smr.Smr.t -> ?padding:int -> ?retire_early:bool -> unit -> S
 
 val insert_at : smr:Ts_smr.Smr.t -> padding:int -> head:int -> int -> int -> bool
 
-val insert_node_at :
-  smr:Ts_smr.Smr.t -> padding:int -> head:int -> int -> int -> int * bool
-(** Like {!insert_at} but returns [(node, inserted)] where [node] is the
-    pointer to the (new or already-present) node with that key.  Used by
-    {!Split_hash} to install bucket dummy nodes, which are never retired —
-    holding the returned pointer is only safe for such immortal nodes. *)
-
 val remove_at : smr:Ts_smr.Smr.t -> ?retire_early:bool -> head:int -> int -> bool
 
 val contains_at : smr:Ts_smr.Smr.t -> head:int -> int -> bool

@@ -22,16 +22,8 @@ type point = { threads : int; cells : (string * Workload.result) list }
    size, bucket occupancy 32, 20 % updates). *)
 let base_spec scale (ds : Workload.ds_kind) =
   let d = Workload.default_spec in
-  (* the lazy list shares the list workload; split-hash shares the hash
-     workload (its bucket count is the max_buckets bound) *)
-  let shape =
-    match ds with
-    | Workload.Lazy_ds -> Workload.List_ds
-    | Workload.Split_ds -> Workload.Hash_ds
-    | other -> other
-  in
   let spec =
-    match (scale, shape) with
+    match (scale, ds) with
     | Quick, Workload.List_ds ->
         { d with ds; init_size = 96; key_range = 192; horizon = 400_000 }
     | Quick, Workload.Hash_ds ->
@@ -71,14 +63,13 @@ let base_spec scale (ds : Workload.ds_kind) =
           max_height = 17;
           horizon = 60_000_000;
         }
-    | _, (Workload.Lazy_ds | Workload.Split_ds) -> assert false (* mapped to a shape above *)
   in
   (* Retire pacing (ThreadScan per-thread buffer, epoch batch), sized so
      several reclamation rounds happen within each horizon: roughly 5 % of
      operations retire a node, and per-operation cost differs by an order
      of magnitude between the structures. *)
   let reclaim_pace =
-    match (scale, shape) with
+    match (scale, ds) with
     | Quick, Workload.List_ds -> (12, 8)
     | Quick, Workload.Hash_ds -> (32, 12)
     | Quick, Workload.Skip_ds -> (24, 12)
@@ -86,7 +77,6 @@ let base_spec scale (ds : Workload.ds_kind) =
     | Full, Workload.Hash_ds -> (48, 24)
     | Full, Workload.Skip_ds -> (32, 16)
     | Paper, _ -> (1024, 1024)
-    | _, (Workload.Lazy_ds | Workload.Split_ds) -> assert false
   in
   let ts_buffer, epoch_batch = reclaim_pace in
   ({ spec with epoch_batch }, ts_buffer)
@@ -181,22 +171,6 @@ let fig3_series scale ds =
 let fig3 ~backend scale ds =
   run_sweep ~backend ~threads_list:(fig3_threads scale) ~series:(fig3_series scale ds)
 
-(* Fig 5 regime: the hash table (large key range, cheap operations, heavy
-   retire traffic), ThreadScan against the leaky, epoch, DEBRA+ and
-   Hyaline baselines. *)
-let fig5_series scale =
-  let spec, ts_buffer = base_spec scale Workload.Hash_ds in
-  [
-    ("leaky", { spec with scheme = Registry.spec "leaky" });
-    ("epoch", { spec with scheme = Registry.spec "epoch" });
-    ("debra", { spec with scheme = Registry.spec "debra" });
-    ("hyaline", { spec with scheme = Registry.spec "hyaline" });
-    ("threadscan", { spec with scheme = Registry.spec ~buffer:ts_buffer "threadscan" });
-  ]
-
-let fig5 ~backend scale =
-  run_sweep ~backend ~threads_list:(fig3_threads scale) ~series:(fig5_series scale)
-
 let fig4 ~backend scale ds =
   let cores, threads_list = fig4_setup scale in
   let spec, ts_buffer = base_spec scale ds in
@@ -263,18 +237,6 @@ let ablate_slow_epoch ~backend scale =
   in
   run_sweep ~backend ~threads_list ~series
 
-let ablate_padding ~backend scale =
-  let spec, ts_buffer = base_spec scale Workload.List_ds in
-  let ts = Registry.spec ~buffer:ts_buffer "threadscan" in
-  let threads_list = match scale with Quick -> [ 4; 16; 32 ] | _ -> [ 8; 32; 80 ] in
-  let series =
-    [
-      ("pad=0", { spec with Workload.scheme = ts; padding = 0 });
-      ("pad=19", { spec with Workload.scheme = ts; padding = 19 });
-    ]
-  in
-  run_sweep ~backend ~threads_list ~series
-
 (* Fault tolerance: kill one worker mid-operation at 25 % of the base
    horizon, then let the rest run 1x / 2x / 4x of it.  The x-axis is the
    horizon multiplier ([point.threads] is reused to carry it): ThreadScan
@@ -308,26 +270,6 @@ let ablate_crash ~backend scale =
             (series mult);
       })
     [ 1; 2; 4 ]
-
-let ablate_structures ~backend scale =
-  (* all six structures under ThreadScan: the library-breadth overview *)
-  let threads_list = match scale with Quick -> [ 4; 16; 32 ] | _ -> [ 8; 32; 80 ] in
-  let series =
-    List.map
-      (fun ds ->
-        let spec, ts_buffer = base_spec scale ds in
-        ( Workload.ds_kind_to_string ds,
-          { spec with Workload.scheme = Registry.spec ~buffer:ts_buffer "threadscan" }
-        ))
-      [
-        Workload.List_ds;
-        Workload.Lazy_ds;
-        Workload.Hash_ds;
-        Workload.Split_ds;
-        Workload.Skip_ds;
-      ]
-  in
-  run_sweep ~backend ~threads_list ~series
 
 let crashes plan = List.exists (fun c -> c.Fault_plan.event = Fault_plan.Crash) plan
 
@@ -400,16 +342,6 @@ let chaos_recovery ~backend scale =
 (* ------------------------------------------------------------------ *)
 (* Driver                                                              *)
 (* ------------------------------------------------------------------ *)
-
-let memory_summary points =
-  List.iter
-    (fun { threads; cells } ->
-      Fmt.pr "summary: %d threads peak live memory:" threads;
-      List.iter
-        (fun (label, r) -> Fmt.pr " %s=%dw" label r.Workload.peak_live_words)
-        cells;
-      Fmt.pr "@.")
-    points
 
 let degradation_summary points =
   Fmt.pr "@.== ablate-crash == (1 worker crashes mid-operation at 25%% of the base horizon)@.";
@@ -699,10 +631,6 @@ let run_and_print ~title ?(backend = Workload.Backend_sim) ?(json = false) f sca
   in
   ratio_summary points ~num:"threadscan" ~den:"hazard";
   ratio_summary points ~num:"threadscan" ~den:"leaky";
-  if title = "ablate-padding" then
-    (* padding trades memory for false-sharing avoidance; the simulator
-       prices accesses uniformly, so the visible effect is the footprint *)
-    memory_summary points;
   if String.length title >= 4 && String.sub title 0 4 = "fig4" then
     (* §6: oversubscribed, "the reclaimer must wait for all of them" — show
        how long collect phases actually held the reclaimer *)
@@ -726,11 +654,8 @@ let names =
     ("fig4-list", fun ~backend s -> fig4 ~backend s Workload.List_ds);
     ("fig4-hash", fun ~backend s -> fig4 ~backend s Workload.Hash_ds);
     ("fig4-skip", fun ~backend s -> fig4 ~backend s Workload.Skip_ds);
-    ("fig5-hash", fig5);
     ("ablate-buffer", ablate_buffer);
     ("ablate-slow-epoch", ablate_slow_epoch);
-    ("ablate-padding", ablate_padding);
-    ("ablate-structures", ablate_structures);
     ("ablate-crash", ablate_crash);
     ("chaos-recovery", chaos_recovery);
   ]

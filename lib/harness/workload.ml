@@ -12,14 +12,12 @@ let backend_to_string = function
   | Backend_sim -> "sim"
   | Backend_native { pool } -> if pool = 0 then "native" else Fmt.str "native(pool=%d)" pool
 
-type ds_kind = List_ds | Hash_ds | Skip_ds | Lazy_ds | Split_ds
+type ds_kind = List_ds | Hash_ds | Skip_ds
 
 let ds_kind_to_string = function
   | List_ds -> "list"
   | Hash_ds -> "hash"
   | Skip_ds -> "skiplist"
-  | Lazy_ds -> "lazy-list"
-  | Split_ds -> "split-hash"
 
 type spec = {
   ds : ds_kind;
@@ -89,7 +87,7 @@ let scheme_env spec =
   let hazard_slots =
     match spec.ds with
     | Skip_ds -> Ts_ds.Skiplist.hazard_slots ~max_height:spec.max_height
-    | List_ds | Hash_ds | Lazy_ds | Split_ds -> 3
+    | List_ds | Hash_ds -> 3
   in
   let budgets =
     (* Under a fault plan ThreadScan's degradation ladder must fire
@@ -113,10 +111,6 @@ let make_ds spec smr =
   | List_ds -> Ts_ds.Michael_list.create ~smr ~padding:spec.padding ()
   | Hash_ds -> Ts_ds.Hash_table.create ~smr ~padding:spec.padding ~buckets:spec.buckets ()
   | Skip_ds -> Ts_ds.Skiplist.create ~smr ~max_height:spec.max_height ~padding:spec.padding ()
-  | Lazy_ds -> Ts_ds.Lazy_list.create ~smr ~padding:spec.padding ()
-  | Split_ds ->
-      Ts_ds.Split_hash.set
-        (Ts_ds.Split_hash.create ~smr ~padding:spec.padding ~max_buckets:spec.buckets ())
 
 let prefill spec (ds : Set_intf.t) =
   (* deterministic prefill to exactly [init_size] distinct keys *)
@@ -328,14 +322,14 @@ let run (spec : spec) =
              d.Registry.id));
   (if caps.Registry.neutralizes then
      match spec.ds with
-     | Lazy_ds | Skip_ds ->
+     | Skip_ds ->
          invalid_arg
            (Fmt.str
               "Workload.run: %s aborts and restarts victims' operations, which a lock-based \
                structure cannot survive (an aborted lock holder deadlocks its peers); use a \
                lock-free structure"
               d.Registry.id)
-     | List_ds | Hash_ds | Split_ds -> ());
+     | List_ds | Hash_ds -> ());
   match spec.backend with
   | Backend_sim -> run_sim spec
   | Backend_native { pool } -> run_native spec ~pool

@@ -17,7 +17,7 @@ type backend = Backend_sim | Backend_native of { pool : int }
 
 val backend_to_string : backend -> string
 
-type ds_kind = List_ds | Hash_ds | Skip_ds | Lazy_ds | Split_ds
+type ds_kind = List_ds | Hash_ds | Skip_ds
 
 val ds_kind_to_string : ds_kind -> string
 

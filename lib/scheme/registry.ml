@@ -22,14 +22,6 @@ type params = {
   batch : int option;
 }
 
-let default_params =
-  {
-    buffer = None;
-    delay = None;
-    patience = None;
-    batch = None;
-  }
-
 type spec = { id : string; params : params }
 
 type budgets = {

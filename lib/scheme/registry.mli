@@ -27,7 +27,7 @@ type caps = {
       (** aborts victims' operations via signals; restricts the scheme
           to restartable (lock-free) data structures *)
   pins_frames : bool;
-      (** a private reference held in a stack {!Ts_sim.Frame} pins the
+      (** a private reference held in a stack {!Ts_rt.Frame} pins the
           node by itself (TS-Scan / StackTrack frame scanning, or leaky):
           cross-operation holds are safe without protect slots or
           [op_begin] brackets.  Workloads that hold nodes across
@@ -58,8 +58,6 @@ type params = {
   patience : int option;  (** patient-epoch: bounded quiescence wait *)
   batch : int option;  (** epoch family / debra / hyaline batch *)
 }
-
-val default_params : params
 
 (** A scheme selection: canonical id plus tuning.  This is what lives in
     [Workload.spec] and what the CLIs parse. *)

@@ -16,7 +16,7 @@ type sched =
   | Pct of { change_points : int; expected_steps : int }
 
 type config = {
-  cost : Cost_model.t;
+  cost : Ts_rt.Cost_model.t;
   cores : int;
   quantum : int;
   seed : int;
@@ -33,7 +33,7 @@ type config = {
 
 let default_config =
   {
-    cost = Cost_model.default;
+    cost = Ts_rt.Cost_model.default;
     cores = 0;
     quantum = 50_000;
     seed = 0x5EED;
@@ -86,15 +86,6 @@ let make_stats () =
     stalls = 0;
     signals_dropped = 0;
   }
-
-let pp_stats ppf s =
-  Fmt.pf ppf
-    "steps=%d reads=%d writes=%d cas=%d(-%d) fences=%d malloc=%d free=%d yields=%d sig=%d/%d \
-     switches=%d spawns=%d"
-    s.steps s.reads s.writes s.cas_ops s.cas_failures s.fences s.mallocs s.frees s.yields
-    s.signals_sent s.signals_delivered s.ctx_switches s.spawns;
-  if s.crashes + s.stalls + s.signals_dropped > 0 then
-    Fmt.pf ppf " crashes=%d stalls=%d sigdrops=%d" s.crashes s.stalls s.signals_dropped
 
 type result = {
   elapsed : int;
@@ -1098,8 +1089,6 @@ let alloc rt = rt.alloc
 let stats rt = rt.sim_stats
 
 let running_tid rt = if rt.current >= 0 then Some rt.current else None
-
-let thread_count rt = rt.nthreads
 
 let collect_failures rt =
   let fs = ref [] in

@@ -4,7 +4,7 @@
     The scheduler executes exactly one operation per step, always choosing
     the active thread with the smallest virtual clock, which yields a
     sequentially consistent interleaving whose timing follows the
-    {!Cost_model}.  [cores] simulated cores are multiplexed among threads
+    {!Ts_rt.Cost_model}.  [cores] simulated cores are multiplexed among threads
     with a quantum and context-switch costs, reproducing oversubscription.
 
     POSIX-style signals: {!signal} enqueues a signal for a target thread; a
@@ -54,7 +54,7 @@ type sched =
           Intended for [cores <= 0]. *)
 
 type config = {
-  cost : Cost_model.t;
+  cost : Ts_rt.Cost_model.t;
   cores : int;  (** [<= 0] means one core per thread (never preempt) *)
   quantum : int;  (** cycles a thread may hold a core while others wait *)
   seed : int;
@@ -96,8 +96,6 @@ type stats = {
   mutable signals_dropped : int;  (** fault injection: signals lost via {!drop_signals} *)
 }
 
-val pp_stats : Format.formatter -> stats -> unit
-
 type result = {
   elapsed : int;  (** virtual cycles at the end of the run *)
   run_stats : stats;
@@ -137,8 +135,6 @@ val mem : t -> Ts_umem.Mem.t
 val alloc : t -> Ts_umem.Alloc.t
 
 val stats : t -> stats
-
-val thread_count : t -> int
 
 val running_tid : t -> int option
 (** The thread currently being stepped; [None] outside a step.  Lets

@@ -408,7 +408,6 @@ let make_ds smr = function
   | "hash" -> Ts_ds.Hash_table.create ~smr ~buckets:32 ()
   | "skiplist" -> Ts_ds.Skiplist.create ~smr ~max_height:6 ()
   | "lazy-list" -> Ts_ds.Lazy_list.create ~smr ()
-  | "split-hash" -> Ts_ds.Split_hash.set (Ts_ds.Split_hash.create ~smr ~max_buckets:32 ())
   | s -> invalid_arg s
 
 let test_ds r kind () =
@@ -919,7 +918,7 @@ let per_backend name f =
     (fun r -> Alcotest.test_case (Fmt.str "%s [%s]" name r.rname) `Quick (fun () -> f r ()))
     runners
 
-let ds_kinds = [ "list"; "hash"; "skiplist"; "lazy-list"; "split-hash" ]
+let ds_kinds = [ "list"; "hash"; "skiplist"; "lazy-list" ]
 
 let () =
   Alcotest.run "backends"

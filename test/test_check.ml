@@ -14,7 +14,7 @@
 
 module Runtime = Ts_sim.Runtime
 module Trace = Ts_sim.Trace
-module Frame = Ts_sim.Frame
+module Frame = Ts_rt.Frame
 module Ptr = Ts_umem.Ptr
 module Mem = Ts_umem.Mem
 module Alloc = Ts_umem.Alloc

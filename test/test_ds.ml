@@ -10,7 +10,6 @@ module Michael_list = Ts_ds.Michael_list
 module Hash_table = Ts_ds.Hash_table
 module Skiplist = Ts_ds.Skiplist
 module Lazy_list = Ts_ds.Lazy_list
-module Split_hash = Ts_ds.Split_hash
 
 let check = Alcotest.(check int)
 
@@ -36,14 +35,13 @@ let ds_of ?padding ~smr = function
   | "hash" -> Hash_table.create ~smr ?padding ~buckets:16 ()
   | "skip" -> Skiplist.create ~smr ~max_height:sl_height ?padding ()
   | "lazy" -> Lazy_list.create ~smr ?padding ()
-  | "split" -> Split_hash.set (Split_hash.create ~smr ?padding ~max_buckets:64 ())
   | s -> invalid_arg s
 
 let slots_for = function
   | "skip" -> Skiplist.hazard_slots ~max_height:sl_height
   | _ -> 3
 
-let all_ds = [ "list"; "hash"; "skip"; "lazy"; "split" ]
+let all_ds = [ "list"; "hash"; "skip"; "lazy" ]
 
 let all_schemes = [ "leaky"; "threadscan"; "hazard"; "epoch" ]
 
@@ -149,14 +147,12 @@ let churn ?padding ~ds_name ~scheme_name ~threads ~ops ~seed () =
              (Fmt.str "%s/%s retired all reclaimed" ds_name scheme_name)
              0
              (Smr.outstanding smr);
-           (* and for structures with a fixed set of immortal nodes the
-              allocator-level accounting is exact (split-hash installs
-              bucket dummies lazily, so its immortal set grows) *)
-           if ds_name <> "split" then
-             check
-               (Fmt.str "%s/%s no leaks" ds_name scheme_name)
-               (Set_intf.size ds + sentinel_blocks)
-               (Alloc.live_blocks (Runtime.alloc r) - !baseline)
+           (* and the allocator-level accounting is exact: every
+              structure's immortal set is fixed at creation *)
+           check
+             (Fmt.str "%s/%s no leaks" ds_name scheme_name)
+             (Set_intf.size ds + sentinel_blocks)
+             (Alloc.live_blocks (Runtime.alloc r) - !baseline)
          end));
   ignore (Runtime.start r)
 
@@ -311,64 +307,6 @@ let test_skiplist_levels () =
          ds.Set_intf.check ();
          check "size" (200 - 67) (Set_intf.size ds)))
 
-(* ------------------------------ split hash ------------------------------ *)
-
-let test_split_hash_grows () =
-  ignore
-    (Runtime.run ~config:cfg (fun () ->
-         let smr = Leaky.create () in
-         smr.Smr.thread_init ();
-         let sh = Split_hash.create ~smr ~max_buckets:64 ~load_factor:2 () in
-         let ds = Split_hash.set sh in
-         check "starts with two buckets" 2 (Split_hash.bucket_count sh);
-         for k = 0 to 99 do
-           ignore (ds.Set_intf.insert k k)
-         done;
-         Alcotest.(check bool) "table doubled repeatedly" true
-           (Split_hash.bucket_count sh >= 32);
-         check "maintained size" 100 (Split_hash.size sh);
-         check "to_list agrees" 100 (Set_intf.size ds);
-         ds.Set_intf.check ()))
-
-let test_split_hash_dummies_immortal () =
-  let r = Runtime.create cfg in
-  ignore
-    (Runtime.add_thread r (fun () ->
-         let smr =
-           Threadscan.smr
-             (Threadscan.create
-                ~config:{ Threadscan.Config.default with max_threads = 4; buffer_size = 8 }
-                ())
-         in
-         smr.Smr.thread_init ();
-         let sh = Split_hash.create ~smr ~max_buckets:32 ~load_factor:2 () in
-         let ds = Split_hash.set sh in
-         for k = 0 to 63 do
-           ignore (ds.Set_intf.insert k k)
-         done;
-         for k = 0 to 63 do
-           ignore (ds.Set_intf.remove k)
-         done;
-         smr.Smr.thread_exit ();
-         smr.Smr.flush ();
-         check "all elements reclaimed" 0 (Smr.outstanding smr);
-         check "empty" 0 (Set_intf.size ds);
-         (* the dummy chain survives reclamation: reusable immediately *)
-         Alcotest.(check bool) "reinsert works" true (ds.Set_intf.insert 7 7);
-         ds.Set_intf.check ()));
-  ignore (Runtime.start r)
-
-let test_split_hash_key_bounds () =
-  ignore
-    (Runtime.run ~config:cfg (fun () ->
-         let smr = Leaky.create () in
-         smr.Smr.thread_init ();
-         let ds = Split_hash.set (Split_hash.create ~smr ()) in
-         Alcotest.(check bool) "max key ok" true (ds.Set_intf.insert Split_hash.max_key 1);
-         Alcotest.check_raises "oversized key rejected"
-           (Invalid_argument "Split_hash: key out of range") (fun () ->
-             ignore (ds.Set_intf.insert (Split_hash.max_key + 1) 1))))
-
 let test_skiplist_sentinel_safety () =
   ignore
     (Runtime.run ~config:cfg (fun () ->
@@ -419,10 +357,4 @@ let () =
           Alcotest.test_case "skiplist sentinels" `Quick test_skiplist_sentinel_safety;
         ] );
       ("oversize-nodes", oversize_cases);
-      ( "split-hash",
-        [
-          Alcotest.test_case "grows" `Quick test_split_hash_grows;
-          Alcotest.test_case "dummies immortal" `Quick test_split_hash_dummies_immortal;
-          Alcotest.test_case "key bounds" `Quick test_split_hash_key_bounds;
-        ] );
     ]

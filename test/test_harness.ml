@@ -129,7 +129,7 @@ let test_names_cover_every_figure () =
       Alcotest.(check bool) (expected ^ " present") true (List.mem expected names))
     [
       "fig3-list"; "fig3-hash"; "fig3-skip"; "fig4-list"; "fig4-hash"; "fig4-skip";
-      "ablate-buffer"; "ablate-slow-epoch"; "ablate-padding";
+      "ablate-buffer"; "ablate-slow-epoch";
     ]
 
 let test_scale_parsing () =
@@ -142,7 +142,9 @@ let test_scale_parsing () =
    exempt (it does not reclaim), every reclaiming scheme flushed to zero;
    the same point with one threadscan cell leaking one node fails. *)
 let test_sweep_oracle () =
-  let point = List.hd (Experiment.fig5 ~backend:Workload.Backend_sim Experiment.Quick) in
+  let point =
+    List.hd (Experiment.fig3 ~backend:Workload.Backend_sim Experiment.Quick Workload.Hash_ds)
+  in
   let leaky = List.assoc "leaky" point.Experiment.cells in
   Alcotest.(check bool) "leaky leaks here" true (leaky.Workload.outstanding > 0);
   Alcotest.(check (list string)) "real point is clean" [] (Experiment.sweep_violations [ point ]);

@@ -14,7 +14,7 @@
             register at the start of a phase are retired by that phase.  *)
 
 module Runtime = Ts_sim.Runtime
-module Frame = Ts_sim.Frame
+module Frame = Ts_rt.Frame
 module Ptr = Ts_umem.Ptr
 module Alloc = Ts_umem.Alloc
 module Smr = Ts_smr.Smr

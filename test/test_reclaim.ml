@@ -1,5 +1,5 @@
 module Runtime = Ts_sim.Runtime
-module Frame = Ts_sim.Frame
+module Frame = Ts_rt.Frame
 module Ptr = Ts_umem.Ptr
 module Mem = Ts_umem.Mem
 module Alloc = Ts_umem.Alloc

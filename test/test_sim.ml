@@ -1,6 +1,6 @@
 module Runtime = Ts_sim.Runtime
-module Frame = Ts_sim.Frame
-module Cost_model = Ts_sim.Cost_model
+module Frame = Ts_rt.Frame
+module Cost_model = Ts_rt.Cost_model
 module Mem = Ts_umem.Mem
 module Ptr = Ts_umem.Ptr
 
@@ -523,7 +523,7 @@ let test_frame_pops_on_exception () =
          check "unwound" base0 sp))
 
 let test_advance_negative_clamped () =
-  let config = { cfg with cost = Ts_sim.Cost_model.uniform } in
+  let config = { cfg with cost = Cost_model.uniform } in
   let r =
     run ~config (fun () ->
         Runtime.advance (-100);
