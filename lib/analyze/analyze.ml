@@ -613,9 +613,10 @@ let wrap an (o : Ts_rt.ops) : Ts_rt.ops =
         v)
   in
   (* a scanned range is, to the analyzer, one read per word *)
-  let mem_scan_words base len f =
+  let mem_scan_words base len ~lo ~hi f =
     for a = base to base + len - 1 do
-      f (mem_read a)
+      let w = mem_read a in
+      if w >= lo && w <= hi then f w
     done
   in
   let mem_write addr v =

@@ -120,21 +120,20 @@ let check_takeover t owner_seen beat_seen seen_at =
 
 (* The bounds are read once per range: they only change under a new count,
    and a scan that raced a publish is not counted for the new phase anyway.
-   The [lo, hi] check keeps the common case — a word pointing at no retired
-   node — at one comparison per word.  The counters live in [t], which the
-   reclaimer and every signalled scanner share, so they are added once per
-   range from locals rather than bumped per word. *)
+   The backend op tests each word against the window, so the common case —
+   a word pointing at no retired node — never reaches the closure.  [lo]
+   and [hi] are masked entries, so the raw words whose mask lies in
+   [lo, hi] are exactly [lo .. hi lor 7].  The counters live in [t], which
+   the reclaimer and every signalled scanner share, so they are added once
+   per range from locals rather than bumped per word. *)
 let scan_range t (base, len) =
   let lo, hi = Master_buffer.bounds t.master in
   let hits = ref 0 in
-  Runtime.scan_words base len (fun w ->
-      let m = Ptr.mask w in
-      if m >= lo && m <= hi then begin
-        let idx = Master_buffer.find t.master m in
-        if idx >= 0 then begin
-          Master_buffer.mark t.master idx;
-          incr hits
-        end
+  Runtime.scan_words base len ~lo ~hi:(hi lor 7) (fun w ->
+      let idx = Master_buffer.find t.master (Ptr.mask w) in
+      if idx >= 0 then begin
+        Master_buffer.mark t.master idx;
+        incr hits
       end);
   t.scan_words <- t.scan_words + max 0 len;
   t.scan_hits <- t.scan_hits + !hits

@@ -78,7 +78,10 @@ let protect_pair t level ~pred ~succ =
   ignore (t.smr.Smr.protect ~slot:((2 * level) + 1) succ)
 
 (* Returns the highest level at which [key] was found (-1 if absent);
-   fills preds/succs frame slots for every level. *)
+   fills preds/succs frame slots for every level.  Each step validates
+   that [pred] still links to [cur] and is not marked: a removed [pred]'s
+   stale link can reach a node unlinked, retired and freed since, which
+   no scan of this thread's stack protects. *)
 let find t key fr =
   let rec attempt () =
     match
@@ -89,14 +92,14 @@ let find t key fr =
         let cur = ref (Runtime.read (next_cell !pred level)) in
         Frame.set fr (fr_hot_cur t) !cur;
         protect_pair t level ~pred:!pred ~succ:!cur;
-        if Runtime.read (next_cell !pred level) <> !cur then raise Restart;
+        if Runtime.read (next_cell !pred level) <> !cur || is_marked !pred then raise Restart;
         while key_of !cur < key do
           Frame.set fr (fr_hot_pred t) !cur;
           pred := !cur;
           cur := Runtime.read (next_cell !pred level);
           Frame.set fr (fr_hot_cur t) !cur;
           protect_pair t level ~pred:!pred ~succ:!cur;
-          if Runtime.read (next_cell !pred level) <> !cur then raise Restart
+          if Runtime.read (next_cell !pred level) <> !cur || is_marked !pred then raise Restart
         done;
         if !lfound = -1 && key_of !cur = key then lfound := level;
         Frame.set fr (fr_pred t level) !pred;

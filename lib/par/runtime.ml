@@ -41,6 +41,14 @@
      returns [true]; [thread_body] sets it last, after every op the
      thread ran.
 
+   A scan of the owner's own words is a plain load too: [op_scan_words]
+   over a range wholly inside the caller's stack or register ring (a
+   handler's scan of its own stack).  The owner made every store there
+   itself, earlier in program order, so a plain load sees the latest.
+   Both are permanent regions, so the shadow check a checked load would
+   make can never fire.  Other ranges (save areas, private heap ranges,
+   a proxy scan of another thread) keep the checked, SC [Heap.read].
+
    Virtual clocks survive: each op charges the shared {!Ts_rt.Cost_model}
    price to the calling thread's private clock, so horizon-bounded
    workload loops ([now () < deadline]) run unchanged and figure runs
@@ -519,10 +527,13 @@ let op_read t addr =
 
 (* A conservative scan's loads: one poll, abort check and step batch
    for the whole range, then every word charged exactly as [op_read]
-   charges it and loaded through the same checked [Heap.read].  The
-   words are not mirrored: the scanner compares each one and stores
-   none, so none is a pointer in flight. *)
-let op_scan_words t base len f =
+   charges it, and only the words in [lo, hi] handed to [f].  A range
+   wholly inside the caller's own stack or register ring takes plain
+   loads, as [op_write] stores there (see the header); any other range
+   goes through the checked [Heap.read].  The words are not mirrored:
+   the scanner compares each one and stores none, so none is a pointer
+   in flight. *)
+let op_scan_words t base len ~lo ~hi f =
   if len > 0 then begin
     let c = cur t in
     poll t c;
@@ -533,9 +544,16 @@ let op_scan_words t base len f =
       overlap base len c.stack_base c.stack_words + overlap base len c.reg_base c.reg_words
     in
     charge c ((priv * t.cfg.cost.local_op) + ((len - priv) * t.cfg.cost.shared_read));
-    for a = base to base + len - 1 do
-      f (Heap.read t.heap a)
-    done
+    if priv = len then
+      for a = base to base + len - 1 do
+        let w = Array.unsafe_get t.words a in
+        if w >= lo && w <= hi then f w
+      done
+    else
+      for a = base to base + len - 1 do
+        let w = Heap.read t.heap a in
+        if w >= lo && w <= hi then f w
+      done
   end
 
 let op_write t addr v =

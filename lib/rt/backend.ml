@@ -14,16 +14,18 @@
      heap are already atomic; this is only for the few managed-heap
      structures the schemes share.  No-op in the sim (one fiber runs at
      a time); a global mutex natively.
-   - [scan_words]: a conservative scan's loads over one range.  The
-     sim's is literally a [read] loop; the native one pays the per-op
-     bookkeeping once per range instead of once per word. *)
+   - [scan_words]: a conservative scan's loads over one range, handing
+     on only the words inside a candidate window.  The sim's is
+     literally a [read] loop plus that test; the native one pays the
+     per-op bookkeeping once per range instead of once per word, and
+     loads the caller's own stack and register words with plain loads. *)
 
 type tid = int
 
 type ops = {
   (* unmanaged shared memory *)
   read : int -> int;
-  scan_words : int -> int -> (int -> unit) -> unit;
+  scan_words : int -> int -> lo:int -> hi:int -> (int -> unit) -> unit;
   write : int -> int -> unit;
   cas : int -> int -> int -> bool;
   faa : int -> int -> int;
@@ -141,7 +143,7 @@ let[@inline] ops () =
          first)"
 
 let read addr = (ops ()).read addr
-let scan_words base len f = (ops ()).scan_words base len f
+let scan_words base len ~lo ~hi f = (ops ()).scan_words base len ~lo ~hi f
 let write addr v = (ops ()).write addr v
 let cas addr expected desired = (ops ()).cas addr expected desired
 let faa addr delta = (ops ()).faa addr delta

@@ -11,7 +11,7 @@ type tid = int
 type ops = {
   (* unmanaged shared memory *)
   read : int -> int;
-  scan_words : int -> int -> (int -> unit) -> unit;
+  scan_words : int -> int -> lo:int -> hi:int -> (int -> unit) -> unit;
   write : int -> int -> unit;
   cas : int -> int -> int -> bool;
   faa : int -> int -> int;
@@ -111,17 +111,22 @@ val exit_run : unit -> unit
 
 val read : int -> int
 
-val scan_words : int -> int -> (int -> unit) -> unit
-(** [scan_words base len f] calls [f] on the value of each word
-    [base .. base + len - 1], in address order; [len <= 0] does nothing.
-    Observationally the same as [for a = base to base + len - 1 do
-    f (read a) done]: each word is charged and checked as a [read], so
-    [now ()] and the fault counters advance by the same amount.  On the
-    native backend the per-op bookkeeping (poll, abort check, step
-    count) runs once per range, and scanned words are not mirrored into
-    the register ring: a scan compares each word and stores none, so no
-    pointer it loads can be in flight.  Conservative scans (TS-Scan)
-    are the only intended caller; every other access uses [read]. *)
+val scan_words : int -> int -> lo:int -> hi:int -> (int -> unit) -> unit
+(** [scan_words base len ~lo ~hi f] calls [f] on the value [w] of each
+    word [base .. base + len - 1] with [lo <= w <= hi], in address order;
+    [len <= 0] does nothing.  Observationally the same as [for a = base
+    to base + len - 1 do let w = read a in if w >= lo && w <= hi then f
+    w done]: each word is charged and checked as a [read], so [now ()]
+    and the fault counters advance by the same amount.  On the native
+    backend the per-op bookkeeping (poll, abort check, step count) runs
+    once per range, and scanned words are not mirrored into the register
+    ring: a scan compares each word and stores none, so no pointer it
+    loads can be in flight.  A range wholly inside the caller's own
+    shadow stack or register ring is loaded with plain loads: only the
+    owner writes those words, in program order before this read, and
+    they are permanent, so the checked load could never fault.
+    Conservative scans (TS-Scan) are the only intended caller; every
+    other access uses [read]. *)
 
 val write : int -> int -> unit
 val cas : int -> int -> int -> bool

@@ -1168,11 +1168,12 @@ let run ?(config = default_config) main =
 
 let read addr = Effect.perform (E_read addr)
 
-(* TS-Scan's range op is a plain [read] loop here: traces, schedules and
-   checker sweeps are exactly those of the loop. *)
-let scan_words base len f =
+(* TS-Scan's range op is a plain [read] loop plus the window test here:
+   traces, schedules and checker sweeps are exactly those of the loop. *)
+let scan_words base len ~lo ~hi f =
   for a = base to base + len - 1 do
-    f (read a)
+    let w = read a in
+    if w >= lo && w <= hi then f w
   done
 
 let write addr v = Effect.perform (E_write (addr, v))

@@ -202,21 +202,26 @@ let test_unknown_tid_fails_caller r () =
 (* scan_words: a read loop, op for op                                  *)
 (* ------------------------------------------------------------------ *)
 
-let read_loop base len f =
+(* The contract: a read of every word, then the window test. *)
+let read_loop base len ~lo ~hi f =
   for a = base to base + len - 1 do
-    f (Rt.read a)
+    let w = Rt.read a in
+    if w >= lo && w <= hi then f w
   done
 
-(* The words [scan] yields over [base, base + len), in order, and how far
-   it moved [now ()]. *)
-let scanned scan base len =
+(* The words [scan] hands on over [base, base + len), in order, and how
+   far it moved [now ()].  The default window passes every word. *)
+let scanned ?(lo = min_int) ?(hi = max_int) scan base len =
   let acc = ref [] in
   let t0 = Rt.now () in
-  scan base len (fun v -> acc := v :: !acc);
+  scan base len ~lo ~hi (fun v -> acc := v :: !acc);
   (List.rev !acc, Rt.now () - t0)
 
 (* One private range (a shadow-stack frame) and one shared range (a heap
-   block), each scanned once by a read loop and once by [scan_words]. *)
+   block), each scanned by a read loop and by [scan_words], once with
+   every word passing and once through a narrow window.  Natively the
+   private range is the plain-load path: the window must still yield
+   exactly what [Frame.set] wrote. *)
 let test_scan_words_matches_read r () =
   let out = ref [] in
   let (_ : int) =
@@ -231,19 +236,40 @@ let test_scan_words_matches_read r () =
             done;
             let sbase, sp = Rt.stack_range () in
             out :=
-              List.map
-                (fun (base, len) -> (scanned read_loop base len, scanned Rt.scan_words base len))
-                [ (sbase, sp - sbase); (block, 6) ]);
+              List.concat_map
+                (fun ((base, len), (lo, hi)) ->
+                  [
+                    (scanned read_loop base len, scanned Rt.scan_words base len);
+                    (scanned ~lo ~hi read_loop base len, scanned ~lo ~hi Rt.scan_words base len);
+                  ])
+                [ ((sbase, sp - sbase), (101, 103)); ((block, 6), (8, 29)) ]);
         Rt.free block)
   in
   match !out with
-  | [ (stack_loop, stack_scan); (heap_loop, heap_scan) ] ->
+  | [
+      (stack_loop, stack_scan);
+      (stack_wloop, stack_wscan);
+      (heap_loop, heap_scan);
+      (heap_wloop, heap_wscan);
+    ] ->
       Alcotest.(check (list int)) "private range: same words" (fst stack_loop) (fst stack_scan);
+      Alcotest.(check (list int))
+        "private window: the frame's words" [ 101; 102; 103 ] (fst stack_wscan);
+      Alcotest.(check (list int))
+        "private window: read loop agrees" (fst stack_wloop) (fst stack_wscan);
       Alcotest.(check (list int))
         "shared range: same words" [ 1; 8; 15; 22; 29; 36 ] (fst heap_scan);
       Alcotest.(check (list int)) "shared range: read loop agrees" (fst heap_loop) (fst heap_scan);
+      Alcotest.(check (list int))
+        "shared window: bounds inclusive" [ 8; 15; 22; 29 ] (fst heap_wscan);
+      Alcotest.(check (list int))
+        "shared window: read loop agrees" (fst heap_wloop) (fst heap_wscan);
       check "private range: same charge" (snd stack_loop) (snd stack_scan);
       check "shared range: same charge" (snd heap_loop) (snd heap_scan);
+      check "private window: every word charged" (snd stack_scan) (snd stack_wscan);
+      check "shared window: every word charged" (snd heap_scan) (snd heap_wscan);
+      check "private window: read loop agrees on the charge" (snd stack_wloop) (snd stack_wscan);
+      check "shared window: read loop agrees on the charge" (snd heap_wloop) (snd heap_wscan);
       Alcotest.(check bool) "shared words cost more than private ones" true
         (snd heap_scan / 6 > snd stack_scan / List.length (fst stack_scan))
   | _ -> Alcotest.fail "body did not run"
@@ -254,8 +280,8 @@ let test_scan_words_empty r () =
     r.exec (fun () ->
         let block = Rt.malloc 2 in
         let t0 = Rt.now () in
-        Rt.scan_words block 0 (fun _ -> incr calls);
-        Rt.scan_words block (-3) (fun _ -> incr calls);
+        Rt.scan_words block 0 ~lo:min_int ~hi:max_int (fun _ -> incr calls);
+        Rt.scan_words block (-3) ~lo:min_int ~hi:max_int (fun _ -> incr calls);
         moved := Rt.now () - t0;
         Rt.free block)
   in

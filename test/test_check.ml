@@ -651,6 +651,33 @@ let test_retry_yields spec () =
   List.iter (fun v -> Fmt.epr "%a@." Report.pp v) o.Scenario.violations;
   check "no violations" 0 (List.length o.Scenario.violations)
 
+(* ------------------ skip-list readers leave removed nodes ----------------- *)
+
+(* A reader standing on a removed node once followed its stale [next] to a
+   node retired (and freed by a phase the reader had acknowledged) while
+   that link still reached it: the race detector reported the reader's
+   [key_of] read against the free.  [find] now restarts when a pred it
+   validates is marked.  Seed 91 is the sweep's shrunk first failure
+   ([tscheck sweep --race --ds skip --schedules 1500 --key-range 8]); 769
+   and 845 are two of its unshrunk ones. *)
+let skip_reader_specs =
+  let spec ~threads seed =
+    {
+      Scenario.default with
+      Scenario.ds = Scenario.Skip_ds;
+      threads;
+      key_range = 8;
+      policy = Scenario.Pct 3;
+      seed;
+      analyze = true;
+    }
+  in
+  [
+    ("skip race seed 91", spec ~threads:2 91);
+    ("skip race seed 769", spec ~threads:3 769);
+    ("skip race seed 845", spec ~threads:3 845);
+  ]
+
 (* ------------------------------ shrink, axis by axis ---------------------- *)
 
 (* Synthetic failure predicates isolate each reduction axis without
@@ -794,6 +821,10 @@ let () =
         List.map
           (fun (name, spec) -> Alcotest.test_case name `Quick (test_retry_yields spec))
           livelock_specs );
+      ( "skip-reader",
+        List.map
+          (fun (name, spec) -> Alcotest.test_case name `Quick (test_retry_yields spec))
+          skip_reader_specs );
       ( "shrink",
         [
           Alcotest.test_case "every axis reduced to its floor" `Quick

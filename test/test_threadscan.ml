@@ -657,6 +657,38 @@ let test_tagged_pointer_still_matches () =
          smr.Smr.flush ();
          check "clean in the end" 0 (Threadscan.outstanding ts)))
 
+let test_tagged_top_entry_still_matches () =
+  (* The scan's window is the masked bounds widened to every tag: a tagged
+     copy of the *highest* master entry lies above [hi] itself and must
+     still protect its node.  Every retired node comes from [nodes], so
+     whenever [top] is in the master it is the last entry. *)
+  ignore
+    (Runtime.run ~config:cfg (fun () ->
+         let ts = small_ts ~buffer_size:8 () in
+         let smr = Threadscan.smr ts in
+         smr.Smr.thread_init ();
+         let noise = Runtime.alloc_region 1 in
+         let nodes = List.init 30 (fun _ -> alloc_node ()) in
+         let top = List.fold_left max Ptr.null nodes in
+         Frame.with_frame 1 (fun fr ->
+             Frame.set fr 0 (Ptr.mark top);
+             List.iter
+               (fun p ->
+                 smr.Smr.retire p;
+                 for _ = 1 to 40 do
+                   ignore (Runtime.read noise)
+                 done)
+               nodes;
+             Alcotest.(check bool) "some phase ran" true (Threadscan.phases ts > 0);
+             (* a strict-memory read: raises if [top] was freed *)
+             ignore (Runtime.read (Ptr.addr top));
+             Alcotest.(check bool) "the tagged top entry was carried" true
+               (Threadscan.outstanding ts >= 1);
+             Frame.set fr 0 0);
+         smr.Smr.thread_exit ();
+         smr.Smr.flush ();
+         check "clean in the end" 0 (Threadscan.outstanding ts)))
+
 let test_config_validation () =
   Alcotest.check_raises "bad buffer"
     (Invalid_argument "Threadscan config: buffer_size < 2")
@@ -1052,6 +1084,8 @@ let () =
             test_false_positive_pins_but_is_safe;
           Alcotest.test_case "tagged pointer still matches" `Quick
             test_tagged_pointer_still_matches;
+          Alcotest.test_case "tagged top entry still matches" `Quick
+            test_tagged_top_entry_still_matches;
           Alcotest.test_case "config validation" `Quick test_config_validation;
         ] );
       ( "degradation",

@@ -186,6 +186,18 @@ let test_sort_empty_and_single () =
   Isort.sort_prefix a 1;
   Alcotest.(check (array int)) "untouched" [| 3; 1 |] a
 
+(* Keys equal in every digit but the top one (bits 56-62 on a 63-bit
+   int, the sign bit among them): the sort must take that pass, and order
+   the negative keys first. *)
+let test_sort_top_digit_only () =
+  let low = 0x1234_5678_9abc in
+  let a = Array.map (fun d -> low lor (d lsl 56)) [| 3; 127; 0; 64; 1; 100; 63; 3 |] in
+  let expected = Array.copy a in
+  Array.sort compare expected;
+  Isort.sort_prefix a (Array.length a);
+  Alcotest.(check (array int)) "sorted on the top digit" expected a;
+  Alcotest.(check bool) "negatives first" true (a.(0) < 0 && a.(Array.length a - 1) > 0)
+
 let test_binary_search_hits () =
   let a = [| 2; 4; 6; 8; 10; 999 |] in
   List.iteri
@@ -438,6 +450,7 @@ let () =
         [
           Alcotest.test_case "sort prefix" `Quick test_sort_prefix;
           Alcotest.test_case "sort degenerate" `Quick test_sort_empty_and_single;
+          Alcotest.test_case "sort on the top digit only" `Quick test_sort_top_digit_only;
           Alcotest.test_case "search hits" `Quick test_binary_search_hits;
           Alcotest.test_case "search misses" `Quick test_binary_search_misses;
           Alcotest.test_case "search respects prefix" `Quick test_binary_search_excludes_tail;
