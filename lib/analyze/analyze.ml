@@ -619,6 +619,8 @@ let wrap an (o : Ts_rt.ops) : Ts_rt.ops =
       if w >= lo && w <= hi then f w
     done
   in
+  (* and a search is one read per probe *)
+  let mem_search base n key = Ts_rt.search_by mem_read base n key in
   let mem_write addr v =
     let tid = o.self () in
     with_crit an o tid (fun () ->
@@ -836,6 +838,7 @@ let wrap an (o : Ts_rt.ops) : Ts_rt.ops =
     o with
     read = mem_read;
     scan_words = mem_scan_words;
+    search = mem_search;
     write = mem_write;
     cas = mem_cas;
     faa = mem_faa;

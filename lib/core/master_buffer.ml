@@ -44,15 +44,7 @@ let publish_sorted t =
   t.staged <- n;
   Runtime.write (count_addr t) n
 
-let find t key =
-  let n = count t in
-  let lo = ref 0 and hi = ref (n - 1) and found = ref (-1) in
-  while !found < 0 && !lo <= !hi do
-    let mid = !lo + ((!hi - !lo) / 2) in
-    let v = Runtime.read (entry_addr t mid) in
-    if v = key then found := mid else if v < key then lo := mid + 1 else hi := mid - 1
-  done;
-  !found
+let find t key = Runtime.search (entry_addr t 0) (count t) key
 
 let mark t i = Runtime.write (mark_addr t i) 1
 

@@ -23,8 +23,9 @@ val publish_sorted : t -> unit
     all marks, and publish the count. *)
 
 val find : t -> int -> int
-(** Scanner side: binary search over the published prefix via shared reads;
-    returns the index or [-1]. *)
+(** Scanner side: binary search over the published prefix
+    ({!Ts_rt.search}, one shared read per probe); returns the index or
+    [-1]. *)
 
 val mark : t -> int -> unit
 (** Scanner side: mark entry [i] as still referenced. *)

@@ -135,7 +135,7 @@ let scan_range t (base, len) =
         Master_buffer.mark t.master idx;
         incr hits
       end);
-  t.scan_words <- t.scan_words + max 0 len;
+  if len > 0 then t.scan_words <- t.scan_words + len;
   t.scan_hits <- t.scan_hits + !hits
 
 let ts_scan t =

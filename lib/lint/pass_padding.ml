@@ -44,7 +44,7 @@ let audited_dirs = [ "core"; "reclaim"; "par"; "smr"; "umem"; "util" ]
 let hot_types =
   [
     (* par backend: every op bumps these; neighbours must not share lines *)
-    ("runtime.ml", "t", [ "by_thread"; "next_tid" ]);
+    ("runtime.ml", "t", [ "next_tid" ]);
     ( "runtime.ml",
       "ctx",
       [ "pending"; "kill"; "finished"; "stall_req"; "stalled_flag"; "stall_release" ] );

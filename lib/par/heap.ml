@@ -49,6 +49,16 @@ external word_faa : int array -> (int[@untagged]) -> (int[@untagged]) -> int
   = "ts_par_word_fetch_add_byte" "ts_par_word_fetch_add"
 [@@noalloc]
 
+external word_search :
+  int array -> Bytes.t -> (int[@untagged]) -> (int[@untagged]) -> int -> (int[@untagged])
+  = "ts_par_word_search_byte" "ts_par_word_search"
+[@@noalloc]
+
+external next_in_window :
+  int array -> (int[@untagged]) -> (int[@untagged]) -> int -> int -> (int[@untagged])
+  = "ts_par_next_in_window_byte" "ts_par_next_in_window"
+[@@noalloc]
+
 (* The allocator's shared cells: every thread bumps them on every malloc
    and free, so each cell owns its cache line. *)
 type 'cell counters = 'cell Alloc.counters = {
@@ -108,7 +118,7 @@ module Store = struct
     (* Poison first, then flip the shadow: a racing reader sees either the
        old live words or (poison, freed) — never (poison, live).  [n] comes
        from a block header; clamp it, since the stores are unchecked. *)
-    let n = min n (t.capacity - base) in
+    let n = if n < t.capacity - base then n else t.capacity - base in
     for i = base to base + n - 1 do
       word_store t.words i poison
     done;
@@ -195,6 +205,8 @@ let faa t addr delta =
   end
 
 let is_freed t addr = Store.is_freed t.store addr
+
+let search_live t base n key = word_search t.words t.shadow base n key
 
 (* Owner-private words: the runtime's plain loads and stores. *)
 

@@ -37,6 +37,15 @@ val cas : t -> int -> int -> int -> bool
 val faa : t -> int -> int -> int
 val is_freed : t -> int -> bool
 
+val search_live : t -> int -> int -> int -> int
+(** [search_live t base n key]: the binary search of the ascending words
+    [\[base, base + n)] for [key] ({!Ts_rt.search_by}) in one C call,
+    each probe an SC load behind {!read}'s shadow check.  [-1] when a
+    probe is not live: nothing is recorded, and the caller reruns the
+    search through {!read} to fault exactly as it does.  Otherwise the
+    probe count in the low 7 bits and the found index plus one (0 for a
+    miss) above them. *)
+
 (** {1 Owner-private words}
 
     Plain (non-atomic) access for words only one thread ever writes: its
@@ -47,6 +56,14 @@ val is_freed : t -> int -> bool
 val words : t -> int array
 (** The word store itself, for the runtime's unchecked plain loads and
     stores to owner-private words.  Index [a] is heap address [a]. *)
+
+external next_in_window :
+  int array -> (int[@untagged]) -> (int[@untagged]) -> int -> int -> (int[@untagged])
+  = "ts_par_next_in_window_byte" "ts_par_next_in_window"
+[@@noalloc]
+(** [next_in_window (words t) from until lo hi]: the first address in
+    [\[from, until)] whose word lies in [\[lo, hi\]], or [until]; [until]
+    at once when [hi < lo].  One C call of plain loads, unrolled by 8. *)
 
 (** {1 Allocation}
 

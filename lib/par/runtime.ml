@@ -18,8 +18,15 @@
    unmanaged heap, and every load mirrors its value into the register
    ring, so conservative scans stay sound: a pointer "in flight" between
    a load and its frame store is visible to TS-Scan here exactly as in
-   the sim.  The scan's own loads ([scan_words]) are the exception: they
-   are compared and never stored, so none is ever in flight.
+   the sim.  The scan's own loads ([scan_words], [search]) are the
+   exception: they are compared and never stored, so none is ever in
+   flight.
+
+   Every op finds its thread with one read of a C thread-local
+   (words_stubs.c): [thread_body] stores the logical tid there before
+   the body runs and -1 after it, so [cur] indexes [ctxs] with it, and a
+   systhread that is not a logical thread of this run reads -1 and gets
+   [Par_error].
 
    Memory model.  Shared heap words are sequentially consistent (see
    {!Heap}).  A thread's own words — shadow stack, register ring, manual
@@ -46,8 +53,11 @@
    handler's scan of its own stack).  The owner made every store there
    itself, earlier in program order, so a plain load sees the latest.
    Both are permanent regions, so the shadow check a checked load would
-   make can never fire.  Other ranges (save areas, private heap ranges,
-   a proxy scan of another thread) keep the checked, SC [Heap.read].
+   make can never fire.  That range is walked by one C loop
+   ([Heap.next_in_window]) that stops only at words inside the scan's
+   window.  Other ranges (save areas, private heap ranges, a proxy scan
+   of another thread) keep the checked, SC [Heap.read], and so does the
+   master-buffer search ([op_search]), as one C call per search.
 
    Virtual clocks survive: each op charges the shared {!Ts_rt.Cost_model}
    price to the calling thread's private clock, so horizon-bounded
@@ -81,6 +91,11 @@ type tid = int
    clock. *)
 external now_ns : unit -> (int[@untagged]) = "ts_par_monotonic_ns_byte" "ts_par_monotonic_ns"
 [@@noalloc]
+
+(* The calling systhread's logical tid, or -1 (words_stubs.c). *)
+external set_tid : (int[@untagged]) -> unit = "ts_par_set_tid_byte" "ts_par_set_tid" [@@noalloc]
+
+external get_tid : unit -> (int[@untagged]) = "ts_par_get_tid_byte" "ts_par_get_tid" [@@noalloc]
 
 exception Par_error of string
 exception Thread_failure of tid * exn
@@ -204,9 +219,8 @@ type t = {
   words : int array; (* [Heap.words heap], for owner-private stores *)
   ctxs : ctx option array; (* tid-indexed; written under [reg_lock] *)
   next_tid : int Atomic.t;
-  reg_lock : Mutex.t; (* guards thread table growth + ctxs writes *)
+  reg_lock : Mutex.t; (* guards ctxs writes *)
   crit : Mutex.t; (* backs Ts_rt.critical *)
-  by_thread : ctx option array Atomic.t; (* Thread.id -> ctx *)
   queues : dqueue array;
 }
 
@@ -214,38 +228,16 @@ type t = {
 (* Thread registry                                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* Maps the host [Thread.id] to the logical ctx.  A thread only ever
-   reads its own slot, which it wrote at registration, so the unlocked
-   read is race-free; growth copies the array and swaps it in under
-   [reg_lock], and a stale array read by the owner still contains the
-   owner's slot. *)
+(* The systhread's logical tid lives in a C thread-local (see the
+   header): only its own systhread reads or writes it, and [ctxs.(tid)]
+   was written before the thread was enqueued. *)
 
-let register t ctx =
-  let id = Thread.id (Thread.self ()) in
-  Mutex.lock t.reg_lock;
-  let arr = Atomic.get t.by_thread in
-  let arr =
-    if id < Array.length arr then arr
-    else begin
-      let bigger = Array.make (max (2 * Array.length arr) (id + 1)) None in
-      Array.blit arr 0 bigger 0 (Array.length arr);
-      Atomic.set t.by_thread bigger;
-      bigger
-    end
-  in
-  arr.(id) <- Some ctx;
-  Mutex.unlock t.reg_lock
-
-let deregister t =
-  let id = Thread.id (Thread.self ()) in
-  Mutex.lock t.reg_lock;
-  (Atomic.get t.by_thread).(id) <- None;
-  Mutex.unlock t.reg_lock
+let register ctx = set_tid ctx.tid
+let deregister () = set_tid (-1)
 
 let[@inline] cur t =
-  let id = Thread.id (Thread.self ()) in
-  let arr = Atomic.get t.by_thread in
-  match if id < Array.length arr then arr.(id) else None with
+  let tid = get_tid () in
+  match if tid >= 0 && tid < Array.length t.ctxs then Array.unsafe_get t.ctxs tid else None with
   | Some c -> c
   | None -> raise (Par_error "operation outside a runtime thread")
 
@@ -282,8 +274,13 @@ let[@inline] is_private c addr =
   (addr >= c.stack_base && addr < c.stack_base + c.stack_words)
   || (addr >= c.reg_base && addr < c.reg_base + c.reg_words)
 
-(* How many words of [base, base + len) fall inside [lo, lo + n). *)
-let overlap base len lo n = max 0 (min (base + len) (lo + n) - max base lo)
+(* How many words of [base, base + len) fall inside [lo, lo + n).  Int
+   compares, not [Stdlib.min]/[max]: those are polymorphic calls, and
+   this runs on every scanned range and every search. *)
+let[@inline] overlap base len lo n =
+  let first = if base > lo then base else lo in
+  let last = if base + len < lo + n then base + len else lo + n in
+  if last > first then last - first else 0
 
 (* A thread's own words (stack, register ring, save areas) are permanent
    regions written with plain, unchecked stores to [t.words] — see the
@@ -478,12 +475,12 @@ let new_ctx t tid =
     n_dropped = 0;
   }
 
-let thread_body t ctx body () =
-  register t ctx;
+let thread_body ctx body () =
+  register ctx;
   (try body () with
   | Killed -> ctx.crashed <- true
   | e -> ctx.failure <- Some e);
-  deregister t;
+  deregister ();
   Atomic.set ctx.finished true
 
 (* ------------------------------------------------------------------ *)
@@ -529,10 +526,10 @@ let op_read t addr =
    for the whole range, then every word charged exactly as [op_read]
    charges it, and only the words in [lo, hi] handed to [f].  A range
    wholly inside the caller's own stack or register ring takes plain
-   loads, as [op_write] stores there (see the header); any other range
-   goes through the checked [Heap.read].  The words are not mirrored:
-   the scanner compares each one and stores none, so none is a pointer
-   in flight. *)
+   loads, as [op_write] stores there (see the header), in one C loop per
+   word handed on; any other range goes through the checked [Heap.read].
+   The words are not mirrored: the scanner compares each one and stores
+   none, so none is a pointer in flight. *)
 let op_scan_words t base len ~lo ~hi f =
   if len > 0 then begin
     let c = cur t in
@@ -544,16 +541,53 @@ let op_scan_words t base len ~lo ~hi f =
       overlap base len c.stack_base c.stack_words + overlap base len c.reg_base c.reg_words
     in
     charge c ((priv * t.cfg.cost.local_op) + ((len - priv) * t.cfg.cost.shared_read));
-    if priv = len then
-      for a = base to base + len - 1 do
-        let w = Array.unsafe_get t.words a in
-        if w >= lo && w <= hi then f w
+    if priv = len then begin
+      let until = base + len in
+      let a = ref (Heap.next_in_window t.words base until lo hi) in
+      while !a < until do
+        f (Array.unsafe_get t.words !a);
+        a := Heap.next_in_window t.words (!a + 1) until lo hi
       done
+    end
     else
       for a = base to base + len - 1 do
         let w = Heap.read t.heap a in
         if w >= lo && w <= hi then f w
       done
+  end
+
+(* The master-buffer search: one poll, abort check and step batch, then
+   the probes in one C call ([Heap.search_live]), each charged as
+   [op_read] charges a shared word.  Two cases leave the C call for the
+   reference loop over [Heap.read], with [op_read]'s per-probe step and
+   charge: a table that overlaps the caller's own words, whose probes
+   [op_read] would charge as local; and a probe the C call found not
+   live, so the loop reruns the search and records the fault where a
+   [read] loop records it.  Probes are not mirrored, as in
+   [op_scan_words]. *)
+let op_search t base n key =
+  if n <= 0 then -1
+  else begin
+    let c = cur t in
+    poll t c;
+    check_abort c;
+    let own = overlap base n c.stack_base c.stack_words + overlap base n c.reg_base c.reg_words in
+    let r = if own = 0 then Heap.search_live t.heap base n key else -1 in
+    if r >= 0 then begin
+      let probes = r land 127 in
+      step_n c probes;
+      c.n_reads <- c.n_reads + probes;
+      charge c (probes * t.cfg.cost.shared_read);
+      (r lsr 7) - 1
+    end
+    else
+      Ts_rt.search_by
+        (fun a ->
+          step c;
+          c.n_reads <- c.n_reads + 1;
+          charge c (if is_private c a then t.cfg.cost.local_op else t.cfg.cost.shared_read);
+          Heap.read t.heap a)
+        base n key
   end
 
 let op_write t addr v =
@@ -673,7 +707,7 @@ let op_spawn t f =
   Mutex.lock t.reg_lock;
   t.ctxs.(tid) <- Some ctx;
   Mutex.unlock t.reg_lock;
-  enqueue t.queues.((tid - 1) mod Array.length t.queues) (Run (thread_body t ctx f));
+  enqueue t.queues.((tid - 1) mod Array.length t.queues) (Run (thread_body ctx f));
   tid
 
 let op_join t target =
@@ -891,6 +925,7 @@ let make_ops t : Ts_rt.ops =
   {
     Ts_rt.read = op_read t;
     scan_words = op_scan_words t;
+    search = op_search t;
     write = op_write t;
     cas = op_cas t;
     faa = op_faa t;
@@ -969,12 +1004,11 @@ let create (cfg : config) =
     heap;
     words = Heap.words heap;
     ctxs = Array.make cfg.max_threads None;
-    (* bumped on every registration, read on every tid lookup — keep it
-       off the line shared with the ctxs array header *)
+    (* bumped on every spawn, read by every [steps_now] — keep it off
+       the line shared with the ctxs array header *)
     next_tid = Ts_util.Padded.copy (Atomic.make 1);
     reg_lock = Mutex.create ();
     crit = Mutex.create ();
-    by_thread = Ts_util.Padded.copy (Atomic.make (Array.make 256 None));
     queues =
       Array.init (pool_size cfg) (fun _ ->
           { dm = Mutex.create (); dcv = Condition.create (); dq = Queue.create () });
@@ -1097,7 +1131,7 @@ let run ?(config = default_config) main =
           let deadline = t0 + config.watchdog_ns in
           Some (Thread.create (watchdog_body t deadline wd_stop wd_fired wd_pm) ())
       in
-      thread_body t main_ctx main ();
+      thread_body main_ctx main ();
       (* The main body normally joins its workers; pick up any it left
          running (or spawned on the way out) before stopping the pool. *)
       let rec drain () =

@@ -11,6 +11,19 @@
    int.  Atomic arithmetic on a signed type wraps, so overflow behaves as
    it does for OCaml ints and [Atomic.fetch_and_add].
 
+   Two loops of TS-Scan run here whole, one C call each, because their
+   per-word cost is what a conservative scan costs:
+
+   - [next_in_window] walks a thread's own words (its shadow stack or
+     register ring) with plain loads, as the runtime stores them, and
+     stops at the next word inside the scan's window;
+   - [word_search] is the scanner's binary search of the master buffer,
+     with the same SC load and shadow check per probe as [Heap.read].
+
+   The runtime's thread lookup is one C thread-local: the logical tid of
+   the systhread, or -1 outside a run.  Logical threads are systhreads,
+   and a systhread is a POSIX thread, so every one has its own copy.
+
    Every stub is [@@noalloc]: none allocates, raises or releases the
    runtime lock, and the array is passed anew on every call, so a GC that
    moves it between calls is harmless. */
@@ -74,3 +87,91 @@ intnat ts_par_monotonic_ns(value unit)
 }
 
 value ts_par_monotonic_ns_byte(value unit) { return Val_long(ts_par_monotonic_ns(unit)); }
+
+/* ---- thread lookup ---- */
+
+static _Thread_local intnat ts_par_tid = -1;
+
+value ts_par_set_tid(intnat tid)
+{
+  ts_par_tid = tid;
+  return Val_unit;
+}
+
+value ts_par_set_tid_byte(value tid) { return ts_par_set_tid(Long_val(tid)); }
+
+intnat ts_par_get_tid(value unit)
+{
+  (void)unit;
+  return ts_par_tid;
+}
+
+value ts_par_get_tid_byte(value unit) { return Val_long(ts_par_get_tid(unit)); }
+
+/* ---- TS-Scan's window test over a thread's own words ----
+
+   The first index in [from, until) whose word lies in [lo, hi], or
+   [until].  [lo] and [hi] arrive tagged, like the words: tagging is
+   monotone, and (w - lo) <= (hi - lo) as unsigned differences is the
+   two-sided test in one compare.  A word below [lo] wraps to a
+   difference above [hi - lo], since both ends are 63-bit ints.  Eight
+   words are tested per iteration without a branch between them, by
+   summing their tests; a block with a word inside falls through to the
+   word-by-word loop, which returns that word.  (The sum ran about 1.5x
+   faster than a bit mask of the eight tests and its count of trailing
+   zeros, with gcc -O2 on x86-64.) */
+intnat ts_par_next_in_window(value words, intnat from, intnat until, value lo, value hi)
+{
+  const value *w = Op_val(words);
+  uintnat width = (uintnat)hi - (uintnat)lo;
+  intnat i = from;
+  if ((intnat)hi < (intnat)lo) return until;
+#define IN(k) ((uintnat)((uintnat)w[i + (k)] - (uintnat)lo) <= width)
+  for (; i + 8 <= until; i += 8)
+    if (IN(0) + IN(1) + IN(2) + IN(3) + IN(4) + IN(5) + IN(6) + IN(7)) break;
+  for (; i < until; i++)
+    if (IN(0)) return i;
+#undef IN
+  return until;
+}
+
+value ts_par_next_in_window_byte(value words, value from, value until, value lo, value hi)
+{
+  return Val_long(ts_par_next_in_window(words, Long_val(from), Long_val(until), lo, hi));
+}
+
+/* ---- the master buffer's binary search ----
+
+   The reference loop (Ts_rt.search_by) over [base, base + n), with each
+   probe an SC load behind the shadow check [Heap.read] makes: in range
+   and live (shadow byte 1).  A probe that fails the check gives up with
+   -1 before the load, so the caller can rerun the search through the
+   checked loop and record the fault exactly where the loop records it.
+   Otherwise the result packs the probe count (at most 63) in the low 7
+   bits and the found index plus one (0 for a miss) above them.  [key]
+   arrives tagged; tagged words compare as their ints do. */
+intnat ts_par_word_search(value words, value shadow, intnat base, intnat n, value key)
+{
+  uintnat cap = Wosize_val(words);
+  const unsigned char *sh = Bytes_val(shadow);
+  intnat lo = 0, hi = n - 1, probes = 0;
+  while (lo <= hi) {
+    intnat mid = lo + (hi - lo) / 2;
+    intnat a = base + mid;
+    value v;
+    if (a <= 0 || (uintnat)a >= cap || sh[a] != 1) return -1;
+    v = __atomic_load_n(WORD(words, a), __ATOMIC_SEQ_CST);
+    probes++;
+    if (v == key) return probes | (mid + 1) << 7;
+    if ((intnat)v < (intnat)key)
+      lo = mid + 1;
+    else
+      hi = mid - 1;
+  }
+  return probes;
+}
+
+value ts_par_word_search_byte(value words, value shadow, value base, value n, value key)
+{
+  return Val_long(ts_par_word_search(words, shadow, Long_val(base), Long_val(n), key));
+}

@@ -18,7 +18,11 @@
      on only the words inside a candidate window.  The sim's is
      literally a [read] loop plus that test; the native one pays the
      per-op bookkeeping once per range instead of once per word, and
-     loads the caller's own stack and register words with plain loads. *)
+     loads the caller's own stack and register words with plain loads.
+   - [search]: a binary search of a sorted table of shared words, the
+     scanner's lookup in the master buffer.  The sim and the analyzer
+     run [search_by read], the reference loop; the native one runs the
+     same loop in one C call and pays the per-op bookkeeping once. *)
 
 type tid = int
 
@@ -26,6 +30,7 @@ type ops = {
   (* unmanaged shared memory *)
   read : int -> int;
   scan_words : int -> int -> lo:int -> hi:int -> (int -> unit) -> unit;
+  search : int -> int -> int -> int;
   write : int -> int -> unit;
   cas : int -> int -> int -> bool;
   faa : int -> int -> int;
@@ -142,8 +147,18 @@ let[@inline] ops () =
         "Ts_rt: no execution backend installed (enter Ts_sim.Runtime.run or Ts_par.Runtime.run \
          first)"
 
+let search_by (read : int -> int) base n (key : int) =
+  let lo = ref 0 and hi = ref (n - 1) and found = ref (-1) in
+  while !found < 0 && !lo <= !hi do
+    let mid = !lo + ((!hi - !lo) / 2) in
+    let v = read (base + mid) in
+    if v = key then found := mid else if v < key then lo := mid + 1 else hi := mid - 1
+  done;
+  !found
+
 let read addr = (ops ()).read addr
 let scan_words base len ~lo ~hi f = (ops ()).scan_words base len ~lo ~hi f
+let search base n key = (ops ()).search base n key
 let write addr v = (ops ()).write addr v
 let cas addr expected desired = (ops ()).cas addr expected desired
 let faa addr delta = (ops ()).faa addr delta

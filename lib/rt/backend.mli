@@ -12,6 +12,7 @@ type ops = {
   (* unmanaged shared memory *)
   read : int -> int;
   scan_words : int -> int -> lo:int -> hi:int -> (int -> unit) -> unit;
+  search : int -> int -> int -> int;
   write : int -> int -> unit;
   cas : int -> int -> int -> bool;
   faa : int -> int -> int;
@@ -127,6 +128,31 @@ val scan_words : int -> int -> lo:int -> hi:int -> (int -> unit) -> unit
     they are permanent, so the checked load could never fault.
     Conservative scans (TS-Scan) are the only intended caller; every
     other access uses [read]. *)
+
+val search : int -> int -> int -> int
+(** [search base n key] is the index [i] in [0 .. n - 1] of a word equal
+    to [key] among the ascending words [base .. base + n - 1], or [-1];
+    [n <= 0] returns [-1] and does nothing.  Observationally the same as
+    {!search_by}[ read]: the same words are probed in the same order,
+    each charged and checked as a [read], so [now ()], the step count
+    and the fault counters advance by the same amounts, and a probe of a
+    freed word records the same [Uaf_read].  The simulator and the
+    analyzer run exactly that loop.  On the native backend the per-op
+    bookkeeping (poll, abort check, step count) runs once per search,
+    the probes are one C call of SC loads with the shadow check [read]
+    makes, and no probe is mirrored into the register ring (it is
+    compared, never stored, as in {!scan_words}).  A probe that fails
+    the shadow check reruns the whole search through the checked [read]
+    loop, which records the fault.  A table overlapping the caller's own
+    stack or register ring is charged per probe, as [read] charges it.
+    TS-Scan's master-buffer lookup ([Master_buffer.find]) is the
+    intended caller. *)
+
+val search_by : (int -> int) -> int -> int -> int -> int
+(** [search_by read base n key]: the reference loop {!search} stands
+    for, a binary search probing with [read].  The midpoint of [lo, hi]
+    is [lo + (hi - lo) / 2]; the search stops at the first probe equal
+    to [key]. *)
 
 val write : int -> int -> unit
 val cas : int -> int -> int -> bool

@@ -1176,6 +1176,9 @@ let scan_words base len ~lo ~hi f =
     if w >= lo && w <= hi then f w
   done
 
+(* The master-buffer search is the reference [read] loop too. *)
+let search base n key = Ts_rt.search_by read base n key
+
 let write addr v = Effect.perform (E_write (addr, v))
 
 let cas addr expected desired = Effect.perform (E_cas (addr, expected, desired))
@@ -1272,6 +1275,7 @@ let rt_ops : Ts_rt.ops =
   {
     Ts_rt.read;
     scan_words;
+    search;
     write;
     cas;
     faa;

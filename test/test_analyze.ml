@@ -287,6 +287,43 @@ let test_scan_words_race r () =
   if r.rname = "sim" then
     Alcotest.(check (list string)) "byte-identical to a read loop's report" loop_report report
 
+(* A search is one read per probe to the analyzer, as the read loop it
+   stands for is. *)
+let test_search_reads r () =
+  let an = Analyze.attach ~notes:false () in
+  let counts = ref [] in
+  let (_ : int) =
+    Fun.protect
+      ~finally:(fun () -> Analyze.detach an)
+      (fun () ->
+        r.exec (fun () ->
+            let n = 9 in
+            let block = Rt.malloc n in
+            for i = 0 to n - 1 do
+              Rt.write (block + i) (i * 10)
+            done;
+            let seen search key =
+              let before = Analyze.ops_seen an in
+              let i = search block n key in
+              (i, Analyze.ops_seen an - before)
+            in
+            counts :=
+              List.map
+                (fun key ->
+                  let probes = ref 0 in
+                  let loop b n k = Rt.search_by (fun a -> incr probes; Rt.read a) b n k in
+                  let via_loop = seen loop key in
+                  (!probes, via_loop, seen Rt.search key))
+                [ 0; 40; 80; 35; -5; 95 ];
+            Rt.free block))
+  in
+  List.iter
+    (fun (probes, (li, lseen), (si, sseen)) ->
+      check "the loop: one op per probe" probes lseen;
+      check "search: one op per probe" probes sseen;
+      check "the same index" li si)
+    !counts
+
 (* ------------------------------------------------------------------ *)
 (* Determinism                                                        *)
 (* ------------------------------------------------------------------ *)
@@ -355,6 +392,7 @@ let () =
         [ Alcotest.test_case "retire verdict waits for the references" `Quick test_retire_verdict ]
       );
       ("scan-words", per_backend "free racing a scan is reported" test_scan_words_race);
+      ("search", per_backend "one read per probe" test_search_reads);
       ( "determinism",
         [ Alcotest.test_case "same seed, same report" `Quick test_deterministic_report ] );
       ( "backend-guard",

@@ -310,6 +310,216 @@ let test_native_scan_words_uaf () =
   Alcotest.(check (list int)) "poison, as read returns" loop_words scan_words;
   Alcotest.(check bool) "poisoned" true (List.for_all (( = ) Ts_umem.Mem.poison) scan_words)
 
+(* The C window loop over a thread's own words, against the test it
+   stands for: every start and length up to 17 (the unroll by 8 and the
+   tail around it), windows that catch only the first or only the last
+   word, negative words, and an empty window. *)
+let test_native_next_in_window () =
+  let words = Array.init 40 (fun i -> if i mod 3 = 0 then -1000 - i else (i * 11) + 5) in
+  let reference from until lo hi =
+    let rec go a = if a >= until || (words.(a) >= lo && words.(a) <= hi) then a else go (a + 1) in
+    go from
+  in
+  for from = 0 to 9 do
+    for len = 0 to 17 do
+      let until = from + len in
+      let first = words.(from) and last = words.(max from (until - 1)) in
+      List.iter
+        (fun (lo, hi) ->
+          check
+            (Fmt.str "from %d, len %d, [%d, %d]" from len lo hi)
+            (reference from until lo hi)
+            (Ts_par.Heap.next_in_window words from until lo hi))
+        [
+          (min_int, max_int);
+          (first, first);
+          (last, last);
+          (min_int, -1);
+          (-1030, -1010);
+          (0, max_int);
+          (max_int, min_int);
+          (1, 0);
+        ]
+    done
+  done;
+  check "hi < lo: nothing, even over every word" 40 (Ts_par.Heap.next_in_window words 0 40 5 4)
+
+(* The same loop through [scan_words] over a frame of the caller's own
+   stack, with an empty window: every word is charged, none reaches
+   [f]. *)
+let test_scan_words_own_empty_window r () =
+  let calls = ref 0 and charged = ref (-1, -1) in
+  let (_ : int) =
+    r.exec (fun () ->
+        Frame.with_frame 17 (fun fr ->
+            for i = 0 to 16 do
+              Frame.set fr i (i - 8)
+            done;
+            let sbase, sp = Rt.stack_range () in
+            let _, loop = scanned ~lo:1 ~hi:0 read_loop sbase (sp - sbase) in
+            let _, scan =
+              scanned ~lo:1 ~hi:0
+                (fun base len ~lo ~hi _ -> Rt.scan_words base len ~lo ~hi (fun _ -> incr calls))
+                sbase (sp - sbase)
+            in
+            charged := (loop, scan)))
+  in
+  check "f never called" 0 !calls;
+  check "charged as a read loop" (fst !charged) (snd !charged)
+
+(* ------------------------------------------------------------------ *)
+(* search: a read-loop binary search, op for op                        *)
+(* ------------------------------------------------------------------ *)
+
+(* What [search] returns over [base, base + n) for [key], and how far it
+   moved [now ()] and the step count. *)
+let searched search base n key =
+  let t0 = Rt.now () and s0 = Rt.steps_now () in
+  let i = search base n key in
+  let t1 = Rt.now () and s1 = Rt.steps_now () in
+  (i, t1 - t0, s1 - s0)
+
+let search_loop base n key = Rt.search_by Rt.read base n key
+
+(* A shared table of 9 ascending words (10, 20, ..., 90) in a heap
+   block: hits on every entry, misses between them, keys below and above
+   the range, and the tables of length 0 and 1. *)
+let test_search_matches_read r () =
+  let out = ref [] in
+  let (_ : int) =
+    r.exec (fun () ->
+        let n = 9 in
+        let block = Rt.malloc n in
+        for i = 0 to n - 1 do
+          Rt.write (block + i) ((i + 1) * 10)
+        done;
+        let cases =
+          let keys = [ min_int; 5; 15; 45; 55; 95; max_int ] @ List.init n (fun i -> (i + 1) * 10) in
+          List.map (fun k -> (n, k)) keys @ [ (0, 10); (1, 10); (1, 5); (1, 15) ]
+        in
+        (* the measurement's own cost: what a search that does nothing moves *)
+        let idle = searched (fun _ _ _ -> -1) block 0 10 in
+        out :=
+          ((-1, 0), idle, idle)
+          :: List.map
+               (fun (len, key) ->
+                 ((len, key), searched search_loop block len key, searched Rt.search block len key))
+               cases;
+        Rt.free block)
+  in
+  let triple = Alcotest.(triple int int int) in
+  List.iter
+    (fun ((len, key), loop, search) ->
+      Alcotest.check triple (Fmt.str "n = %d, key %d" len key) loop search)
+    !out;
+  let result len key =
+    match List.find (fun (c, _, _) -> c = (len, key)) !out with _, _, (i, _, _) -> i
+  in
+  check "hit" 4 (result 9 50);
+  check "first" 0 (result 9 10);
+  check "last" 8 (result 9 90);
+  check "miss" (-1) (result 9 55);
+  check "below" (-1) (result 9 min_int);
+  check "above" (-1) (result 9 max_int);
+  check "n = 0" (-1) (result 0 10);
+  check "n = 1, hit" 0 (result 1 10);
+  check "n = 1, miss" (-1) (result 1 15);
+  let moved c =
+    match List.find (fun (c', _, _) -> c' = c) !out with _, _, (_, dt, ds) -> (dt, ds)
+  in
+  Alcotest.(check (pair int int))
+    "n = 0: nothing charged or stepped" (moved (-1, 0)) (moved (0, 10));
+  (* three probes (50, 20, 10) against one *)
+  let (t3, s3), (t1, s1) = (moved (9, 10), moved (1, 10)) in
+  Alcotest.(check bool) "every probe is charged and stepped" true (t3 > t1 && s3 > s1)
+
+(* A table inside a freed block: the C search gives up at the first
+   probe, and the checked loop it falls back to records the same
+   [Uaf_read] faults as a read loop and returns the same index. *)
+let test_native_search_uaf () =
+  let module R = Ts_par.Runtime in
+  let uaf search =
+    let got = ref 0 in
+    let res =
+      R.run
+        ~config:{ R.default_config with strict_mem = false; pool = 2 }
+        (fun () ->
+          let block = Rt.malloc 8 in
+          for i = 0 to 7 do
+            Rt.write (block + i) i
+          done;
+          Rt.free block;
+          got := search block 8 3)
+    in
+    (!got, Ts_par.Heap.fault_count res.R.heap Ts_umem.Mem.Uaf_read)
+  in
+  let loop_i, loop_faults = uaf search_loop and search_i, search_faults = uaf Rt.search in
+  Alcotest.(check bool) "read loop: faults recorded" true (loop_faults > 0);
+  check "search: the same faults" loop_faults search_faults;
+  check "search: the same index" loop_i search_i
+
+(* A table on the caller's own stack: each probe is charged as a read of
+   a private word. *)
+let test_search_own_words r () =
+  let out = ref [] in
+  let (_ : int) =
+    r.exec (fun () ->
+        Frame.with_frame 6 (fun fr ->
+            for i = 0 to 5 do
+              Frame.set fr i (i * 2)
+            done;
+            let base = snd (Rt.stack_range ()) - 6 in
+            out :=
+              List.map
+                (fun key -> (searched search_loop base 6 key, searched Rt.search base 6 key))
+                [ 0; 4; 10; 7; -1 ]))
+  in
+  List.iter
+    (fun (loop, search) -> Alcotest.(check (triple int int int)) "own words" loop search)
+    !out
+
+(* ------------------------------------------------------------------ *)
+(* Thread lookup                                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* A systhread that is not a logical thread of the run: every op fails
+   with [Par_error], even while a run is active. *)
+let test_native_foreign_thread () =
+  let module R = Ts_par.Runtime in
+  let raised = ref false in
+  let (_ : R.result) =
+    R.run
+      ~config:{ R.default_config with pool = 2 }
+      (fun () ->
+        let th =
+          Thread.create
+            (fun () -> raised := match Rt.self () with _ -> false | exception R.Par_error _ -> true)
+            ()
+        in
+        Thread.join th)
+  in
+  Alcotest.(check bool) "Par_error" true !raised
+
+(* Two runs in a row on one systhread, each spawning workers: every
+   thread reads its own tid, and the caller is tid 0 both times. *)
+let test_native_tids () =
+  let module R = Ts_par.Runtime in
+  let once () =
+    let seen = Array.make 5 (-1) in
+    let (_ : R.result) =
+      R.run
+        ~config:{ R.default_config with pool = 2 }
+        (fun () ->
+          seen.(0) <- Rt.self ();
+          let tids = List.init 4 (fun _ -> Rt.spawn (fun () -> seen.(Rt.self ()) <- Rt.self ())) in
+          List.iter Rt.join tids;
+          Alcotest.(check (list int)) "spawn returns tids 1..4" [ 1; 2; 3; 4 ] tids)
+    in
+    Array.to_list seen
+  in
+  Alcotest.(check (list int)) "first run" [ 0; 1; 2; 3; 4 ] (once ());
+  Alcotest.(check (list int)) "second run" [ 0; 1; 2; 3; 4 ] (once ())
+
 (* ------------------------------------------------------------------ *)
 (* Sync primitives                                                    *)
 (* ------------------------------------------------------------------ *)
@@ -964,7 +1174,23 @@ let () =
         @ [
             Alcotest.test_case "freed block faults like read [native]" `Quick
               test_native_scan_words_uaf;
+            Alcotest.test_case "C window loop matches the window test [native]" `Quick
+              test_native_next_in_window;
+          ]
+        @ per_backend "own words, empty window: f never called" test_scan_words_own_empty_window );
+      ( "search",
+        per_backend "returns and charges what a read loop does" test_search_matches_read
+        @ per_backend "a table of the caller's own words" test_search_own_words
+        @ [
+            Alcotest.test_case "freed table faults like a read loop [native]" `Quick
+              test_native_search_uaf;
           ] );
+      ( "thread-lookup",
+        [
+          Alcotest.test_case "a foreign systhread gets Par_error [native]" `Quick
+            test_native_foreign_thread;
+          Alcotest.test_case "tids across two runs and spawns [native]" `Quick test_native_tids;
+        ] );
       ( "sync",
         per_backend "spinlock" test_spinlock
         @ per_backend "ticket lock" test_ticket_lock
