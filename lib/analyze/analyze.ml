@@ -635,6 +635,15 @@ let wrap an (o : Ts_rt.ops) : Ts_rt.ops =
         check_retired_access an th w addr "write";
         map_write an th w addr v)
   in
+  (* the phase's buffer loops are their reference loops over both *)
+  let mem_drain ring len ~dst ~cap cursor =
+    Ts_rt.drain_by mem_read mem_write ring len ~dst ~cap cursor
+  in
+  let mem_read_words base n into = Ts_rt.read_words_by mem_read base n into in
+  let mem_publish ~entries ~marks src n = Ts_rt.publish_by mem_write ~entries ~marks src n in
+  let mem_sweep ~entries ~marks ~ignore_marks n unmarked =
+    Ts_rt.sweep_by mem_read mem_write ~entries ~marks ~ignore_marks n unmarked
+  in
   let mem_cas addr expected desired =
     let tid = o.self () in
     with_crit an o tid (fun () ->
@@ -839,6 +848,10 @@ let wrap an (o : Ts_rt.ops) : Ts_rt.ops =
     read = mem_read;
     scan_words = mem_scan_words;
     search = mem_search;
+    drain = mem_drain;
+    read_words = mem_read_words;
+    publish = mem_publish;
+    sweep = mem_sweep;
     write = mem_write;
     cas = mem_cas;
     faa = mem_faa;

@@ -30,15 +30,4 @@ let size t =
   let tl = Runtime.read (tail t) in
   h - tl
 
-let drain t f =
-  let h = Runtime.read (head t) in
-  let k = ref (Runtime.read (tail t)) in
-  let keep_going = ref true in
-  while !keep_going && !k < h do
-    let p = Runtime.read (slot t !k) in
-    if f p then begin
-      incr k;
-      Runtime.write (tail t) !k
-    end
-    else keep_going := false
-  done
+let drain t ~dst ~cap cursor = Runtime.drain t.base t.cap ~dst ~cap cursor

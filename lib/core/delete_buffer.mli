@@ -22,7 +22,9 @@ val push : t -> int -> bool
 val size : t -> int
 (** Owner-or-reclaimer estimate of current occupancy. *)
 
-val drain : t -> (int -> bool) -> unit
-(** Reclaimer side.  [drain t f] feeds buffered pointers to [f] in FIFO
-    order and consumes them; stops early (leaving the rest buffered) when
-    [f] returns [false]. *)
+val drain : t -> dst:int -> cap:int -> int ref -> unit
+(** Reclaimer side.  [drain t ~dst ~cap cursor] moves buffered pointers,
+    in FIFO order, to the words [dst + !cursor], [dst + !cursor + 1], ..,
+    advancing [cursor] and consuming each as it goes; it stops early
+    (leaving the rest buffered) when [!cursor] reaches [cap].  One
+    {!Ts_rt.drain}. *)

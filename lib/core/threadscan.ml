@@ -102,6 +102,7 @@ let check_takeover t owner_seen beat_seen seen_at =
       Runtime.crash victim;
       if Runtime.cas t.owner_addr o (Runtime.self () + 1) then begin
         t.takeovers <- t.takeovers + 1;
+        Master_buffer.renew_scratch t.master;
         ignore (Runtime.faa t.gen_addr 1);
         Runtime.note (Fmt.str "took over the phase lock from stale reclaimer t%d" victim);
         true
@@ -176,7 +177,7 @@ let collect t =
   in
   let rejected = List.filter (fun p -> not (Master_buffer.append t.master p)) parked in
   if rejected <> [] then Runtime.critical (fun () -> t.overflow <- rejected @ t.overflow);
-  Array.iter (fun b -> Delete_buffer.drain b (Master_buffer.append t.master)) t.buffers;
+  Array.iter (Master_buffer.drain_from t.master) t.buffers;
   Master_buffer.publish_sorted t.master;
   let phase = Runtime.read t.phase_addr + 1 in
   Runtime.write t.phase_addr phase;
@@ -188,7 +189,7 @@ let collect t =
    they crashed without deregistering and can never ack, so waiting on them
    is pointless and they are reaped immediately. *)
 let wait_for_acks t phase signaled =
-  Runtime.set_wait_note (Some (Fmt.str "ack wait: phase %d" phase));
+  Runtime.set_wait_note (Some (fun () -> Fmt.str "ack wait: phase %d" phase));
   let budget = t.cfg.ack_budget in
   let t0 = Runtime.now () in
   let b = Backoff.create () in
@@ -488,7 +489,7 @@ let thread_exit t () =
    forever — stays allocated. *)
 let flush t () =
   if not (try_acquire t) then begin
-    Runtime.set_wait_note (Some "waiting for the phase lock");
+    Runtime.set_wait_note (Some (fun () -> "waiting for the phase lock"));
     let b = Backoff.create () in
     let owner_seen = ref 0 and beat_seen = ref 0 and seen_at = ref 0 in
     while

@@ -54,6 +54,42 @@ external word_search :
   = "ts_par_word_search_byte" "ts_par_word_search"
 [@@noalloc]
 
+external word_drain :
+  int array ->
+  Bytes.t ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  (int[@untagged]) = "ts_par_word_drain_byte" "ts_par_word_drain"
+[@@noalloc]
+
+external word_read_words :
+  int array -> Bytes.t -> (int[@untagged]) -> (int[@untagged]) -> int array -> (int[@untagged])
+  = "ts_par_word_read_words_byte" "ts_par_word_read_words"
+[@@noalloc]
+
+external word_publish :
+  int array ->
+  Bytes.t ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  int array ->
+  (int[@untagged]) ->
+  (int[@untagged]) = "ts_par_word_publish_byte" "ts_par_word_publish"
+[@@noalloc]
+
+external word_sweep :
+  int array ->
+  Bytes.t ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  bool ->
+  (int[@untagged]) ->
+  int array ->
+  (int[@untagged]) = "ts_par_word_sweep_byte" "ts_par_word_sweep"
+[@@noalloc]
+
 external next_in_window :
   int array -> (int[@untagged]) -> (int[@untagged]) -> int -> int -> (int[@untagged])
   = "ts_par_next_in_window_byte" "ts_par_next_in_window"
@@ -207,6 +243,12 @@ let faa t addr delta =
 let is_freed t addr = Store.is_freed t.store addr
 
 let search_live t base n key = word_search t.words t.shadow base n key
+let drain_live t ring len ~dst ~room = word_drain t.words t.shadow ring len dst room
+let read_words_live t base n into = word_read_words t.words t.shadow base n into
+let publish_live t ~entries ~marks src n = word_publish t.words t.shadow entries marks src n
+
+let sweep_live t ~entries ~marks ~ignore_marks n unmarked =
+  word_sweep t.words t.shadow entries marks ignore_marks n unmarked
 
 (* Owner-private words: the runtime's plain loads and stores. *)
 

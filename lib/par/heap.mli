@@ -46,6 +46,32 @@ val search_live : t -> int -> int -> int -> int
     probe count in the low 7 bits and the found index plus one (0 for a
     miss) above them. *)
 
+(** {2 The reclamation phase's buffer loops}
+
+    {!Ts_rt.drain_by}, {!Ts_rt.read_words_by}, {!Ts_rt.publish_by} and
+    {!Ts_rt.sweep_by} over {!read} and {!write}, each one C call of SC
+    accesses.  Each checks the shadow byte of every word its loop would
+    touch before it touches any: [-1] when one is not live, having
+    stored nothing and recorded nothing, so the caller can rerun the
+    loop through {!read} and {!write} and fault exactly as it does.
+    [-1] too when an array is shorter than [n], or [len <= 0], where the
+    reference loop raises. *)
+
+val drain_live : t -> int -> int -> dst:int -> room:int -> int
+(** [drain_live t ring len ~dst ~room]: {!Ts_rt.drain_by} with the
+    cursor at [dst] and [room] words left.  Returns the pointers moved
+    shifted left once, with bit 0 set when the loop read one more slot
+    than it moved (the room ran out first). *)
+
+val read_words_live : t -> int -> int -> int array -> int
+(** [0] when the words were read. *)
+
+val publish_live : t -> entries:int -> marks:int -> int array -> int -> int
+(** [0] when the words were written. *)
+
+val sweep_live : t -> entries:int -> marks:int -> ignore_marks:bool -> int -> int array -> int
+(** The carried count. *)
+
 (** {1 Owner-private words}
 
     Plain (non-atomic) access for words only one thread ever writes: its

@@ -20,7 +20,9 @@
    a load and its frame store is visible to TS-Scan here exactly as in
    the sim.  The scan's own loads ([scan_words], [search]) are the
    exception: they are compared and never stored, so none is ever in
-   flight.
+   flight.  So are the reclaimer's buffer loops ([drain], [read_words],
+   [publish], [sweep]): the reclaimer saves its register context before
+   its phase, and the pointers it moves are retired ones.
 
    Every op finds its thread with one read of a C thread-local
    (words_stubs.c): [thread_body] stores the logical tid there before
@@ -187,7 +189,7 @@ type ctx = {
   mutable crashed : bool;
   mutable failure : exn option;
   mutable private_ranges : (int * int) list;
-  mutable wait_note : string option;
+  mutable wait_note : (unit -> string) option;
   (* neutralization: armed by a signal handler (which runs inline on this
      very thread), consumed at the next abortable op.  Same-thread only,
      so a plain mutable field suffices. *)
@@ -252,6 +254,12 @@ let ctx_of t tid =
 (* ------------------------------------------------------------------ *)
 
 let[@inline] charge c n = c.clock <- c.clock + n
+
+(* Int compares: [Stdlib.min]/[max] are polymorphic, an out-of-line call
+   to the generic compare, and [imax] runs on every [advance] (each
+   backoff round, each publish). *)
+let[@inline] imax (a : int) b = if a >= b then a else b
+let[@inline] imin (a : int) b = if a <= b then a else b
 
 (* [n_ops] is the thread's step count; [op_steps_now] sums them, so no
    step touches a shared line.  Oversubscribed domains: make sure
@@ -374,7 +382,7 @@ and park t c req =
     end
   in
   wait ();
-  c.clock <- c.clock + max 1 req;
+  c.clock <- c.clock + imax 1 req;
   Atomic.set c.stalled_flag false
 
 and[@inline] delay_passed t c =
@@ -556,6 +564,40 @@ let op_scan_words t base len ~lo ~hi f =
       done
   end
 
+(* Whether [base, base + len) overlaps the caller's own words, which
+   [op_read] and [op_write] charge as local. *)
+let[@inline] owns c base len =
+  overlap base len c.stack_base c.stack_words + overlap base len c.reg_base c.reg_words > 0
+
+(* One word of a reference loop run in place of a C call: stepped,
+   counted and charged as [op_read] or [op_write] would, after the
+   caller's single poll. *)
+let loop_read t c a =
+  step c;
+  c.n_reads <- c.n_reads + 1;
+  charge c (if is_private c a then t.cfg.cost.local_op else t.cfg.cost.shared_read);
+  Heap.read t.heap a
+
+let loop_write t c a v =
+  step c;
+  c.n_writes <- c.n_writes + 1;
+  if is_private c a then begin
+    charge c t.cfg.cost.local_op;
+    Array.unsafe_set t.words a v
+  end
+  else begin
+    charge c t.cfg.cost.shared_write;
+    Heap.write t.heap a v
+  end
+
+(* The bookkeeping of a C call's [reads] shared reads and [writes]
+   shared writes, at once. *)
+let charge_words t c ~reads ~writes =
+  step_n c (reads + writes);
+  c.n_reads <- c.n_reads + reads;
+  c.n_writes <- c.n_writes + writes;
+  charge c ((reads * t.cfg.cost.shared_read) + (writes * t.cfg.cost.shared_write))
+
 (* The master-buffer search: one poll, abort check and step batch, then
    the probes in one C call ([Heap.search_live]), each charged as
    [op_read] charges a shared word.  Two cases leave the C call for the
@@ -571,23 +613,80 @@ let op_search t base n key =
     let c = cur t in
     poll t c;
     check_abort c;
-    let own = overlap base n c.stack_base c.stack_words + overlap base n c.reg_base c.reg_words in
-    let r = if own = 0 then Heap.search_live t.heap base n key else -1 in
+    let r = if owns c base n then -1 else Heap.search_live t.heap base n key in
     if r >= 0 then begin
-      let probes = r land 127 in
-      step_n c probes;
-      c.n_reads <- c.n_reads + probes;
-      charge c (probes * t.cfg.cost.shared_read);
+      charge_words t c ~reads:(r land 127) ~writes:0;
       (r lsr 7) - 1
     end
+    else Ts_rt.search_by (loop_read t c) base n key
+  end
+
+(* The reclamation phase's buffer loops ([Ts_rt.drain_by] and friends).
+   Each pays one poll, abort check and step batch, then moves its words
+   in one C call and charges what its reference loop charges: one
+   [shared_read] per word read and one [shared_write] per word written.
+   The reference loop itself runs, with [op_read]'s and [op_write]'s
+   per-word step and charge, when the words overlap the caller's own
+   (which those ops charge as local), and when the C call finds a word
+   that is not live, so the loop records the fault where it would.
+   Nothing is mirrored: the reclaimer saved its register context before
+   the phase, and a ring holding the drained pointers would only pin
+   them. *)
+
+let op_drain t ring len ~dst ~cap cursor =
+  let c = cur t in
+  poll t c;
+  check_abort c;
+  let at = dst + !cursor and room = cap - !cursor in
+  let r =
+    if owns c ring (2 + len) || owns c at room then -1
+    else Heap.drain_live t.heap ring len ~dst:at ~room
+  in
+  if r >= 0 then begin
+    let moved = r lsr 1 in
+    cursor := !cursor + moved;
+    charge_words t c ~reads:(2 + moved + (r land 1)) ~writes:(2 * moved)
+  end
+  else Ts_rt.drain_by (loop_read t c) (loop_write t c) ring len ~dst ~cap cursor
+
+let op_read_words t base n into =
+  if n > 0 then begin
+    let c = cur t in
+    poll t c;
+    check_abort c;
+    if (not (owns c base n)) && Heap.read_words_live t.heap base n into = 0 then
+      charge_words t c ~reads:n ~writes:0
+    else Ts_rt.read_words_by (loop_read t c) base n into
+  end
+
+let op_publish t ~entries ~marks src n =
+  if n > 0 then begin
+    let c = cur t in
+    poll t c;
+    check_abort c;
+    if
+      (not (owns c entries n || owns c marks n))
+      && Heap.publish_live t.heap ~entries ~marks src n = 0
+    then charge_words t c ~reads:0 ~writes:(2 * n)
+    else Ts_rt.publish_by (loop_write t c) ~entries ~marks src n
+  end
+
+let op_sweep t ~entries ~marks ~ignore_marks n unmarked =
+  if n <= 0 then 0
+  else begin
+    let c = cur t in
+    poll t c;
+    check_abort c;
+    let r =
+      if owns c entries n || ((not ignore_marks) && owns c marks n) then -1
+      else Heap.sweep_live t.heap ~entries ~marks ~ignore_marks n unmarked
+    in
+    if r >= 0 then begin
+      charge_words t c ~reads:(if ignore_marks then n else 2 * n) ~writes:r;
+      r
+    end
     else
-      Ts_rt.search_by
-        (fun a ->
-          step c;
-          c.n_reads <- c.n_reads + 1;
-          charge c (if is_private c a then t.cfg.cost.local_op else t.cfg.cost.shared_read);
-          Heap.read t.heap a)
-        base n key
+      Ts_rt.sweep_by (loop_read t c) (loop_write t c) ~entries ~marks ~ignore_marks n unmarked
   end
 
 let op_write t addr v =
@@ -676,7 +775,7 @@ let op_yield t () =
 let op_advance t n =
   let c = cur t in
   poll t c;
-  charge c (max 0 n)
+  charge c (imax 0 n)
 
 let op_now t () = (cur t).clock
 let op_self t () = (cur t).tid
@@ -690,7 +789,7 @@ let op_rand t n =
    and only grows, so the sum never decreases across calls. *)
 let op_steps_now t () =
   let sum = ref 0 in
-  for tid = 0 to min (Atomic.get t.next_tid) t.cfg.max_threads - 1 do
+  for tid = 0 to imin (Atomic.get t.next_tid) t.cfg.max_threads - 1 do
     match t.ctxs.(tid) with Some c -> sum := !sum + c.n_ops | None -> ()
   done;
   !sum
@@ -852,7 +951,7 @@ let op_crash t target =
 let op_stall t cycles target =
   let c = cur t in
   poll t c;
-  let req = match cycles with None -> -1 | Some n -> max 0 n in
+  let req = match cycles with None -> -1 | Some n -> imax 0 n in
   if req <> 0 then
     if target = c.tid then begin
       (* a release latched before this stall began is stale: consume it
@@ -883,18 +982,18 @@ let op_drop_signals t target n =
   let c = cur t in
   poll t c;
   charge c t.cfg.cost.local_op;
-  Atomic.set (ctx_of t target).drop_sigs (max 0 n)
+  Atomic.set (ctx_of t target).drop_sigs (imax 0 n)
 
 let op_delay_signals t target cycles =
   let c = cur t in
   poll t c;
   charge c t.cfg.cost.local_op;
-  Atomic.set (ctx_of t target).sig_delay (max 0 cycles)
+  Atomic.set (ctx_of t target).sig_delay (imax 0 cycles)
 
 let op_sleep t n =
   let c = cur t in
   poll t c;
-  let n = max 0 n in
+  let n = imax 0 n in
   charge c n;
   if n > 0 then Thread.delay (float_of_int n *. t.cfg.stall_ns_per_cycle /. 1e9)
 
@@ -926,6 +1025,10 @@ let make_ops t : Ts_rt.ops =
     Ts_rt.read = op_read t;
     scan_words = op_scan_words t;
     search = op_search t;
+    drain = op_drain t;
+    read_words = op_read_words t;
+    publish = op_publish t;
+    sweep = op_sweep t;
     write = op_write t;
     cas = op_cas t;
     faa = op_faa t;
@@ -991,7 +1094,7 @@ type result = {
 
 let pool_size cfg =
   let d = if cfg.pool > 0 then cfg.pool else Domain.recommended_domain_count () in
-  max 1 (min d 64)
+  imax 1 (imin d 64)
 
 let create (cfg : config) =
   (* [mirror] stores into the ring unchecked, so it must have a word *)
@@ -1070,7 +1173,7 @@ let describe_ctx c =
     else if Atomic.get c.stalled_flag then "stalled"
     else "running"
   in
-  let note = match c.wait_note with None -> "" | Some n -> Printf.sprintf " (%s)" n in
+  let note = match c.wait_note with None -> "" | Some n -> Printf.sprintf " (%s)" (n ()) in
   let pend = Atomic.get c.pending in
   let sigs = if pend = 0 then "" else Printf.sprintf " [%d pending]" pend in
   Printf.sprintf "t%d %s%s%s clock=%d ops=%d" c.tid state note sigs c.clock c.n_ops
@@ -1157,7 +1260,7 @@ let run ?(config = default_config) main =
       let wall_ns = now_ns () - t0 in
       let elapsed =
         Array.fold_left
-          (fun acc -> function Some c -> max acc c.clock | None -> acc)
+          (fun acc -> function Some c -> imax acc c.clock | None -> acc)
           0 t.ctxs
       in
       let failures =

@@ -20,6 +20,13 @@
    - [word_search] is the scanner's binary search of the master buffer,
      with the same SC load and shadow check per probe as [Heap.read].
 
+   So do the reclaimer's buffer loops (Ts_rt.drain_by and friends), for
+   the same reason: [word_drain], [word_read_words], [word_publish] and
+   [word_sweep] check the shadow byte of every word the loop would touch
+   before they touch any, then make the loop's SC loads and stores in
+   its order.  A word that is not live makes them return -1 having
+   stored nothing, and the caller reruns the checked loop.
+
    The runtime's thread lookup is one C thread-local: the logical tid of
    the systhread, or -1 outside a run.  Logical threads are systhreads,
    and a systhread is a POSIX thread, so every one has its own copy.
@@ -174,4 +181,127 @@ intnat ts_par_word_search(value words, value shadow, intnat base, intnat n, valu
 value ts_par_word_search_byte(value words, value shadow, value base, value n, value key)
 {
   return Val_long(ts_par_word_search(words, shadow, Long_val(base), Long_val(n), key));
+}
+
+/* ---- the reclamation phase's buffer loops ----
+
+   [LIVE] is the check [Heap.read] and [Heap.write] make: in range and
+   live (shadow byte 1).  Indices and counts arrive untagged; the words
+   moved stay tagged, and the OCaml arrays they pass through hold
+   immediates only, so plain stores into them need no write barrier. */
+
+#define LIVE(a) ((a) > 0 && (uintnat)(a) < cap && sh[a] == 1)
+#define LOAD(a) __atomic_load_n(WORD(words, a), __ATOMIC_SEQ_CST)
+#define STORE(a, v) __atomic_store_n(WORD(words, a), (v), __ATOMIC_SEQ_CST)
+
+/* Ts_rt.drain_by over the ring at [ring] ([head][tail][len slots]) into
+   [dst .. dst + room - 1].  The head and tail are read first, and decide
+   every other word the loop touches: [moved] slots copied, one tail
+   store after each, and one more slot read when the room runs out
+   first.  Returns [moved] shifted left once, with that extra read in
+   bit 0. */
+intnat ts_par_word_drain(value words, value shadow, intnat ring, intnat len, intnat dst,
+                         intnat room)
+{
+  uintnat cap = Wosize_val(words);
+  const unsigned char *sh = Bytes_val(shadow);
+  intnat h, k, avail, moved, reads, i;
+  if (len <= 0 || !LIVE(ring) || !LIVE(ring + 1)) return -1;
+  h = Long_val(LOAD(ring));
+  k = Long_val(LOAD(ring + 1));
+  if (k >= h) return 0;
+  avail = h - k;
+  moved = room <= 0 ? 0 : avail < room ? avail : room;
+  reads = moved < avail ? moved + 1 : moved;
+  for (i = 0; i < reads; i++)
+    if (!LIVE(ring + 2 + (k + i) % len)) return -1;
+  for (i = 0; i < moved; i++)
+    if (!LIVE(dst + i)) return -1;
+  for (i = 0; i < moved; i++) {
+    STORE(dst + i, LOAD(ring + 2 + (k + i) % len));
+    STORE(ring + 1, Val_long(k + i + 1));
+  }
+  if (reads > moved) (void)LOAD(ring + 2 + (k + moved) % len);
+  return moved << 1 | (reads > moved);
+}
+
+value ts_par_word_drain_byte(value *argv, int argn)
+{
+  (void)argn;
+  return Val_long(ts_par_word_drain(argv[0], argv[1], Long_val(argv[2]), Long_val(argv[3]),
+                                    Long_val(argv[4]), Long_val(argv[5])));
+}
+
+/* Ts_rt.read_words_by: [into.(i) <- word (base + i)].  Returns 0. */
+intnat ts_par_word_read_words(value words, value shadow, intnat base, intnat n, value into)
+{
+  uintnat cap = Wosize_val(words);
+  const unsigned char *sh = Bytes_val(shadow);
+  value *out = Op_val(into);
+  intnat i;
+  if (n > (intnat)Wosize_val(into)) return -1;
+  for (i = 0; i < n; i++)
+    if (!LIVE(base + i)) return -1;
+  for (i = 0; i < n; i++) out[i] = LOAD(base + i);
+  return 0;
+}
+
+value ts_par_word_read_words_byte(value words, value shadow, value base, value n, value into)
+{
+  return Val_long(ts_par_word_read_words(words, shadow, Long_val(base), Long_val(n), into));
+}
+
+/* Ts_rt.publish_by: entry i := src.(i), then mark i := 0.  Returns 0. */
+intnat ts_par_word_publish(value words, value shadow, intnat entries, intnat marks, value src,
+                           intnat n)
+{
+  uintnat cap = Wosize_val(words);
+  const unsigned char *sh = Bytes_val(shadow);
+  const value *in = Op_val(src);
+  intnat i;
+  if (n > (intnat)Wosize_val(src)) return -1;
+  for (i = 0; i < n; i++)
+    if (!LIVE(entries + i) || !LIVE(marks + i)) return -1;
+  for (i = 0; i < n; i++) {
+    STORE(entries + i, in[i]);
+    STORE(marks + i, Val_long(0));
+  }
+  return 0;
+}
+
+value ts_par_word_publish_byte(value *argv, int argn)
+{
+  (void)argn;
+  return Val_long(ts_par_word_publish(argv[0], argv[1], Long_val(argv[2]), Long_val(argv[3]),
+                                      argv[4], Long_val(argv[5])));
+}
+
+/* Ts_rt.sweep_by: compact the marked entries to the front, collect the
+   rest into [unmarked].  Returns the number carried. */
+intnat ts_par_word_sweep(value words, value shadow, intnat entries, intnat marks,
+                         value ignore_marks, intnat n, value unmarked)
+{
+  uintnat cap = Wosize_val(words);
+  const unsigned char *sh = Bytes_val(shadow);
+  value *out = Op_val(unmarked);
+  int use_marks = !Bool_val(ignore_marks);
+  intnat i, carry = 0, freed = 0;
+  if (n > (intnat)Wosize_val(unmarked)) return -1;
+  for (i = 0; i < n; i++)
+    if (!LIVE(entries + i) || (use_marks && !LIVE(marks + i))) return -1;
+  for (i = 0; i < n; i++) {
+    value p = LOAD(entries + i);
+    if (use_marks && LOAD(marks + i) != Val_long(0))
+      STORE(entries + carry++, p);
+    else
+      out[freed++] = p;
+  }
+  return carry;
+}
+
+value ts_par_word_sweep_byte(value *argv, int argn)
+{
+  (void)argn;
+  return Val_long(ts_par_word_sweep(argv[0], argv[1], Long_val(argv[2]), Long_val(argv[3]),
+                                    argv[4], Long_val(argv[5]), argv[6]));
 }

@@ -116,7 +116,7 @@ let try_advance st (c : Smr.counters) =
         else begin
           Runtime.signal u;
           st.signals <- st.signals + 1;
-          Runtime.set_wait_note (Some (Fmt.str "debra neutralize wait on t%d" u));
+          Runtime.set_wait_note (Some (fun () -> Fmt.str "debra neutralize wait on t%d" u));
           let resends = ref 1 in
           let spins = ref 0 in
           let waiting = ref true in

@@ -36,7 +36,7 @@ let wait_for_quiescence st self =
   done;
   for t = 0 to st.max_threads - 1 do
     if t <> self && !ok && snap.(t) land 1 = 1 then begin
-      Runtime.set_wait_note (Some (Fmt.str "epoch quiescence wait on t%d" t));
+      Runtime.set_wait_note (Some (fun () -> Fmt.str "epoch quiescence wait on t%d" t));
       let b = Backoff.create () in
       let t0 = Runtime.now () in
       while !ok && Runtime.read (counter_addr st t) = snap.(t) do

@@ -22,7 +22,14 @@
    - [search]: a binary search of a sorted table of shared words, the
      scanner's lookup in the master buffer.  The sim and the analyzer
      run [search_by read], the reference loop; the native one runs the
-     same loop in one C call and pays the per-op bookkeeping once. *)
+     same loop in one C call and pays the per-op bookkeeping once.
+   - [drain], [read_words], [publish], [sweep]: the reclamation phase's
+     buffer loops — a delete buffer drained into the master buffer, the
+     master's read-back before its sort and write-back after it, and
+     the sweep's compaction pass.  Each is defined by its reference
+     loop below ([drain_by] and friends), which the sim and the
+     analyzer run over their own [read] and [write]; the native ones
+     run the loop in one C call and pay the per-op bookkeeping once. *)
 
 type tid = int
 
@@ -31,6 +38,10 @@ type ops = {
   read : int -> int;
   scan_words : int -> int -> lo:int -> hi:int -> (int -> unit) -> unit;
   search : int -> int -> int -> int;
+  drain : int -> int -> dst:int -> cap:int -> int ref -> unit;
+  read_words : int -> int -> int array -> unit;
+  publish : entries:int -> marks:int -> int array -> int -> unit;
+  sweep : entries:int -> marks:int -> ignore_marks:bool -> int -> int array -> int;
   write : int -> int -> unit;
   cas : int -> int -> int -> bool;
   faa : int -> int -> int;
@@ -77,7 +88,7 @@ type ops = {
   is_crashed : tid -> bool;
   is_stalled : tid -> bool;
   clock_of : tid -> int;
-  set_wait_note : string option -> unit;
+  set_wait_note : (unit -> string) option -> unit;
   note : string -> unit;
   (* managed-heap mutual exclusion *)
   critical : 'a. (unit -> 'a) -> 'a;
@@ -156,9 +167,60 @@ let search_by (read : int -> int) base n (key : int) =
   done;
   !found
 
+(* The phase's buffer loops.  A delete buffer is the ring [head][tail]
+   [slot 0 .. len - 1] at [ring]; the master buffer's entries and marks
+   are two word arrays. *)
+let drain_by (read : int -> int) write ring len ~dst ~cap cursor =
+  let h = read ring in
+  let k = ref (read (ring + 1)) in
+  let go = ref true in
+  while !go && !k < h do
+    let p = read (ring + 2 + (!k mod len)) in
+    if !cursor < cap then begin
+      write (dst + !cursor) p;
+      incr cursor;
+      incr k;
+      write (ring + 1) !k
+    end
+    else go := false
+  done
+
+let read_words_by (read : int -> int) base n into =
+  for i = 0 to n - 1 do
+    into.(i) <- read (base + i)
+  done
+
+let publish_by write ~entries ~marks src n =
+  for i = 0 to n - 1 do
+    write (entries + i) src.(i);
+    write (marks + i) 0
+  done
+
+let sweep_by (read : int -> int) write ~entries ~marks ~ignore_marks n unmarked =
+  let carry = ref 0 and freed = ref 0 in
+  for i = 0 to n - 1 do
+    let p = read (entries + i) in
+    if (not ignore_marks) && read (marks + i) <> 0 then begin
+      write (entries + !carry) p;
+      incr carry
+    end
+    else begin
+      unmarked.(!freed) <- p;
+      incr freed
+    end
+  done;
+  !carry
+
 let read addr = (ops ()).read addr
 let scan_words base len ~lo ~hi f = (ops ()).scan_words base len ~lo ~hi f
 let search base n key = (ops ()).search base n key
+let drain ring len ~dst ~cap cursor = (ops ()).drain ring len ~dst ~cap cursor
+let read_words base n into = (ops ()).read_words base n into
+let publish ~entries ~marks src n = (ops ()).publish ~entries ~marks src n
+
+let sweep ~entries ~marks ~ignore_marks n unmarked =
+  (ops ()).sweep ~entries ~marks ~ignore_marks n unmarked
+
 let write addr v = (ops ()).write addr v
 let cas addr expected desired = (ops ()).cas addr expected desired
 let faa addr delta = (ops ()).faa addr delta

@@ -13,6 +13,10 @@ type ops = {
   read : int -> int;
   scan_words : int -> int -> lo:int -> hi:int -> (int -> unit) -> unit;
   search : int -> int -> int -> int;
+  drain : int -> int -> dst:int -> cap:int -> int ref -> unit;
+  read_words : int -> int -> int array -> unit;
+  publish : entries:int -> marks:int -> int array -> int -> unit;
+  sweep : entries:int -> marks:int -> ignore_marks:bool -> int -> int array -> int;
   write : int -> int -> unit;
   cas : int -> int -> int -> bool;
   faa : int -> int -> int;
@@ -59,7 +63,7 @@ type ops = {
   is_crashed : tid -> bool;
   is_stalled : tid -> bool;
   clock_of : tid -> int;
-  set_wait_note : string option -> unit;
+  set_wait_note : (unit -> string) option -> unit;
   note : string -> unit;
   (* managed-heap mutual exclusion *)
   critical : 'a. (unit -> 'a) -> 'a;
@@ -154,6 +158,73 @@ val search_by : (int -> int) -> int -> int -> int -> int
     is [lo + (hi - lo) / 2]; the search stops at the first probe equal
     to [key]. *)
 
+(** {2 The reclamation phase's buffer loops}
+
+    Four ops, each defined by a reference loop over [read] and [write]
+    ([drain_by] and friends below), which is what the simulator and the
+    analyzer run: every word is charged and checked as that [read] or
+    [write], in the loop's order, so [now ()], the step count, the fault
+    counters and the analyzer's events move exactly as the loop moves
+    them.  On the native backend the per-op bookkeeping (poll, abort
+    check, step count) runs once per call and the words are one C call
+    of SC accesses, each behind the shadow check [read] and [write] make.
+    A word that fails that check makes the call store nothing and rerun
+    the checked reference loop, which records the fault where the loop
+    does.  Loaded words are not mirrored into the register ring: the
+    reclaimer's own register context is saved before the phase
+    ([save_regs]), and a ring holding the drained pointers would only
+    pin them.  A call whose words overlap the caller's own stack or
+    register ring runs the reference loop, charged per word as [read]
+    and [write] charge it.  The reclaimer's phase ([Delete_buffer.drain],
+    [Master_buffer.publish_sorted] and [Master_buffer.sweep]) is the
+    intended caller. *)
+
+val drain : int -> int -> dst:int -> cap:int -> int ref -> unit
+(** [drain ring len ~dst ~cap cursor] moves the pointers buffered in the
+    delete-buffer ring at [ring] ([head], [tail], then [len] slots) to
+    the words [dst + !cursor ..], oldest first, advancing [cursor] and
+    the ring's tail per pointer moved, and stops when the ring is empty
+    or [!cursor = cap]: {!drain_by}[ read write]. *)
+
+val drain_by :
+  (int -> int) -> (int -> int -> unit) -> int -> int -> dst:int -> cap:int -> int ref -> unit
+(** The reference loop: read the head, then the tail [k]; while [k] is
+    below the head, read slot [k mod len], and if [!cursor < cap] write
+    it to [dst + !cursor], bump [cursor] and [k], and write [k] to the
+    tail; otherwise stop (the slot was read, nothing written). *)
+
+val read_words : int -> int -> int array -> unit
+(** [read_words base n into] reads the words [base .. base + n - 1] into
+    [into.(0 .. n - 1)]: {!read_words_by}[ read]. *)
+
+val read_words_by : (int -> int) -> int -> int -> int array -> unit
+
+val publish : entries:int -> marks:int -> int array -> int -> unit
+(** [publish ~entries ~marks src n] writes, for each [i] below [n] in
+    turn, [src.(i)] to [entries + i] and then [0] to [marks + i]:
+    {!publish_by}[ write]. *)
+
+val publish_by : (int -> int -> unit) -> entries:int -> marks:int -> int array -> int -> unit
+
+val sweep : entries:int -> marks:int -> ignore_marks:bool -> int -> int array -> int
+(** [sweep ~entries ~marks ~ignore_marks n unmarked] is the sweep's
+    first pass over [n] entries: for each [i] in turn it reads entry
+    [i], then (unless [ignore_marks]) mark [i]; a marked entry is
+    written to the next slot of the compacted prefix [entries + carry],
+    an unmarked one is stored in [unmarked], in entry order.  Returns
+    [carry]; [n - carry] entries went to [unmarked] (all [n] when
+    [ignore_marks]): {!sweep_by}[ read write]. *)
+
+val sweep_by :
+  (int -> int) ->
+  (int -> int -> unit) ->
+  entries:int ->
+  marks:int ->
+  ignore_marks:bool ->
+  int ->
+  int array ->
+  int
+
 val write : int -> int -> unit
 val cas : int -> int -> int -> bool
 val faa : int -> int -> int
@@ -230,6 +301,11 @@ val sleep : int -> unit
 val is_crashed : tid -> bool
 val is_stalled : tid -> bool
 val clock_of : tid -> int
-val set_wait_note : string option -> unit
+val set_wait_note : (unit -> string) option -> unit
+(** Annotate the calling thread with what it is blocked on, for deadlock
+    and watchdog reports; [None] clears it.  The note is a function, called
+    only when a report reads it, so a wait that ends normally formats
+    nothing. *)
+
 val note : string -> unit
 val critical : (unit -> 'a) -> 'a

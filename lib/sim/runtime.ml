@@ -103,7 +103,7 @@ type resume =
   | Fiber of (unit -> unit) (* a thread body or signal handler, not yet started *)
   | Cont : ('a, unit) Effect.Deep.continuation * 'a -> resume
   | Abort : ('a, unit) Effect.Deep.continuation * exn -> resume
-  | Join of (unit, unit) Effect.Deep.continuation * tid * string option
+  | Join of (unit, unit) Effect.Deep.continuation * tid * (unit -> string) option
       (* blocked in [join target]; the wait note is formatted once *)
 
 type thread = {
@@ -137,7 +137,7 @@ type thread = {
   mutable crashed : bool;
   mutable drop_sigs : int; (* fault injection: drop the next n signals *)
   mutable sig_delay : int; (* fault injection: delay delivery by n cycles *)
-  mutable wait_note : string option; (* what the thread is blocked on *)
+  mutable wait_note : (unit -> string) option; (* what the thread is blocked on *)
   mutable abort_pending : exn option; (* neutralization armed by a handler *)
 }
 
@@ -215,7 +215,7 @@ type _ Effect.t +=
   | E_unstall : int -> unit Effect.t
   | E_drop_signals : (int * int) -> unit Effect.t
   | E_delay_signals : (int * int) -> unit Effect.t
-  | E_wait_note : string option -> unit Effect.t
+  | E_wait_note : (unit -> string) option -> unit Effect.t
   | E_note : string -> unit Effect.t
   | E_is_crashed : int -> bool Effect.t
   | E_is_stalled : int -> bool Effect.t
@@ -565,7 +565,7 @@ let describe_thread th =
     else if th.on_core then "on core"
     else "ready"
   in
-  let note = match th.wait_note with None -> "" | Some n -> Fmt.str " (%s)" n in
+  let note = match th.wait_note with None -> "" | Some n -> Fmt.str " (%s)" (n ()) in
   let sigs =
     if Queue.is_empty th.pending then ""
     else Fmt.str " [%d pending signal%s]" (Queue.length th.pending)
@@ -688,7 +688,7 @@ let rec make_handler : t -> thread -> (unit, unit) Effect.Deep.handler =
               | E_join target ->
                   (* the first attempt runs at the thread's next step *)
                   ignore (get_thread rt target : thread);
-                  let note = Some (Fmt.str "joining thread %d" target) in
+                  let note = Some (fun () -> Fmt.str "joining thread %d" target) in
                   Some (fun k -> th.resume <- Join (k, target, note))
               | E_is_done target -> bool (thread_done rt target)
               | E_signal target ->
@@ -1181,6 +1181,14 @@ let search base n key = Ts_rt.search_by read base n key
 
 let write addr v = Effect.perform (E_write (addr, v))
 
+(* So are the reclamation phase's buffer loops. *)
+let drain ring len ~dst ~cap cursor = Ts_rt.drain_by read write ring len ~dst ~cap cursor
+let read_words base n into = Ts_rt.read_words_by read base n into
+let publish ~entries ~marks src n = Ts_rt.publish_by write ~entries ~marks src n
+
+let sweep ~entries ~marks ~ignore_marks n unmarked =
+  Ts_rt.sweep_by read write ~entries ~marks ~ignore_marks n unmarked
+
 let cas addr expected desired = Effect.perform (E_cas (addr, expected, desired))
 
 let faa addr delta = Effect.perform (E_faa (addr, delta))
@@ -1276,6 +1284,10 @@ let rt_ops : Ts_rt.ops =
     Ts_rt.read;
     scan_words;
     search;
+    drain;
+    read_words;
+    publish;
+    sweep;
     write;
     cas;
     faa;

@@ -313,10 +313,11 @@ val clock_of : tid -> int
     unchanged clock across two reads proves the thread ran nothing in
     between — how a proxy scanner checks its subject stayed frozen. *)
 
-val set_wait_note : string option -> unit
+val set_wait_note : (unit -> string) option -> unit
 (** Annotate the calling thread with what it is currently blocked on
     ("ack wait: phase 3", "spinning on lock\@1024"); shown by {!Deadlock}
-    diagnostics and {!blocked_summary}.  Clear with [None] when done. *)
+    diagnostics and {!blocked_summary}, which call the function.  Clear
+    with [None] when done. *)
 
 val note : string -> unit
 (** Emit a free-form {!Trace.event.Note} entry on the trace stream — used

@@ -8,6 +8,8 @@ let create ?(min_delay = 32) ?(max_delay = 4096) () =
 let once t =
   Runtime.advance t.delay;
   Runtime.yield ();
-  t.delay <- min t.max_delay (2 * t.delay)
+  (* an int compare: [Stdlib.min] is a polymorphic call, every round *)
+  let d = 2 * t.delay in
+  t.delay <- (if d < t.max_delay then d else t.max_delay)
 
 let reset t = t.delay <- t.min_delay

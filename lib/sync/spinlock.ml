@@ -13,7 +13,7 @@ let try_acquire t = Runtime.read t.addr = 0 && Runtime.cas t.addr 0 1
 
 let acquire t =
   if not (try_acquire t) then begin
-    Runtime.set_wait_note (Some (Fmt.str "spinning on lock@%d" t.addr));
+    Runtime.set_wait_note (Some (fun () -> Fmt.str "spinning on lock@%d" t.addr));
     let b = Backoff.create () in
     while not (try_acquire t) do
       Backoff.once b

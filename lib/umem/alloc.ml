@@ -95,7 +95,9 @@ module Make (S : STORE) = struct
   let take_central t row cls cache =
     let central = t.central.(cls) in
     if Vec.is_empty central then refill_central t row cls;
-    for _ = 1 to min (batch / 2) (Vec.length central - 1) do
+    let spare = Vec.length central - 1 in
+    (* an int compare, not the polymorphic [Stdlib.min] *)
+    for _ = 1 to if batch / 2 < spare then batch / 2 else spare do
       Vec.push cache (Vec.pop central)
     done;
     if Vec.is_empty central then 0 else Vec.pop central

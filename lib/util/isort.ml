@@ -1,7 +1,7 @@
 (* LSD radix sort on the prefix, one stable counting pass per 8-bit digit:
    O(n) per pass, recursion-free so it is safe to call from simulator
-   fibers, and each call allocates one scratch array of [n] words and a
-   256-entry count table.
+   fibers, and each call allocates a 256-entry count table and, unless
+   the caller lends one ([?tmp]), a scratch array of [n] words.
 
    Only the digits in which some two keys differ are sorted on: [diff]
    has a bit set wherever a key differs from the first, and a pass over a
@@ -16,7 +16,7 @@
    which made the sort of one phase's master buffer cost more than its
    signal handshake (docs/PERF.md). *)
 
-let sort_prefix (a : int array) n =
+let sort_prefix ?tmp (a : int array) n =
   if n > Array.length a then invalid_arg "Isort.sort_prefix";
   if n > 1 then begin
     (* every index below is < n <= the length of [a] and of the scratch
@@ -27,7 +27,14 @@ let sort_prefix (a : int array) n =
       diff := !diff lor (Array.unsafe_get a i lxor first)
     done;
     let counts = Array.make 256 0 in
-    let src = ref a and dst = ref (Array.make n 0) in
+    let scratch =
+      match tmp with
+      | None -> Array.make n 0
+      | Some (b : int array) ->
+          if n > Array.length b || b == a then invalid_arg "Isort.sort_prefix";
+          b
+    in
+    let src = ref a and dst = ref scratch in
     (* [Sys.int_size] is 63: the last digit, at shift 56, has 7 bits *)
     let shift = ref 0 in
     while !shift < Sys.int_size do

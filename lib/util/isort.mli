@@ -3,10 +3,12 @@
     The master delete buffer is a fixed array with a live prefix; these
     helpers work on that prefix in place. *)
 
-val sort_prefix : int array -> int -> unit
+val sort_prefix : ?tmp:int array -> int array -> int -> unit
 (** [sort_prefix a n] sorts [a.(0) .. a.(n-1)] ascending (in place; an
-    LSD radix sort that allocates an [n]-word scratch array).
-    @raise Invalid_argument if [n] exceeds the length of [a]. *)
+    LSD radix sort that allocates an [n]-word scratch array, or uses
+    [tmp]'s first [n] words when given, leaving them unspecified).
+    @raise Invalid_argument if [n] exceeds the length of [a], or, when
+    [n > 1], that of [tmp], or [tmp] is [a]. *)
 
 val binary_search : int array -> int -> int -> int
 (** [binary_search a n key] returns the index of [key] within the sorted

@@ -324,6 +324,73 @@ let test_search_reads r () =
       check "the same index" li si)
     !counts
 
+(* The phase's buffer ops are, to the analyzer, their reference loops:
+   one event per word read or written, as many as the loop's. *)
+let test_buffer_ops_events r () =
+  let an = Analyze.attach ~notes:false () in
+  let counts = ref [] in
+  let (_ : int) =
+    Fun.protect
+      ~finally:(fun () -> Analyze.detach an)
+      (fun () ->
+        r.exec (fun () ->
+            let words = ref 0 in
+            let read a =
+              incr words;
+              Rt.read a
+            and write a v =
+              incr words;
+              Rt.write a v
+            in
+            (* a ring of 4 slots holding 3 pointers across its wrap, and a
+               table of 4 entries and their marks, every other one set *)
+            let state () =
+              let ring = Rt.malloc 6 and table = Rt.malloc 8 in
+              Rt.write ring 9;
+              Rt.write (ring + 1) 6;
+              for i = 0 to 3 do
+                Rt.write (ring + 2 + i) (100 + i);
+                Rt.write (table + i) (8 * (i + 1));
+                Rt.write (table + 4 + i) (i land 1)
+              done;
+              (ring, table)
+            in
+            let seen f =
+              let before = Analyze.ops_seen an in
+              f ();
+              Analyze.ops_seen an - before
+            in
+            let compare name loop op =
+              let ring, table = state () in
+              words := 0;
+              let loop_seen = seen (fun () -> loop read write ring table) in
+              let n = !words in
+              let ring, table = state () in
+              counts := (name, n, loop_seen, seen (fun () -> op ring table)) :: !counts
+            in
+            let into = Array.make 4 0 in
+            compare "drain (room for 2)"
+              (fun read write ring dst -> Rt.drain_by read write ring 4 ~dst ~cap:2 (ref 0))
+              (fun ring dst -> Rt.drain ring 4 ~dst ~cap:2 (ref 0));
+            compare "read_words"
+              (fun read _ _ base -> Rt.read_words_by read base 4 into)
+              (fun _ base -> Rt.read_words base 4 into);
+            compare "publish"
+              (fun _ write _ t -> Rt.publish_by write ~entries:t ~marks:(t + 4) into 4)
+              (fun _ t -> Rt.publish ~entries:t ~marks:(t + 4) into 4);
+            compare "sweep"
+              (fun read write _ t ->
+                ignore
+                  (Rt.sweep_by read write ~entries:t ~marks:(t + 4) ~ignore_marks:false 4 into))
+              (fun _ t -> ignore (Rt.sweep ~entries:t ~marks:(t + 4) ~ignore_marks:false 4 into))))
+  in
+  check "four ops" 4 (List.length !counts);
+  List.iter
+    (fun (name, words, loop_seen, op_seen) ->
+      check (name ^ ": the loop, one event per word") words loop_seen;
+      check (name ^ ": the op, the loop's events") loop_seen op_seen)
+    !counts
+
 (* ------------------------------------------------------------------ *)
 (* Determinism                                                        *)
 (* ------------------------------------------------------------------ *)
@@ -393,6 +460,8 @@ let () =
       );
       ("scan-words", per_backend "free racing a scan is reported" test_scan_words_race);
       ("search", per_backend "one read per probe" test_search_reads);
+      ( "phase-buffer-ops",
+        per_backend "one event per word, as the loop" test_buffer_ops_events );
       ( "determinism",
         [ Alcotest.test_case "same seed, same report" `Quick test_deterministic_report ] );
       ( "backend-guard",

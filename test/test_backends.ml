@@ -1148,6 +1148,192 @@ let test_native_ladder_heartbeat_takeover () =
   check "all retired nodes reclaimed after flush" 0 !outstanding
 
 (* ------------------------------------------------------------------ *)
+(* The phase's buffer loops: each op against its reference loop       *)
+(* ------------------------------------------------------------------ *)
+
+type impl = Loop | Op
+
+(* One fresh run: [setup ()] lays out the words and returns the call to
+   make and the live regions to dump after it.  The observation is what
+   the call returned (or the fault it raised: kind and address), the
+   dumped words, and how far the call moved [now ()] and [steps_now ()].
+   A single-threaded run allocates the same addresses every time, so the
+   observations of two runs compare word for word. *)
+let observe r setup =
+  let out = ref [] in
+  let (_ : int) =
+    r.exec (fun () ->
+        let call, regions = setup () in
+        let t0 = Rt.now () and s0 = Rt.steps_now () in
+        let res =
+          try call () with Ts_umem.Mem.Fault (k, a) -> [ -1; Ts_umem.Mem.fault_index k; a ]
+        in
+        let t1 = Rt.now () and s1 = Rt.steps_now () in
+        let dump (b, n) = List.init n (fun i -> Rt.read (b + i)) in
+        let words = List.concat_map dump regions in
+        out := res @ [ t1 - t0; s1 - s0 ] @ words)
+  in
+  !out
+
+let same_as_loop r cases =
+  List.iter
+    (fun (name, setup) ->
+      Alcotest.(check (list int)) name (observe r (setup Loop)) (observe r (setup Op)))
+    cases
+
+(* The call faulted, with [kind], at a word the setup freed. *)
+let faults_as r name kind setup =
+  match observe r setup with
+  | -1 :: k :: _ -> check (name ^ ": the fault kind") (Ts_umem.Mem.fault_index kind) k
+  | _ -> Alcotest.failf "%s: no fault" name
+
+(* A region of [n] words holding [f 0 .., f (n - 1)]. *)
+let region n f =
+  let b = Rt.alloc_region n in
+  for i = 0 to n - 1 do
+    Rt.write (b + i) (f i)
+  done;
+  b
+
+(* A block of [n] words, already freed. *)
+let freed n =
+  let b = Rt.malloc n in
+  Rt.free b;
+  b
+
+(* A delete-buffer ring of [len] slots with [tail] and [head] and slot
+   [i] holding [100 + i]. *)
+let ring ~len ~tail ~head =
+  region (2 + len) (fun i -> if i = 0 then head else if i = 1 then tail else 100 + i - 2)
+
+let drain impl ring len ~dst ~cap cursor =
+  match impl with
+  | Loop -> Rt.drain_by Rt.read Rt.write ring len ~dst ~cap cursor
+  | Op -> Rt.drain ring len ~dst ~cap cursor
+
+let drain_case ~dst_freed ~len ~tail ~head ~cap ~at impl () =
+  let rg = ring ~len ~tail ~head in
+  let dst = if dst_freed then freed cap else region cap (fun _ -> -7) in
+  let cursor = ref at in
+  ( (fun () ->
+      drain impl rg len ~dst ~cap cursor;
+      [ !cursor ]),
+    (rg, 2 + len) :: (if dst_freed then [] else [ (dst, cap) ]) )
+
+let test_drain_matches_loop r () =
+  let case ?(dst_freed = false) ~len ~tail ~head ~cap at =
+    drain_case ~dst_freed ~len ~tail ~head ~cap ~at
+  in
+  same_as_loop r
+    [
+      ("a ring wrapping past its length", case ~len:4 ~tail:6 ~head:9 ~cap:8 1);
+      ("a full ring", case ~len:4 ~tail:5 ~head:9 ~cap:8 0);
+      ("the master fills mid-drain", case ~len:4 ~tail:2 ~head:6 ~cap:5 3);
+      ("the master already full", case ~len:4 ~tail:2 ~head:6 ~cap:5 5);
+      ("an empty ring", case ~len:4 ~tail:7 ~head:7 ~cap:8 2);
+      ("a freed destination", case ~dst_freed:true ~len:4 ~tail:1 ~head:3 ~cap:4 0);
+      ( "a freed ring",
+        fun impl () ->
+          let rg = freed 6 and dst = region 4 (fun _ -> -7) and cursor = ref 0 in
+          ((fun () -> drain impl rg 4 ~dst ~cap:4 cursor; [ !cursor ]), [ (dst, 4) ]) );
+    ];
+  faults_as r "a freed destination" Ts_umem.Mem.Uaf_write
+    (case ~dst_freed:true ~len:4 ~tail:1 ~head:3 ~cap:4 0 Op);
+  (* and the loop is the drain: FIFO across the wrap, stopping when full *)
+  match observe r (case ~len:4 ~tail:2 ~head:6 ~cap:5 3 Op) with
+  | cursor :: _ :: _ :: words ->
+      check "cursor at the cap" 5 cursor;
+      Alcotest.(check (list int)) "two moved, the tail past them"
+        [ 6; 4; 100; 101; 102; 103; -7; -7; -7; 102; 103 ] words
+  | _ -> Alcotest.fail "no observation"
+
+let read_words impl base n into =
+  match impl with Loop -> Rt.read_words_by Rt.read base n into | Op -> Rt.read_words base n into
+
+let read_words_case ~src_freed n impl () =
+  let base = if src_freed then freed 4 else region 6 (fun i -> (i + 1) * 11) in
+  let into = Array.make 7 (-7) in
+  ((fun () -> read_words impl base n into; Array.to_list into), [])
+
+let test_read_words_matches_loop r () =
+  same_as_loop r
+    [
+      ("n = 0", read_words_case ~src_freed:false 0);
+      ("six words", read_words_case ~src_freed:false 6);
+      ("a freed table", read_words_case ~src_freed:true 4);
+      ( "the caller's own stack",
+        fun impl () ->
+          let base = Rt.push_frame 3 in
+          for i = 0 to 2 do
+            Rt.write (base + i) (i + 5)
+          done;
+          let into = Array.make 3 0 in
+          ((fun () -> read_words impl base 3 into; Array.to_list into), []) );
+    ];
+  faults_as r "a freed table" Ts_umem.Mem.Uaf_read (read_words_case ~src_freed:true 4 Op)
+
+let publish impl ~entries ~marks src n =
+  match impl with
+  | Loop -> Rt.publish_by Rt.write ~entries ~marks src n
+  | Op -> Rt.publish ~entries ~marks src n
+
+let publish_case ~marks_freed n impl () =
+  let entries = region 5 (fun _ -> -7) in
+  let marks = if marks_freed then freed 5 else region 5 (fun _ -> 1) in
+  let src = [| 8; 16; 24; 32; 40 |] in
+  ( (fun () -> publish impl ~entries ~marks src n; []),
+    (entries, 5) :: (if marks_freed then [] else [ (marks, 5) ]) )
+
+let test_publish_matches_loop r () =
+  same_as_loop r
+    [
+      ("n = 0", publish_case ~marks_freed:false 0);
+      ("four entries", publish_case ~marks_freed:false 4);
+      ("freed marks", publish_case ~marks_freed:true 3);
+      ( "marks on the caller's own stack",
+        fun impl () ->
+          let entries = region 2 (fun _ -> -7) and marks = Rt.push_frame 2 in
+          ((fun () -> publish impl ~entries ~marks [| 1; 2 |] 2; []), [ (entries, 2); (marks, 2) ])
+      );
+    ];
+  faults_as r "freed marks" Ts_umem.Mem.Uaf_write (publish_case ~marks_freed:true 3 Op)
+
+let sweep impl ~entries ~marks ~ignore_marks n unmarked =
+  match impl with
+  | Loop -> Rt.sweep_by Rt.read Rt.write ~entries ~marks ~ignore_marks n unmarked
+  | Op -> Rt.sweep ~entries ~marks ~ignore_marks n unmarked
+
+let sweep_case ~ignore_marks ~marks_freed ~mark n impl () =
+  let entries = region 6 (fun i -> (i + 1) * 8) in
+  let marks = if marks_freed then freed 6 else region 6 (fun i -> if mark i then 1 else 0) in
+  let unmarked = Array.make 7 (-7) in
+  ( (fun () ->
+      let carry = sweep impl ~entries ~marks ~ignore_marks n unmarked in
+      carry :: Array.to_list unmarked),
+    (entries, 6) :: (if marks_freed then [] else [ (marks, 6) ]) )
+
+let test_sweep_matches_loop r () =
+  let case ?(ignore_marks = false) ?(marks_freed = false) mark n =
+    sweep_case ~ignore_marks ~marks_freed ~mark n
+  in
+  same_as_loop r
+    [
+      ("n = 0", case (fun _ -> true) 0);
+      ("every entry marked", case (fun _ -> true) 6);
+      ("no entry marked", case (fun _ -> false) 6);
+      ("every other entry marked", case (fun i -> i land 1 = 1) 5);
+      ("marks ignored", case ~ignore_marks:true (fun _ -> true) 6);
+      ("freed marks", case ~marks_freed:true (fun _ -> true) 4);
+    ];
+  faults_as r "freed marks" Ts_umem.Mem.Uaf_read (case ~marks_freed:true (fun _ -> true) 4 Op);
+  match observe r (case (fun i -> i land 1 = 1) 5 Op) with
+  | carry :: rest ->
+      check "two carried" 2 carry;
+      Alcotest.(check (list int)) "the rest freed, in entry order" [ 8; 24; 40; -7 ]
+        (List.filteri (fun i _ -> i < 4) rest)
+  | [] -> Alcotest.fail "no observation"
+
+(* ------------------------------------------------------------------ *)
 
 let per_backend name f =
   List.map
@@ -1185,6 +1371,15 @@ let () =
             Alcotest.test_case "freed table faults like a read loop [native]" `Quick
               test_native_search_uaf;
           ] );
+      ( "drain",
+        per_backend "moves, stores and charges what its loop does" test_drain_matches_loop );
+      ( "read-words",
+        per_backend "moves, stores and charges what its loop does" test_read_words_matches_loop
+      );
+      ( "publish",
+        per_backend "moves, stores and charges what its loop does" test_publish_matches_loop );
+      ( "sweep",
+        per_backend "moves, stores and charges what its loop does" test_sweep_matches_loop );
       ( "thread-lookup",
         [
           Alcotest.test_case "a foreign systhread gets Par_error [native]" `Quick

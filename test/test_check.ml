@@ -63,14 +63,12 @@ let test_db_exact_capacity_wrap () =
            check "exactly full" cap (Delete_buffer.size b);
            check_bool "push at capacity fails" false (Delete_buffer.push b 999);
            check "failed push stored nothing" cap (Delete_buffer.size b);
-           let got = ref [] in
-           Delete_buffer.drain b (fun p ->
-               got := p :: !got;
-               true);
+           let dst = Runtime.alloc_region cap and cursor = ref 0 in
+           Delete_buffer.drain b ~dst ~cap cursor;
            Alcotest.(check (list int))
              "fifo across the wrap"
              (List.init cap (fun i -> (10 * round) + i))
-             (List.rev !got);
+             (List.init !cursor (fun i -> Runtime.read (dst + i)));
            check "empty again" 0 (Delete_buffer.size b)
          done))
 

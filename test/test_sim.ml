@@ -875,7 +875,7 @@ let test_blocked_summary_diagnostics () =
     (Runtime.add_thread rt (fun () ->
          let w =
            Runtime.spawn (fun () ->
-               Runtime.set_wait_note (Some "waiting for godot");
+               Runtime.set_wait_note (Some (fun () -> "waiting for godot"));
                while true do
                  Runtime.advance 10
                done)

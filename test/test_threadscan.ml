@@ -17,6 +17,12 @@ let small_ts ?(buffer_size = 8) ?(max_threads = 16) () =
 
 (* ---------------------------- delete buffer ----------------------------- *)
 
+(* Drain [b] into a fresh region of [cap] words: what it moved, in order. *)
+let drain_all ?(cap = 64) b =
+  let dst = Runtime.alloc_region cap and cursor = ref 0 in
+  Delete_buffer.drain b ~dst ~cap cursor;
+  List.init !cursor (fun i -> Runtime.read (dst + i))
+
 let test_db_push_drain () =
   ignore
     (Runtime.run ~config:cfg (fun () ->
@@ -24,11 +30,7 @@ let test_db_push_drain () =
          Alcotest.(check bool) "push 1" true (Delete_buffer.push b 10);
          Alcotest.(check bool) "push 2" true (Delete_buffer.push b 20);
          check "size" 2 (Delete_buffer.size b);
-         let got = ref [] in
-         Delete_buffer.drain b (fun p ->
-             got := p :: !got;
-             true);
-         Alcotest.(check (list int)) "fifo" [ 10; 20 ] (List.rev !got);
+         Alcotest.(check (list int)) "fifo" [ 10; 20 ] (drain_all b);
          check "empty after drain" 0 (Delete_buffer.size b)))
 
 let test_db_full () =
@@ -39,7 +41,7 @@ let test_db_full () =
          Alcotest.(check bool) "2" true (Delete_buffer.push b 2);
          Alcotest.(check bool) "3" true (Delete_buffer.push b 3);
          Alcotest.(check bool) "full" false (Delete_buffer.push b 4);
-         Delete_buffer.drain b (fun _ -> true);
+         ignore (drain_all b);
          Alcotest.(check bool) "reusable" true (Delete_buffer.push b 5)))
 
 let test_db_wraparound () =
@@ -49,11 +51,7 @@ let test_db_wraparound () =
          for round = 0 to 9 do
            Alcotest.(check bool) "push a" true (Delete_buffer.push b (2 * round));
            Alcotest.(check bool) "push b" true (Delete_buffer.push b ((2 * round) + 1));
-           let got = ref [] in
-           Delete_buffer.drain b (fun p ->
-               got := p :: !got;
-               true);
-           Alcotest.(check (list int)) "wrap fifo" [ 2 * round; (2 * round) + 1 ] (List.rev !got)
+           Alcotest.(check (list int)) "wrap fifo" [ 2 * round; (2 * round) + 1 ] (drain_all b)
          done))
 
 let test_db_partial_drain () =
@@ -61,11 +59,8 @@ let test_db_partial_drain () =
     (Runtime.run ~config:cfg (fun () ->
          let b = Delete_buffer.create ~capacity:8 in
          List.iter (fun p -> ignore (Delete_buffer.push b p)) [ 1; 2; 3; 4 ];
-         let taken = ref 0 in
-         Delete_buffer.drain b (fun _ ->
-             incr taken;
-             !taken < 3);
-         (* the rejected element stays buffered *)
+         (* room for two: the rest stays buffered *)
+         Alcotest.(check (list int)) "the oldest two" [ 1; 2 ] (drain_all ~cap:2 b);
          check "two consumed" 2 (Delete_buffer.size b)))
 
 (* ---------------------------- master buffer ----------------------------- *)
@@ -124,6 +119,79 @@ let test_mb_marks_reset_on_publish () =
          let freed = ref 0 in
          ignore (Master_buffer.sweep m (fun _ -> incr freed));
          check "freed on second sweep" 1 !freed))
+
+(* Several phases of a master buffer, through the phase's buffer ops:
+   two delete buffers (their rings wrap) drained into a master that
+   fills up in some rounds, published with duplicates to drop, marked
+   and swept.  Returns the master's words after each phase — its count,
+   every entry and every mark — with the carry and the frees, and how
+   far the whole run moved [now ()] and [steps_now ()]; and whether the
+   master did fill up. *)
+let master_phases () =
+  let cap = 10 in
+  let filled = ref false in
+  let m = Master_buffer.create ~capacity:cap in
+  let bufs = Array.init 2 (fun _ -> Delete_buffer.create ~capacity:5) in
+  let t0 = Ts_rt.now () and s0 = Ts_rt.steps_now () in
+  let rounds =
+    List.init 6 (fun round ->
+        Array.iteri
+          (fun j b ->
+            for i = 0 to 3 do
+              (* buffer 1 repeats buffer 0's last pointer: a duplicate *)
+              ignore (Delete_buffer.push b (8 * ((round * 10) + (j * 3) + i + 1)))
+            done)
+          bufs;
+        Array.iter (Master_buffer.drain_from m) bufs;
+        if Delete_buffer.size bufs.(1) > 0 then filled := true;
+        Master_buffer.publish_sorted m;
+        let n = Master_buffer.count m in
+        for i = 0 to n - 1 do
+          if (i + round) mod 3 = 0 then Master_buffer.mark m i
+        done;
+        let published =
+          n
+          :: List.init cap (fun i -> Master_buffer.entry m i)
+          @ List.init cap (fun i -> if Master_buffer.is_marked m i then 1 else 0)
+        in
+        let freed = ref [] in
+        let carry = Master_buffer.sweep m (fun p -> freed := p :: !freed) in
+        published @ (carry :: List.init cap (fun i -> Master_buffer.entry m i)) @ List.rev !freed)
+  in
+  (List.concat rounds @ [ Ts_rt.now () - t0; Ts_rt.steps_now () - s0 ], !filled)
+
+(* The same run with the four ops replaced by their reference loops over
+   the installed [read] and [write]. *)
+let with_reference_loops f =
+  Ts_rt.set_decorator
+    (Some
+       (fun (o : Ts_rt.ops) ->
+         {
+           o with
+           drain = Ts_rt.drain_by o.read o.write;
+           read_words = Ts_rt.read_words_by o.read;
+           publish = Ts_rt.publish_by o.write;
+           sweep = Ts_rt.sweep_by o.read o.write;
+         }));
+  Fun.protect ~finally:(fun () -> Ts_rt.set_decorator None) f
+
+let test_master_matches_reference () =
+  let on_sim () =
+    let out = ref ([], false) in
+    ignore (Runtime.run ~config:cfg (fun () -> out := master_phases ()));
+    !out
+  and on_native () =
+    let out = ref ([], false) in
+    let module R = Ts_par.Runtime in
+    ignore (R.run ~config:{ R.default_config with pool = 2 } (fun () -> out := master_phases ()));
+    !out
+  in
+  List.iter
+    (fun (name, run) ->
+      let ops, filled = run () in
+      Alcotest.(check bool) (name ^ ": the master fills up") true filled;
+      Alcotest.(check (list int)) name (fst (with_reference_loops run)) ops)
+    [ ("sim", on_sim); ("native", on_native) ]
 
 (* --------------------------- single-thread flow ------------------------- *)
 
@@ -1044,6 +1112,8 @@ let () =
           Alcotest.test_case "mark/sweep/carry" `Quick test_mb_mark_sweep_carry;
           Alcotest.test_case "overflow" `Quick test_mb_overflow;
           Alcotest.test_case "marks reset on publish" `Quick test_mb_marks_reset_on_publish;
+          Alcotest.test_case "phases through the ops match their loops" `Quick
+            test_master_matches_reference;
         ] );
       ( "single-thread",
         [
