@@ -23,9 +23,25 @@
    So do the reclaimer's buffer loops (Ts_rt.drain_by and friends), for
    the same reason: [word_drain], [word_read_words], [word_publish] and
    [word_sweep] check the shadow byte of every word the loop would touch
-   before they touch any, then make the loop's SC loads and stores in
-   its order.  A word that is not live makes them return -1 having
-   stored nothing, and the caller reruns the checked loop.
+   before they touch any, then move the words in the loop's order.  A
+   word that is not live makes them return -1 having stored nothing, and
+   the caller reruns the checked loop.
+
+   Those moves are relaxed, not SC: [word_publish] stores entries and
+   marks relaxed, [word_sweep] compacts with relaxed stores, and
+   [word_drain] copies relaxed and makes one SC tail store at the end in
+   place of one per entry.  No other thread reads a word they write
+   before an SC store publishes it:
+
+   - Master_buffer follows each of them with an SC store of its count,
+     and a scanner loads the count before any entry, so an entry the
+     scanner reads was stored before the count it saw;
+   - the owner of a delete buffer cannot reuse a slot before the tail
+     passes it, and the drain's one tail store comes after every slot
+     load, so a slot it copies cannot be rewritten under it.
+
+   The simulator and the analyzer keep the reference loops, whose every
+   word is one SC op.
 
    The runtime's thread lookup is one C thread-local: the logical tid of
    the systhread, or -1 outside a run.  Logical threads are systhreads,
@@ -193,13 +209,16 @@ value ts_par_word_search_byte(value words, value shadow, value base, value n, va
 #define LIVE(a) ((a) > 0 && (uintnat)(a) < cap && sh[a] == 1)
 #define LOAD(a) __atomic_load_n(WORD(words, a), __ATOMIC_SEQ_CST)
 #define STORE(a, v) __atomic_store_n(WORD(words, a), (v), __ATOMIC_SEQ_CST)
+#define LOAD_RELAXED(a) __atomic_load_n(WORD(words, a), __ATOMIC_RELAXED)
+#define STORE_RELAXED(a, v) __atomic_store_n(WORD(words, a), (v), __ATOMIC_RELAXED)
 
 /* Ts_rt.drain_by over the ring at [ring] ([head][tail][len slots]) into
    [dst .. dst + room - 1].  The head and tail are read first, and decide
-   every other word the loop touches: [moved] slots copied, one tail
-   store after each, and one more slot read when the room runs out
-   first.  Returns [moved] shifted left once, with that extra read in
-   bit 0. */
+   every other word the loop touches: [moved] slots copied, one more slot
+   read when the room runs out first, and the tail the loop leaves.  The
+   loop stores the tail after each slot; only its last value is stored
+   here, once, after every copy.  Returns [moved] shifted left once, with
+   that extra read in bit 0. */
 intnat ts_par_word_drain(value words, value shadow, intnat ring, intnat len, intnat dst,
                          intnat room)
 {
@@ -217,11 +236,9 @@ intnat ts_par_word_drain(value words, value shadow, intnat ring, intnat len, int
     if (!LIVE(ring + 2 + (k + i) % len)) return -1;
   for (i = 0; i < moved; i++)
     if (!LIVE(dst + i)) return -1;
-  for (i = 0; i < moved; i++) {
-    STORE(dst + i, LOAD(ring + 2 + (k + i) % len));
-    STORE(ring + 1, Val_long(k + i + 1));
-  }
-  if (reads > moved) (void)LOAD(ring + 2 + (k + moved) % len);
+  for (i = 0; i < moved; i++) STORE_RELAXED(dst + i, LOAD_RELAXED(ring + 2 + (k + i) % len));
+  if (reads > moved) (void)LOAD_RELAXED(ring + 2 + (k + moved) % len);
+  if (moved > 0) STORE(ring + 1, Val_long(k + moved));
   return moved << 1 | (reads > moved);
 }
 
@@ -263,8 +280,8 @@ intnat ts_par_word_publish(value words, value shadow, intnat entries, intnat mar
   for (i = 0; i < n; i++)
     if (!LIVE(entries + i) || !LIVE(marks + i)) return -1;
   for (i = 0; i < n; i++) {
-    STORE(entries + i, in[i]);
-    STORE(marks + i, Val_long(0));
+    STORE_RELAXED(entries + i, in[i]);
+    STORE_RELAXED(marks + i, Val_long(0));
   }
   return 0;
 }
@@ -292,7 +309,7 @@ intnat ts_par_word_sweep(value words, value shadow, intnat entries, intnat marks
   for (i = 0; i < n; i++) {
     value p = LOAD(entries + i);
     if (use_marks && LOAD(marks + i) != Val_long(0))
-      STORE(entries + carry++, p);
+      STORE_RELAXED(entries + carry++, p);
     else
       out[freed++] = p;
   }

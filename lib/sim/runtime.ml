@@ -99,7 +99,8 @@ type status = Ready | Done
 (* What a thread runs when it is next stepped, in one block per
    suspension: the step that consumes it allocates no closure. *)
 type resume =
-  | Idle (* finished, or being stepped right now *)
+  | Idle (* finished *)
+  | Running (* being stepped right now *)
   | Fiber of (unit -> unit) (* a thread body or signal handler, not yet started *)
   | Cont : ('a, unit) Effect.Deep.continuation * 'a -> resume
   | Abort : ('a, unit) Effect.Deep.continuation * exn -> resume
@@ -169,57 +170,29 @@ type t = {
   mutable sched_steps : int; (* steps counted for PCT change points *)
   mutable current : int; (* tid being stepped, -1 outside [step] *)
   mutable stalled : thread list; (* descheduled by fault injection *)
-  mutable op_result : int; (* the handled effect's result, see [make_handler] *)
+  mutable op_result : int; (* a switching op's int result, see [make_handler] *)
+  mutable picked : int; (* the pick a switching op made, [no_pick] if none *)
 }
+
+(* [picked] before an op has ended a step: the scheduler loop runs the
+   epilogue itself.  A made pick is a tid, or -1 when the run is over. *)
+let no_pick = -2
 
 (* ------------------------------------------------------------------ *)
 (* Effects                                                            *)
 (* ------------------------------------------------------------------ *)
 
+(* An op runs in the calling fiber and ends its step there (see [stay]).
+   It performs an effect only to hand the step back to the scheduler loop:
+   to switch threads with its result, or for the few ops the loop itself
+   must finish. *)
 type _ Effect.t +=
-  | E_read : int -> int Effect.t
-  | E_write : (int * int) -> unit Effect.t
-  | E_cas : (int * int * int) -> bool Effect.t
-  | E_faa : (int * int) -> int Effect.t
-  | E_fence : unit Effect.t
-  | E_malloc : int -> int Effect.t
-  | E_free : int -> unit Effect.t
-  | E_region : int -> int Effect.t
-  | E_yield : unit Effect.t
-  | E_advance : int -> unit Effect.t
-  | E_now : int Effect.t
-  | E_self : int Effect.t
-  | E_rand : int -> int Effect.t
-  | E_spawn : (unit -> unit) -> int Effect.t
-  | E_join : int -> unit Effect.t
-  | E_is_done : int -> bool Effect.t
-  | E_signal : int -> unit Effect.t
-  | E_set_handler : (unit -> unit) -> unit Effect.t
-  | E_sig_depth : int Effect.t
-  | E_neutralize : exn -> unit Effect.t
-  | E_cancel_neutralize : unit Effect.t
-  | E_push_frame : int -> int Effect.t
-  | E_pop_frame : int -> unit Effect.t
-  | E_stack_range : (int * int) Effect.t
-  | E_reg_range : (int * int) Effect.t
-  | E_save_regs : unit Effect.t
-  | E_saved_reg_range : (int * int) Effect.t
-  | E_clear_regs : unit Effect.t
-  | E_add_range : (int * int) -> unit Effect.t
-  | E_remove_range : (int * int) -> unit Effect.t
-  | E_ranges : (int * int) list Effect.t
-  | E_ranges_of : int -> (int * int) list Effect.t
-  | E_steps : int Effect.t
-  | E_crash : int -> unit Effect.t
-  | E_stall : (int * int option) -> unit Effect.t
-  | E_unstall : int -> unit Effect.t
-  | E_drop_signals : (int * int) -> unit Effect.t
-  | E_delay_signals : (int * int) -> unit Effect.t
-  | E_wait_note : (unit -> string) option -> unit Effect.t
-  | E_note : string -> unit Effect.t
-  | E_is_crashed : int -> bool Effect.t
-  | E_is_stalled : int -> bool Effect.t
-  | E_clock_of : int -> int Effect.t
+  | E_switch : int Effect.t (* resume with [rt.op_result] *)
+  | E_switch_value : 'a -> 'a Effect.t (* resume with the value *)
+  | E_abort : exn -> 'a Effect.t (* resume by raising: the op raised, or an abort fired *)
+  | E_escape : exn -> 'a Effect.t (* the epilogue raised: the loop re-raises *)
+  | E_join : int * (unit -> string) option -> unit Effect.t
+  | E_crash_self : unit Effect.t
 
 (* ------------------------------------------------------------------ *)
 (* Ready queue (FIFO with push-front for boosted threads)             *)
@@ -256,6 +229,9 @@ let ready_remove rt th =
 (* ------------------------------------------------------------------ *)
 
 let[@inline] charge th c = th.clock <- th.clock + c
+
+(* [Stdlib.max] compares polymorphically, out of line *)
+let[@inline] imax (a : int) b = if a >= b then a else b
 
 let emit rt th event =
   match rt.cfg.trace with
@@ -311,7 +287,7 @@ let heap_push rt th =
   sync_current_key rt;
   if rt.nactive = Array.length rt.heap_tid then begin
     let grow a =
-      let bigger = Array.make (max 8 (2 * Array.length a)) 0 in
+      let bigger = Array.make (imax 8 (2 * Array.length a)) 0 in
       Array.blit a 0 bigger 0 rt.nactive;
       bigger
     in
@@ -376,7 +352,7 @@ let fiber_done rt th =
       th.resume <- f
 
 (* ------------------------------------------------------------------ *)
-(* Memory operations (executed at effect-perform time)                *)
+(* Memory operations (executed by the op, in the calling fiber)      *)
 (* ------------------------------------------------------------------ *)
 
 let[@inline] is_private th addr =
@@ -461,7 +437,7 @@ let do_signal rt sender target_tid =
       (* queue entries hold the earliest virtual time delivery may happen;
          0 = immediately (the normal, undelayed case) *)
       let deliver_at =
-        if target.sig_delay > 0 then max sender.clock target.clock + target.sig_delay else 0
+        if target.sig_delay > 0 then imax sender.clock target.clock + target.sig_delay else 0
       in
       Queue.push deliver_at target.pending;
       if (not target.on_core) && (not target.boosted) && not (is_stalled target) then begin
@@ -480,24 +456,26 @@ let do_signal rt sender target_tid =
 (* ---- non-preemptible critical sections ----
 
    [Ts_rt.critical] must make its body scheduling-atomic: a decorator
-   (the happens-before analyzer) delegates a memory effect and then
-   updates its own bookkeeping inside one [critical] body, and no other
-   fiber may observe the memory mutation before the bookkeeping lands.
-   Mutual exclusion alone is free here (one fiber runs at a time), but
-   every effect is a scheduling point, so [critical] additionally pins
+   (the happens-before analyzer) delegates a memory op and then updates
+   its own bookkeeping inside one [critical] body, and no other fiber may
+   observe the memory mutation before the bookkeeping lands.  Mutual
+   exclusion alone is free here (one fiber runs at a time), but every op
+   is a scheduling point, so [critical] additionally pins
    its owner: while a section is open the scheduler keeps resuming the
    owning fiber.
 
    The refs are module-level because the [Ts_rt.ops] record is static;
    exactly one simulator instance runs at a time (enforced by
    [Ts_rt.install]), and [create] and [start] reset them.  When no
-   critical body performs an effect — true of every in-tree caller except
+   critical body performs an op — true of every in-tree caller except
    the analyzer — the scheduler never observes a nonzero depth and
    schedules are bit-for-bit what they were. *)
 
 let crit_depth = ref 0
 let crit_tid = ref (-1) (* owner while depth > 0 *)
 let cur_tid = ref (-1) (* tid of the fiber inside [step] *)
+
+let running : t option ref = ref None (* the runtime inside [start] *)
 
 (* ---- fault injection ---- *)
 
@@ -532,7 +510,7 @@ let do_stall rt reporter target_tid cycles =
   if target.status <> Done && not (is_stalled target) then begin
     rt.sim_stats.stalls <- rt.sim_stats.stalls + 1;
     let until =
-      match cycles with None -> max_int | Some c -> max rt.now target.clock + max c 0
+      match cycles with None -> max_int | Some c -> imax rt.now target.clock + imax c 0
     in
     target.stalled_until <- until;
     target.boosted <- false;
@@ -581,17 +559,6 @@ let blocked_summary rt =
   done;
   Fmt.str "%d threads alive but none runnable: %s" rt.live (String.concat "; " !blocked)
 
-(* A pending neutralization (armed by a signal handler via [E_neutralize])
-   fires at the victim's next abortable effect — shared-memory accesses,
-   malloc, fence, yield.  Frees and frame pops are deliberately
-   non-abortable so cleanup paths (freeing a node that lost its publishing
-   CAS, unwinding shadow frames) can never be skipped; the abort stays
-   pending until the next abortable op.  Nothing fires while a handler is
-   still running. *)
-let[@inline] abortable : type a. a Effect.t -> bool = function
-  | E_read _ | E_write _ | E_cas _ | E_faa _ | E_fence | E_malloc _ | E_yield -> true
-  | _ -> false
-
 let[@inline] resume_with th k v = th.resume <- Cont (k, v)
 
 let do_push_frame rt th n =
@@ -610,192 +577,31 @@ let do_pop_frame rt th base =
   charge th rt.cfg.cost.local_op;
   th.sp <- base
 
-let rec make_handler : t -> thread -> (unit, unit) Effect.Deep.handler =
- fun rt th ->
+let make_handler rt th : (unit, unit) Effect.Deep.handler =
   let open Effect.Deep in
-  (* [effc] runs an effect's operation at once; the handler it returns
-     only files the fiber's continuation and result in [th.resume] for the
-     thread's next step.  Most effects return an int, a bool or unit:
-     their result travels in [rt.op_result] to a handler built here once
-     per fiber, so handling one allocates nothing but the resume block. *)
+  (* [effc] only files the fiber's continuation and result in [th.resume]
+     for the thread's next step: the op has already run.  An int result
+     travels in [rt.op_result] to a handler built here once per fiber, so
+     a switch allocates nothing but the resume block. *)
   let int_k = Some (fun k -> resume_with th k rt.op_result) in
-  let bool_k = Some (fun k -> resume_with th k (rt.op_result <> 0)) in
-  let unit_k = Some (fun k -> resume_with th k ()) in
-  let int v =
-    rt.op_result <- v;
-    int_k
-  in
-  let bool b =
-    rt.op_result <- Bool.to_int b;
-    bool_k
-  in
-  let value v = Some (fun k -> resume_with th k v) in
   {
     retc = (fun () -> fiber_done rt th);
     exnc = (fun e -> thread_fail rt th e);
     effc =
       (fun (type a) (eff : a Effect.t) : ((a, unit) continuation -> unit) option ->
-        match th.abort_pending with
-        | Some e when th.sig_depth = 0 && abortable eff ->
-            th.abort_pending <- None;
-            Some (fun k -> th.resume <- Abort (k, e))
-        | _ -> (
-            (* an operation that raises fails the calling thread at its
-               next step, never the scheduler *)
-            try
-              match eff with
-              | E_read addr -> int (do_read rt th addr)
-              | E_write (addr, v) ->
-                  do_write rt th addr v;
-                  unit_k
-              | E_cas (addr, e0, d) -> bool (do_cas rt th addr e0 d)
-              | E_faa (addr, d) -> int (do_faa rt th addr d)
-              | E_fence ->
-                  rt.sim_stats.fences <- rt.sim_stats.fences + 1;
-                  charge th rt.cfg.cost.fence;
-                  unit_k
-              | E_malloc n ->
-                  rt.sim_stats.mallocs <- rt.sim_stats.mallocs + 1;
-                  charge th rt.cfg.cost.malloc;
-                  let addr = Alloc.malloc rt.alloc ~tid:th.tid n in
-                  mirror_into_regs rt th (Ptr.of_addr addr);
-                  int addr
-              | E_free addr ->
-                  rt.sim_stats.frees <- rt.sim_stats.frees + 1;
-                  charge th rt.cfg.cost.free;
-                  Alloc.free rt.alloc ~tid:th.tid addr;
-                  unit_k
-              | E_region n ->
-                  charge th rt.cfg.cost.malloc;
-                  int (Alloc.alloc_region rt.alloc n)
-              | E_yield ->
-                  rt.sim_stats.yields <- rt.sim_stats.yields + 1;
-                  charge th rt.cfg.cost.yield;
-                  th.wants_yield <- true;
-                  unit_k
-              | E_advance n ->
-                  charge th (max n 0);
-                  unit_k
-              | E_now -> int th.clock
-              | E_self -> int th.tid
-              | E_rand n -> int (Splitmix.below th.rng n)
-              | E_spawn f ->
-                  charge th rt.cfg.cost.spawn;
-                  let child = new_thread rt f in
-                  child.clock <- th.clock;
-                  ready_push rt child;
-                  int child.tid
-              | E_join target ->
-                  (* the first attempt runs at the thread's next step *)
-                  ignore (get_thread rt target : thread);
-                  let note = Some (fun () -> Fmt.str "joining thread %d" target) in
-                  Some (fun k -> th.resume <- Join (k, target, note))
-              | E_is_done target -> bool (thread_done rt target)
-              | E_signal target ->
-                  do_signal rt th target;
-                  unit_k
-              | E_set_handler f ->
-                  th.handler <- Some f;
-                  charge th rt.cfg.cost.local_op;
-                  unit_k
-              | E_sig_depth -> int th.sig_depth
-              | E_push_frame n -> int (do_push_frame rt th n)
-              | E_pop_frame base ->
-                  do_pop_frame rt th base;
-                  unit_k
-              | E_stack_range -> value (th.stack_base, th.sp)
-              | E_reg_range -> value (th.reg_base, th.reg_words)
-              | E_save_regs ->
-                  charge th (th.reg_words * rt.cfg.cost.local_op);
-                  copy_regs rt ~src:th.reg_base ~dst:th.manual_save_base th.reg_words;
-                  unit_k
-              | E_saved_reg_range ->
-                  let base =
-                    match th.sig_saves with
-                    | save :: _ -> save
-                    | [] -> th.manual_save_base
-                  in
-                  value (base, th.reg_words)
-              | E_clear_regs ->
-                  charge th (th.reg_words * rt.cfg.cost.local_op);
-                  for i = 0 to th.reg_words - 1 do
-                    Mem.raw_write rt.mem (th.reg_base + i) 0
-                  done;
-                  unit_k
-              | E_add_range (base, len) ->
-                  th.private_ranges <- (base, len) :: th.private_ranges;
-                  charge th rt.cfg.cost.local_op;
-                  unit_k
-              | E_remove_range (base, len) ->
-                  let removed = ref false in
-                  th.private_ranges <-
-                    List.filter
-                      (fun r ->
-                        if (not !removed) && r = (base, len) then begin
-                          removed := true;
-                          false
-                        end
-                        else true)
-                      th.private_ranges;
-                  charge th rt.cfg.cost.local_op;
-                  unit_k
-              | E_ranges -> value th.private_ranges
-              | E_ranges_of target -> value (ranges_of_thread (get_thread rt target))
-              | E_steps -> int rt.sim_stats.steps
-              | E_crash target ->
-                  charge th rt.cfg.cost.local_op;
-                  if target = th.tid then
-                    (* self-crash: the continuation is abandoned, never
-                       resumed *)
-                    Some (fun _ -> do_crash rt th target)
-                  else begin
-                    do_crash rt th target;
-                    unit_k
-                  end
-              | E_stall (target, cycles) ->
-                  (* a self-stalling thread resumes here when its deadline
-                     passes *)
-                  charge th rt.cfg.cost.local_op;
-                  do_stall rt th target cycles;
-                  unit_k
-              | E_unstall target ->
-                  let t = get_thread rt target in
-                  (* retime the deadline to "now"; [wake_stalled] does the
-                     actual wake (and emits Recovered) at the next
-                     scheduling point, so release shares one code path
-                     with bounded-stall expiry *)
-                  if is_stalled t then t.stalled_until <- rt.now;
-                  unit_k
-              | E_drop_signals (target, n) ->
-                  (get_thread rt target).drop_sigs <- max 0 n;
-                  unit_k
-              | E_delay_signals (target, cycles) ->
-                  (get_thread rt target).sig_delay <- max 0 cycles;
-                  unit_k
-              | E_wait_note n ->
-                  th.wait_note <- n;
-                  unit_k
-              | E_note msg ->
-                  Some
-                    (fun k ->
-                      emit rt th (Trace.Note { tid = th.tid; msg });
-                      resume_with th k ())
-              | E_is_crashed target -> bool (get_thread rt target).crashed
-              | E_is_stalled target -> bool (is_stalled (get_thread rt target))
-              | E_clock_of target -> int (get_thread rt target).clock
-              | E_neutralize e ->
-                  charge th rt.cfg.cost.local_op;
-                  th.abort_pending <- Some e;
-                  unit_k
-              | E_cancel_neutralize ->
-                  charge th rt.cfg.cost.local_op;
-                  th.abort_pending <- None;
-                  unit_k
-              | _ -> None
-            with e -> Some (fun k -> th.resume <- Abort (k, e))));
+        match eff with
+        | E_switch -> int_k
+        | E_switch_value v -> Some (fun k -> resume_with th k v)
+        | E_abort e -> Some (fun k -> th.resume <- Abort (k, e))
+        | E_escape e -> Some (fun _ -> raise e)
+        (* the first attempt runs at the thread's next step *)
+        | E_join (target, note) -> Some (fun k -> th.resume <- Join (k, target, note))
+        (* the continuation is abandoned, never resumed *)
+        | E_crash_self -> Some (fun _ -> do_crash rt th th.tid)
+        | _ -> None);
   }
 
-and new_thread : t -> (unit -> unit) -> thread =
+let new_thread : t -> (unit -> unit) -> thread =
  fun rt body ->
   let tid = rt.nthreads in
   let stack_base = Alloc.alloc_region rt.alloc rt.cfg.stack_words in
@@ -841,7 +647,7 @@ and new_thread : t -> (unit -> unit) -> thread =
     }
   in
   if tid >= Array.length rt.threads then begin
-    let cap = max 8 (2 * Array.length rt.threads) in
+    let cap = imax 8 (2 * Array.length rt.threads) in
     let bigger = Array.make cap th in
     Array.blit rt.threads 0 bigger 0 tid;
     rt.threads <- bigger;
@@ -865,12 +671,13 @@ and new_thread : t -> (unit -> unit) -> thread =
 
 let[@inline] runnable th = match th.resume with Idle -> false | _ -> true
 
+let[@inline] pending_due th = (not (Queue.is_empty th.pending)) && Queue.peek th.pending <= th.clock
+
+let[@inline] signal_due th = match th.handler with Some _ -> pending_due th | None -> false
+
 let[@inline] deliver_signal rt th =
   match th.handler with
-  | Some h
-    when (not (Queue.is_empty th.pending))
-         && Queue.peek th.pending <= th.clock
-         && runnable th ->
+  | Some h when pending_due th && runnable th ->
       ignore (Queue.pop th.pending);
       rt.sim_stats.signals_delivered <- rt.sim_stats.signals_delivered + 1;
       charge th rt.cfg.cost.signal_dispatch;
@@ -995,27 +802,102 @@ let[@inline] post_step rt th =
   end;
   rt.current <- -1
 
-let[@inline] step rt th =
+(* [advance_phase] (wake stalled threads, refill cores) runs before
+   *every* pick. *)
+
+let[@inline] advance_phase rt =
+  wake_stalled rt;
+  refill rt;
+  if not (ready_nonempty rt) then rt.want_preempt <- false
+
+(* Whether the run can still step; drives virtual time over stall gaps.
+   Returns [true] with the runtime at a decision point ([nactive > 0]). *)
+let rec progress rt =
+  if rt.nactive > 0 then true
+  else if rt.live = 0 then false
+  else begin
+    (* Nothing runnable.  If a stalled thread has a finite deadline, jump
+       virtual time forward to the earliest wake-up.  If every remaining
+       live thread is stalled forever, the run is over and they are
+       reported as abandoned.  Anything else is a genuine deadlock: report
+       who is blocked and on what. *)
+    let next_wake =
+      List.fold_left
+        (fun acc th -> if th.stalled_until < acc then th.stalled_until else acc)
+        max_int rt.stalled
+    in
+    if next_wake < max_int then begin
+      rt.now <- imax rt.now next_wake;
+      advance_phase rt;
+      progress rt
+    end
+    else if rt.stalled <> [] && List.length rt.stalled = rt.live then false
+    else raise (Deadlock (blocked_summary rt))
+  end
+
+(* ---- a step ----
+
+   A step resumes the picked thread, which runs until its next op has run:
+   the prologue, the thread's code and op, then the epilogue that makes
+   the next pick.  The scheduler loop runs both ends for a thread it
+   resumes; an op that ends its own step runs the epilogue in place and,
+   when the pick is its caller again, the next prologue too, and returns
+   without a round trip through the loop ([stay]). *)
+
+let[@inline] enter_step rt th =
   rt.current <- th.tid;
   cur_tid := th.tid;
   deliver_signal rt th;
   if th.clock > rt.now then rt.now <- th.clock;
   rt.sim_stats.steps <- rt.sim_stats.steps + 1;
-  if rt.sim_stats.steps > rt.cfg.max_steps then raise Step_limit_exceeded;
+  if rt.sim_stats.steps > rt.cfg.max_steps then raise Step_limit_exceeded
+
+(* The next thread to step, or -1 when the run is over. *)
+let[@inline] next_pick rt =
+  advance_phase rt;
+  if progress rt then (pick_next rt).tid else -1
+
+let[@inline] end_step rt th =
+  post_step rt th;
+  next_pick rt
+
+(* Run by an op in the calling fiber, once its operation has run: the
+   step's epilogue, in place.  [true]: the pick is the caller again, no
+   signal is due and the step limit is not reached, so the caller's next
+   step has begun and the op returns its result directly.  [false]: the
+   pick waits in [rt.picked] and the op switches ([E_switch]).  What the
+   epilogue raises, the scheduler loop raises, as when it ran there. *)
+let stay rt th =
+  match end_step rt th with
+  | next ->
+      if next = th.tid && (not (signal_due th)) && rt.sim_stats.steps < rt.cfg.max_steps then begin
+        enter_step rt th;
+        true
+      end
+      else begin
+        rt.picked <- next;
+        false
+      end
+  | exception e -> Effect.perform (E_escape e)
+
+(* Steps [th] and returns the next pick. *)
+let step rt th =
+  enter_step rt th;
+  rt.picked <- no_pick;
   (match th.resume with
-  | Idle -> raise (Sim_error "scheduled a thread with nothing to run")
+  | Idle | Running -> raise (Sim_error "scheduled a thread with nothing to run")
   | Fiber f ->
-      th.resume <- Idle;
+      th.resume <- Running;
       Effect.Deep.match_with f () (make_handler rt th)
   | Cont (k, v) ->
-      th.resume <- Idle;
+      th.resume <- Running;
       Effect.Deep.continue k v
   | Abort (k, e) ->
-      th.resume <- Idle;
+      th.resume <- Running;
       Effect.Deep.discontinue k e
   | Join (k, target, note) ->
       if thread_done rt target then begin
-        th.resume <- Idle;
+        th.resume <- Running;
         th.wait_note <- None;
         Effect.Deep.continue k ()
       end
@@ -1026,7 +908,7 @@ let[@inline] step rt th =
         charge th rt.cfg.cost.yield;
         th.wants_yield <- true
       end);
-  post_step rt th
+  if rt.picked = no_pick then end_step rt th else rt.picked
 
 (* ------------------------------------------------------------------ *)
 (* Public API                                                         *)
@@ -1046,7 +928,7 @@ let create cfg =
   let pct_points =
     match cfg.sched with
     | Pct { change_points; expected_steps } ->
-        List.init change_points (fun _ -> 1 + Splitmix.below rng (max 1 expected_steps))
+        List.init change_points (fun _ -> 1 + Splitmix.below rng (imax 1 expected_steps))
         |> List.sort_uniq compare
     | Timed | Uniform -> []
   in
@@ -1074,6 +956,7 @@ let create cfg =
     current = -1;
     stalled = [];
     op_result = 0;
+    picked = no_pick;
   }
 
 let add_thread rt body =
@@ -1099,41 +982,6 @@ let collect_failures rt =
   done;
   !fs
 
-(* ---- the scheduler loop ----
-
-   [advance_phase] (wake stalled threads, refill cores) runs before
-   *every* pick. *)
-
-let[@inline] advance_phase rt =
-  wake_stalled rt;
-  refill rt;
-  if not (ready_nonempty rt) then rt.want_preempt <- false
-
-(* Whether the run can still step; drives virtual time over stall gaps.
-   Returns [true] with the runtime at a decision point ([nactive > 0]). *)
-let rec progress rt =
-  if rt.nactive > 0 then true
-  else if rt.live = 0 then false
-  else begin
-    (* Nothing runnable.  If a stalled thread has a finite deadline, jump
-       virtual time forward to the earliest wake-up.  If every remaining
-       live thread is stalled forever, the run is over and they are
-       reported as abandoned.  Anything else is a genuine deadlock: report
-       who is blocked and on what. *)
-    let next_wake =
-      List.fold_left
-        (fun acc th -> if th.stalled_until < acc then th.stalled_until else acc)
-        max_int rt.stalled
-    in
-    if next_wake < max_int then begin
-      rt.now <- max rt.now next_wake;
-      advance_phase rt;
-      progress rt
-    end
-    else if rt.stalled <> [] && List.length rt.stalled = rt.live then false
-    else raise (Deadlock (blocked_summary rt))
-  end
-
 let result_of rt =
   let abandoned =
     List.filter_map (fun th -> if th.status <> Done then Some th.tid else None) rt.stalled
@@ -1152,11 +1000,15 @@ let start rt =
      must not decide this run's first pick *)
   crit_depth := 0;
   crit_tid := -1;
-  advance_phase rt;
-  while progress rt do
-    step rt (pick_next rt);
-    advance_phase rt
-  done;
+  let prev = !running in
+  running := Some rt;
+  Fun.protect
+    ~finally:(fun () -> running := prev)
+    (fun () ->
+      let next = ref (next_pick rt) in
+      while !next >= 0 do
+        next := step rt rt.threads.(!next)
+      done);
   result_of rt
 
 let run ?(config = default_config) main =
@@ -1164,9 +1016,51 @@ let run ?(config = default_config) main =
   ignore (add_thread rt main);
   start rt
 
-(* Effect-performing wrappers *)
+(* ---- ops ----
 
-let read addr = Effect.perform (E_read addr)
+   Each op runs in the calling fiber exactly as the loop's effect handler
+   once ran it, then ends its step with [ret]: in place when [stay] allows,
+   else by one switch.  An op that raises fails the calling thread at its
+   next step, never the scheduler. *)
+
+let[@inline never] outside () = raise (Sim_error "simulator op outside a simulated thread")
+
+(* The runtime stepping the calling fiber, and the fiber's thread *)
+let[@inline] sim () = match !running with Some rt when rt.current >= 0 -> rt | _ -> outside ()
+let[@inline] me rt = rt.threads.(rt.current)
+
+let[@inline] fail e = Effect.perform (E_abort e)
+
+(* A pending neutralization (armed by a signal handler via [neutralize])
+   fires at the victim's next abortable op — shared-memory accesses,
+   malloc, fence, yield — instead of the op.  Frees and frame pops are
+   deliberately non-abortable so cleanup paths (freeing a node that lost
+   its publishing CAS, unwinding shadow frames) can never be skipped; the
+   abort stays pending until the next abortable op.  Nothing fires while
+   a handler is still running. *)
+let[@inline] check_abort th =
+  match th.abort_pending with
+  | Some e when th.sig_depth = 0 ->
+      th.abort_pending <- None;
+      fail e
+  | _ -> ()
+
+let[@inline] ret rt th v =
+  if stay rt th then v
+  else begin
+    rt.op_result <- v;
+    Effect.perform E_switch
+  end
+
+let[@inline] ret_unit rt th = ignore (ret rt th 0 : int)
+let[@inline] ret_bool rt th b = ret rt th (Bool.to_int b) <> 0
+let ret_value rt th v = if stay rt th then v else Effect.perform (E_switch_value v)
+
+let read addr =
+  let rt = sim () in
+  let th = me rt in
+  check_abort th;
+  match do_read rt th addr with v -> ret rt th v | exception e -> fail e
 
 (* TS-Scan's range op is a plain [read] loop plus the window test here:
    traces, schedules and checker sweeps are exactly those of the loop. *)
@@ -1179,7 +1073,11 @@ let scan_words base len ~lo ~hi f =
 (* The master-buffer search is the reference [read] loop too. *)
 let search base n key = Ts_rt.search_by read base n key
 
-let write addr v = Effect.perform (E_write (addr, v))
+let write addr v =
+  let rt = sim () in
+  let th = me rt in
+  check_abort th;
+  match do_write rt th addr v with () -> ret_unit rt th | exception e -> fail e
 
 (* So are the reclamation phase's buffer loops. *)
 let drain ring len ~dst ~cap cursor = Ts_rt.drain_by read write ring len ~dst ~cap cursor
@@ -1189,93 +1087,299 @@ let publish ~entries ~marks src n = Ts_rt.publish_by write ~entries ~marks src n
 let sweep ~entries ~marks ~ignore_marks n unmarked =
   Ts_rt.sweep_by read write ~entries ~marks ~ignore_marks n unmarked
 
-let cas addr expected desired = Effect.perform (E_cas (addr, expected, desired))
+let cas addr expected desired =
+  let rt = sim () in
+  let th = me rt in
+  check_abort th;
+  match do_cas rt th addr expected desired with
+  | ok -> ret_bool rt th ok
+  | exception e -> fail e
 
-let faa addr delta = Effect.perform (E_faa (addr, delta))
+let faa addr delta =
+  let rt = sim () in
+  let th = me rt in
+  check_abort th;
+  match do_faa rt th addr delta with v -> ret rt th v | exception e -> fail e
 
-let fence () = Effect.perform E_fence
+let fence () =
+  let rt = sim () in
+  let th = me rt in
+  check_abort th;
+  rt.sim_stats.fences <- rt.sim_stats.fences + 1;
+  charge th rt.cfg.cost.fence;
+  ret_unit rt th
 
-let malloc n = Effect.perform (E_malloc n)
+let malloc n =
+  let rt = sim () in
+  let th = me rt in
+  check_abort th;
+  rt.sim_stats.mallocs <- rt.sim_stats.mallocs + 1;
+  charge th rt.cfg.cost.malloc;
+  match Alloc.malloc rt.alloc ~tid:th.tid n with
+  | addr ->
+      mirror_into_regs rt th (Ptr.of_addr addr);
+      ret rt th addr
+  | exception e -> fail e
 
-let free addr = Effect.perform (E_free addr)
+let free addr =
+  let rt = sim () in
+  let th = me rt in
+  rt.sim_stats.frees <- rt.sim_stats.frees + 1;
+  charge th rt.cfg.cost.free;
+  match Alloc.free rt.alloc ~tid:th.tid addr with () -> ret_unit rt th | exception e -> fail e
 
-let alloc_region n = Effect.perform (E_region n)
+let alloc_region n =
+  let rt = sim () in
+  let th = me rt in
+  charge th rt.cfg.cost.malloc;
+  match Alloc.alloc_region rt.alloc n with base -> ret rt th base | exception e -> fail e
 
-let yield () = Effect.perform E_yield
+let yield () =
+  let rt = sim () in
+  let th = me rt in
+  check_abort th;
+  rt.sim_stats.yields <- rt.sim_stats.yields + 1;
+  charge th rt.cfg.cost.yield;
+  th.wants_yield <- true;
+  ret_unit rt th
 
-let advance n = Effect.perform (E_advance n)
+let advance n =
+  let rt = sim () in
+  let th = me rt in
+  charge th (if n > 0 then n else 0);
+  ret_unit rt th
 
-let now () = Effect.perform E_now
+let now () =
+  let rt = sim () in
+  let th = me rt in
+  ret rt th th.clock
 
-let self () = Effect.perform E_self
+let self () =
+  let rt = sim () in
+  let th = me rt in
+  ret rt th th.tid
 
-let rand_below n = Effect.perform (E_rand n)
+let rand_below n =
+  let rt = sim () in
+  let th = me rt in
+  match Splitmix.below th.rng n with v -> ret rt th v | exception e -> fail e
 
-let spawn f = Effect.perform (E_spawn f)
+let steps_now () =
+  let rt = sim () in
+  let th = me rt in
+  ret rt th rt.sim_stats.steps
 
-let join tid = Effect.perform (E_join tid)
+(* Spawn, join, a self-crash and a note hand their step to the loop,
+   which runs its epilogue. *)
+let spawn f =
+  let rt = sim () in
+  let th = me rt in
+  charge th rt.cfg.cost.spawn;
+  match new_thread rt f with
+  | child ->
+      child.clock <- th.clock;
+      ready_push rt child;
+      rt.op_result <- child.tid;
+      Effect.perform E_switch
+  | exception e -> fail e
 
-let is_done tid = Effect.perform (E_is_done tid)
+let join target =
+  let rt = sim () in
+  match get_thread rt target with
+  | _ -> Effect.perform (E_join (target, Some (fun () -> Fmt.str "joining thread %d" target)))
+  | exception e -> fail e
 
-let signal tid = Effect.perform (E_signal tid)
+let is_done target =
+  let rt = sim () in
+  let th = me rt in
+  match thread_done rt target with d -> ret_bool rt th d | exception e -> fail e
 
-let set_signal_handler f = Effect.perform (E_set_handler f)
+let signal target =
+  let rt = sim () in
+  let th = me rt in
+  match do_signal rt th target with () -> ret_unit rt th | exception e -> fail e
 
-let signal_depth () = Effect.perform E_sig_depth
+let set_signal_handler f =
+  let rt = sim () in
+  let th = me rt in
+  th.handler <- Some f;
+  charge th rt.cfg.cost.local_op;
+  ret_unit rt th
 
-let neutralize e = Effect.perform (E_neutralize e)
+let signal_depth () =
+  let rt = sim () in
+  let th = me rt in
+  ret rt th th.sig_depth
 
-let cancel_neutralize () = Effect.perform E_cancel_neutralize
+let neutralize e =
+  let rt = sim () in
+  let th = me rt in
+  charge th rt.cfg.cost.local_op;
+  th.abort_pending <- Some e;
+  ret_unit rt th
 
-let push_frame n = Effect.perform (E_push_frame n)
+let cancel_neutralize () =
+  let rt = sim () in
+  let th = me rt in
+  charge th rt.cfg.cost.local_op;
+  th.abort_pending <- None;
+  ret_unit rt th
 
-let pop_frame base = Effect.perform (E_pop_frame base)
+let push_frame n =
+  let rt = sim () in
+  let th = me rt in
+  match do_push_frame rt th n with base -> ret rt th base | exception e -> fail e
 
-let stack_range () = Effect.perform E_stack_range
+let pop_frame base =
+  let rt = sim () in
+  let th = me rt in
+  match do_pop_frame rt th base with () -> ret_unit rt th | exception e -> fail e
 
-let reg_range () = Effect.perform E_reg_range
+let stack_range () =
+  let rt = sim () in
+  let th = me rt in
+  ret_value rt th (th.stack_base, th.sp)
 
-let save_regs () = Effect.perform E_save_regs
+let reg_range () =
+  let rt = sim () in
+  let th = me rt in
+  ret_value rt th (th.reg_base, th.reg_words)
 
-let saved_reg_range () = Effect.perform E_saved_reg_range
+let save_regs () =
+  let rt = sim () in
+  let th = me rt in
+  charge th (th.reg_words * rt.cfg.cost.local_op);
+  copy_regs rt ~src:th.reg_base ~dst:th.manual_save_base th.reg_words;
+  ret_unit rt th
 
-let clear_regs () = Effect.perform E_clear_regs
+let saved_reg_range () =
+  let rt = sim () in
+  let th = me rt in
+  let base = match th.sig_saves with save :: _ -> save | [] -> th.manual_save_base in
+  ret_value rt th (base, th.reg_words)
 
-let add_private_range base len = Effect.perform (E_add_range (base, len))
+let clear_regs () =
+  let rt = sim () in
+  let th = me rt in
+  charge th (th.reg_words * rt.cfg.cost.local_op);
+  for i = 0 to th.reg_words - 1 do
+    Mem.raw_write rt.mem (th.reg_base + i) 0
+  done;
+  ret_unit rt th
 
-let remove_private_range base len = Effect.perform (E_remove_range (base, len))
+let add_private_range base len =
+  let rt = sim () in
+  let th = me rt in
+  th.private_ranges <- (base, len) :: th.private_ranges;
+  charge th rt.cfg.cost.local_op;
+  ret_unit rt th
 
-let private_ranges () = Effect.perform E_ranges
+let remove_private_range base len =
+  let rt = sim () in
+  let th = me rt in
+  let removed = ref false in
+  th.private_ranges <-
+    List.filter
+      (fun (b, l) ->
+        if (not !removed) && b = base && l = len then begin
+          removed := true;
+          false
+        end
+        else true)
+      th.private_ranges;
+  charge th rt.cfg.cost.local_op;
+  ret_unit rt th
 
-let scan_ranges_of tid = Effect.perform (E_ranges_of tid)
+let private_ranges () =
+  let rt = sim () in
+  let th = me rt in
+  ret_value rt th th.private_ranges
 
-let steps_now () = Effect.perform E_steps
+let scan_ranges_of target =
+  let rt = sim () in
+  let th = me rt in
+  match ranges_of_thread (get_thread rt target) with
+  | ranges -> ret_value rt th ranges
+  | exception e -> fail e
 
 (* Fault injection *)
 
-let crash tid = Effect.perform (E_crash tid)
+let crash target =
+  let rt = sim () in
+  let th = me rt in
+  charge th rt.cfg.cost.local_op;
+  if target = th.tid then Effect.perform E_crash_self
+  else match do_crash rt th target with () -> ret_unit rt th | exception e -> fail e
 
-let stall ?cycles tid = Effect.perform (E_stall (tid, cycles))
+(* a self-stalling thread resumes here when its deadline passes *)
+let stall ?cycles target =
+  let rt = sim () in
+  let th = me rt in
+  charge th rt.cfg.cost.local_op;
+  match do_stall rt th target cycles with () -> ret_unit rt th | exception e -> fail e
 
-let unstall tid = Effect.perform (E_unstall tid)
+(* retimes the deadline to "now"; [wake_stalled] does the actual wake (and
+   emits Recovered) at the next scheduling point, so release shares one
+   code path with bounded-stall expiry *)
+let unstall target =
+  let rt = sim () in
+  let th = me rt in
+  match get_thread rt target with
+  | t ->
+      if is_stalled t then t.stalled_until <- rt.now;
+      ret_unit rt th
+  | exception e -> fail e
 
-let drop_signals tid n = Effect.perform (E_drop_signals (tid, n))
+let drop_signals target n =
+  let rt = sim () in
+  let th = me rt in
+  match get_thread rt target with
+  | t ->
+      t.drop_sigs <- (if n > 0 then n else 0);
+      ret_unit rt th
+  | exception e -> fail e
 
-let delay_signals tid cycles = Effect.perform (E_delay_signals (tid, cycles))
+let delay_signals target cycles =
+  let rt = sim () in
+  let th = me rt in
+  match get_thread rt target with
+  | t ->
+      t.sig_delay <- (if cycles > 0 then cycles else 0);
+      ret_unit rt th
+  | exception e -> fail e
 
-let is_crashed tid = Effect.perform (E_is_crashed tid)
+let is_crashed target =
+  let rt = sim () in
+  let th = me rt in
+  match get_thread rt target with t -> ret_bool rt th t.crashed | exception e -> fail e
 
-let is_stalled tid = Effect.perform (E_is_stalled tid)
+let is_stalled target =
+  let rt = sim () in
+  let th = me rt in
+  match get_thread rt target with t -> ret_bool rt th (is_stalled t) | exception e -> fail e
 
-let clock_of tid = Effect.perform (E_clock_of tid)
+let clock_of target =
+  let rt = sim () in
+  let th = me rt in
+  match get_thread rt target with t -> ret rt th t.clock | exception e -> fail e
 
-let set_wait_note n = Effect.perform (E_wait_note n)
+let set_wait_note n =
+  let rt = sim () in
+  let th = me rt in
+  th.wait_note <- n;
+  ret_unit rt th
 
-let note msg = Effect.perform (E_note msg)
+(* a trace callback that raises stops the run, as it does in the loop *)
+let note msg =
+  let rt = sim () in
+  let th = me rt in
+  match emit rt th (Trace.Note { tid = th.tid; msg }) with
+  | () -> ignore (Effect.perform E_switch : int)
+  | exception e -> Effect.perform (E_escape e)
 
 (* Backend registration: the whole algorithm stack calls [Ts_rt], which
-   dispatches to whichever backend registered last.  The sim op wrappers
-   above are plain [Effect.perform] closures, so the record is static;
+   dispatches to whichever backend registered last.  The sim ops above
+   are plain functions, so the record is static;
    entering the simulator (create/start/run) re-installs it, which lets
    sim and native runs alternate freely within one process. *)
 
@@ -1334,7 +1438,7 @@ let rt_ops : Ts_rt.ops =
     set_wait_note;
     note;
     (* Exactly one fiber runs at a time, so mutual exclusion is free —
-       but a decorator performing effects inside [critical] also needs
+       but a decorator performing ops inside [critical] also needs
        the section to be scheduling-atomic, so the owner is pinned until
        the depth returns to zero (see [pinned_owner]). *)
     critical =

@@ -1,8 +1,11 @@
 (** Deterministic simulated multiprocessor.
 
-    Threads are OCaml 5 fibers; every shared-memory operation is an effect.
-    The scheduler executes exactly one operation per step, always choosing
-    the active thread with the smallest virtual clock, which yields a
+    Threads are OCaml 5 fibers; every shared-memory operation is one
+    scheduler step.  An operation ends its step where it runs: when the
+    scheduler picks the same thread again it returns in place, and
+    otherwise it performs an effect that switches to the picked thread.
+    The scheduler executes exactly one operation per step, by default
+    choosing the active thread with the smallest virtual clock, which yields a
     sequentially consistent interleaving whose timing follows the
     {!Ts_rt.Cost_model}.  [cores] simulated cores are multiplexed among threads
     with a quantum and context-switch costs, reproducing oversubscription.
@@ -140,7 +143,10 @@ val running_tid : t -> int option
 (** The thread currently being stepped; [None] outside a step.  Lets
     fault hooks installed on {!mem} attribute a fault to a thread. *)
 
-(** {1 Operations (only valid inside a running thread)} *)
+(** {1 Operations}
+
+    Only valid inside a running thread; anywhere else they raise
+    [Sim_error]. *)
 
 val read : int -> int
 (** Shared-memory load of one word; the value is mirrored into the calling
@@ -205,7 +211,7 @@ val signal_depth : unit -> int
 val neutralize : exn -> unit
 (** Called from inside a signal handler: arm a neutralization of the
     interrupted context.  Once every pending handler has returned, the
-    thread raises [exn] at its next abortable effect (read / write / cas /
+    thread raises [exn] at its next abortable operation (read / write / cas /
     faa / fence / malloc / yield — {e not} free or pop_frame, so cleanup
     code still runs).  A handler must use this instead of raising: a
     handler fiber that raises kills its thread. *)
@@ -265,7 +271,7 @@ val scan_ranges_of : tid -> (int * int) list
 (** {1 Fault injection}
 
     Deterministic, seedable fault primitives for robustness testing.  All
-    of them are ordinary effects performed by a running thread (a fault
+    of them are ordinary operations of a running thread (a fault
     "injector" is just another thread), so every fault lands at a precise,
     reproducible point in the interleaving. *)
 

@@ -1007,6 +1007,151 @@ let test_mid_step_removal_schedule () =
   check_log "pct" "5136724536725367456745676772242426426426426424"
     (schedule (Runtime.Pct { change_points = 3; expected_steps = 200 }) 0)
 
+(* A step whose op picks the calling thread again returns in place; every
+   other outcome hands the step back to the scheduler loop.  One run per
+   policy crosses each of those outcomes: signal delivery (to the sender
+   itself, and once delayed), a neutralize abort, an op that raises,
+   yields and quantum deschedules on 2 cores, a crash and a stall at fixed
+   steps, PCT change points, and the step limit that ends the run.  A log
+   is the run's trace, one token and its time per event: a schedule that
+   moves changes it. *)
+let fallback_schedule sched seed =
+  let log = Buffer.create 1024 in
+  let token { Ts_sim.Trace.time; event } =
+    let p fmt = Printf.bprintf log fmt in
+    (match event with
+    | Ts_sim.Trace.Thread_started { tid } -> p "S%d" tid
+    | Thread_finished { tid } -> p "F%d" tid
+    | Scheduled { tid } -> p "+%d" tid
+    | Descheduled { tid } -> p "-%d" tid
+    | Signal_sent { sender; target } -> p "%d>%d" sender target
+    | Signal_delivered { tid; depth } -> p "D%d.%d" tid depth
+    | Signal_returned { tid } -> p "R%d" tid
+    | Priority_changed { tid; _ } -> p "P%d" tid
+    | Crashed { tid } -> p "X%d" tid
+    | Stalled { tid; _ } -> p "Z%d" tid
+    | Recovered { tid } -> p "W%d" tid
+    | Signal_dropped { sender; target } -> p "%d/%d" sender target
+    | Note { tid; msg } -> p "%d:%s" tid msg);
+    p "@%d " time
+  in
+  let config =
+    { cfg with sched; seed; cores = 2; quantum = 1000; max_steps = 1000; trace = Some token }
+  in
+  let outcome =
+    match
+      Runtime.run ~config (fun () ->
+          let a = Runtime.alloc_region 4 in
+          let victim =
+            Runtime.spawn (fun () ->
+                Runtime.set_signal_handler (fun () -> Runtime.neutralize Exit);
+                while true do
+                  try
+                    for i = 0 to 40 do
+                      ignore (Runtime.read (a + (i land 3)))
+                    done
+                  with Exit -> Runtime.note "abort"
+                done)
+          in
+          ignore
+            (Runtime.spawn (fun () ->
+                 Runtime.set_signal_handler ignore;
+                 for i = 1 to max_int do
+                   (try Runtime.pop_frame (-1) with Runtime.Sim_error _ -> Runtime.note "raise");
+                   (* due at once, at the end of a step that may pick this
+                      thread again *)
+                   if i <= 3 then Runtime.signal (Runtime.self ());
+                   Runtime.yield ()
+                 done));
+          let spin () =
+            while true do
+              ignore (Runtime.faa (a + 2) 1)
+            done
+          in
+          let doomed = Runtime.spawn spin and sleeper = Runtime.spawn spin in
+          let until n =
+            while Runtime.steps_now () < n do
+              Runtime.yield ()
+            done
+          in
+          until 150;
+          Runtime.signal victim;
+          until 300;
+          Runtime.crash doomed;
+          until 450;
+          Runtime.stall ~cycles:3000 sleeper;
+          until 600;
+          (* due only once the victim's own clock passes it, often in the
+             middle of a run of its steps *)
+          Runtime.delay_signals victim 300;
+          Runtime.signal victim;
+          spin ())
+    with
+    | r -> Printf.sprintf "finished steps=%d" r.Runtime.run_stats.Runtime.steps
+    | exception Runtime.Step_limit_exceeded -> "step limit"
+  in
+  Buffer.contents log ^ outcome
+
+let test_fallback_schedule () =
+  let check_log name expected got = Alcotest.(check string) name expected got in
+  check_log "timed"
+    "S0@0 -0@2060 S1@2060 +0@5060 -0@7060 S2@7060 -1@5071 +0@10060 \
+     2:raise@7061 2>2@7461 D2.1@8361 R2@8661 -2@8661 +1@8071 -1@9361 \
+     +2@11661 -0@12060 +1@12361 -2@11721 S3@12060 -3@13060 +0@15060 \
+     -1@13361 +2@14721 2:raise@14721 2>2@15121 -0@17060 +3@16060 \
+     D2.1@16021 R2@16321 -2@16321 +1@16361 -3@17060 S4@17060 -1@17361 \
+     +0@20060 -4@18060 +2@19321 -2@19381 +3@20060 0>1@20460 -0@20460 \
+     +1@20361 D1.1@21261 -3@21060 +4@21060 R1@21562 -1@21562 +2@22381 \
+     -4@22261 +0@23460 2:raise@22381 2>2@22781 D2.1@23681 R2@23981 \
+     -2@23981 +3@24060 X3@23461 +1@24562 Z4@23462 0>1@23862 -0@24462 \
+     +2@26981 1:abort@24562 D1.1@25762 -1@25763 +0@27462 -2@27041 \
+     W4@26981 +1@28763 -0@28462 +2@30041 R1@29063 1:abort@29063 -1@29763 \
+     +4@29981 2:raise@30041 -2@30101 +0@31462 -4@30981 +1@32763 -0@32462 \
+     +2@33101 2:raise@33101 -2@33161 +4@33981 step limit"
+    (fallback_schedule Runtime.Timed 0);
+  check_log "uniform"
+    "S0@0 -0@2060 S1@2060 +0@5060 -0@7060 S2@7060 2:raise@7061 2>2@7461 \
+     D2.1@8361 R2@8661 -2@8661 +0@10060 -0@12060 +2@11661 -2@11721 \
+     S3@12060 -3@13060 +0@15060 -0@17060 +2@14721 2:raise@15060 \
+     2>2@15460 D2.1@16360 R2@16660 -2@16660 +3@16060 -3@17360 S4@17060 \
+     -4@18320 +0@20060 0>1@20460 D1.1@3541 -1@3542 +2@19660 -2@20120 \
+     +3@20360 -0@20520 +4@21320 -3@21460 +1@6542 R1@22260 1:abort@22260 \
+     -4@22320 +2@23120 2:raise@23120 2>2@23520 D2.1@24420 R2@24720 \
+     -2@24720 +0@23520 -0@24480 +3@24460 -3@25460 +4@25320 -4@26420 \
+     +2@27720 -2@27780 +0@27480 X3@27721 -0@27781 +4@29420 -1@22960 \
+     +2@30780 2:raise@30780 -2@30840 +0@30781 -0@30841 +1@25960 -4@30420 \
+     +2@33840 2:raise@33840 -2@33900 +0@33841 -0@33901 +4@33420 -4@34841 \
+     +2@36900 2:raise@36900 -2@36960 +0@36901 Z4@36902 -0@36962 +2@39960 \
+     W4@39960 2:raise@39960 -2@40020 +0@39962 -0@40022 +4@42960 -4@43960 \
+     +2@43020 2:raise@43920 -2@43980 +0@43022 -0@43980 +4@46960 -4@47960 \
+     +2@46980 2:raise@47920 -1@31781 +0@46980 -2@47980 +4@50960 -0@47980 \
+     +1@34781 -4@51960 +2@50980 2:raise@51920 -2@51980 +0@50980 \
+     0>1@52320 -0@52920 +4@54960 -4@55960 +2@54980 2:raise@55920 \
+     -2@55980 +0@55920 -1@51960 +4@58960 -0@56920 +2@58980 2:raise@59040 \
+     -2@59100 +1@54960 D1.1@59980 R1@60281 -1@60281 +0@59920 -4@59960 \
+     +2@62100 2:raise@62100 -2@62160 +1@63281 1:abort@63281 -0@60981 \
+     +4@62960 -4@64421 +2@65160 2:raise@65160 -2@65220 +0@63981 -0@66160 \
+     +4@67421 -4@68421 +2@68220 step limit"
+    (fallback_schedule Runtime.Uniform 5);
+  check_log "pct"
+    "S0@0 -0@2060 S1@2060 +0@5060 P1@3941 -0@7060 S2@7060 2:raise@7061 \
+     2>2@7461 D2.1@8361 R2@8661 -2@8661 +0@10060 -0@12060 +2@11661 \
+     -2@11721 S3@12060 -3@13060 +0@15060 -0@17060 +2@14721 -1@3961 \
+     +3@16060 -3@17060 S4@17060 -4@18060 +0@20060 0>1@20460 -0@20460 \
+     +1@6961 D1.1@20960 R1@21261 -1@21261 +3@20060 -3@21961 +4@21060 \
+     -4@22921 +0@23460 X3@23461 -0@23521 +1@24261 1:abort@24261 -1@25261 \
+     +4@25921 -4@26921 +0@26521 2:raise@15060 2>2@15460 D2.1@16360 \
+     R2@16660 -2@16660 +1@28261 -1@29261 +4@29921 -4@30921 +2@19660 \
+     -2@30941 +1@32261 -1@33261 +4@33921 -4@34921 +2@33941 Z4@26882 \
+     0>1@27282 -0@27282 +1@36261 D1.1@37161 R1@37462 -1@37462 +0@30282 \
+     W4@37922 -0@38162 +1@40462 1:abort@40462 P1@40482 2:raise@34881 \
+     2>2@35281 D2.1@36181 R2@36481 -2@36481 +4@40922 -4@41922 +0@41162 \
+     -0@42882 +2@39481 -2@42902 +4@44922 -4@45922 +0@45882 -0@46882 \
+     +2@45902 P1@41042 2:raise@46842 -2@46902 +4@48922 P4@49202 -1@41462 \
+     +0@49882 -0@50882 +2@49902 2:raise@50842 -2@50902 +1@44462 step \
+     limit"
+    (fallback_schedule (Runtime.Pct { change_points = 4; expected_steps = 1200 }) 1)
+
 (* ------------------------------ step cost ------------------------------- *)
 
 (* Minor-heap words allocated per scheduler step.  The count is exact for
@@ -1054,6 +1199,18 @@ let test_words_uniform_join () =
                done)))
   in
   check_words "uniform run with a joining main" ~bound:6.0 w
+
+(* A lone thread: every step picks it again.  Each step cost 8.05 minor
+   words while every op went through the effect handler. *)
+let test_words_same_thread_reads () =
+  let w =
+    words_per_step cfg (fun () ->
+        let base = Runtime.malloc 64 in
+        for i = 0 to 19_999 do
+          ignore (Runtime.read (base + (i land 63)))
+        done)
+  in
+  check_words "lone thread read loop" ~bound:1.0 w
 
 let () =
   Alcotest.run "ts_sim"
@@ -1130,6 +1287,8 @@ let () =
           Alcotest.test_case "dropped signals" `Quick test_drop_signals;
           Alcotest.test_case "mid-step removal keeps the schedule" `Quick
             test_mid_step_removal_schedule;
+          Alcotest.test_case "every switch outcome keeps the schedule" `Quick
+            test_fallback_schedule;
         ] );
       ( "trace",
         [
@@ -1162,5 +1321,7 @@ let () =
         [
           Alcotest.test_case "timed read loop words per step" `Quick test_words_timed_reads;
           Alcotest.test_case "uniform join words per step" `Quick test_words_uniform_join;
+          Alcotest.test_case "same-thread read loop words per step" `Quick
+            test_words_same_thread_reads;
         ] );
     ]
